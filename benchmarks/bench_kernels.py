@@ -1,9 +1,12 @@
-"""Benchmark the jitted kernels against their pure-numpy fallbacks.
+"""Time the hot kernels and the trace distance on a two-mode payload.
 
 Run: python3 benchmarks/bench_kernels.py [--cutoff N] [--repeats R]
 
-Timings use the best of R calls after warmup, so the numba column
-excludes JIT compilation time.
+Timings use the best of R calls after warmup.  apply_damping and
+trace_distance have a single implementation and are timed through their
+public functions; the other kernels are timed on their numpy path, next to
+their numba twin when numba is importable (the numba column excludes JIT
+compilation time).
 """
 from __future__ import annotations
 
@@ -28,12 +31,18 @@ def best_of(fn, args, repeats: int, warmup: int = 2) -> float:
 
 
 def two_mode_payload(cutoff: int, kappa_t: float):
+    """Thermal-vacuum projector as rho4, its damping weights, and the CLI's
+    trace-distance pair (closed-form damped state, operator-sum image)."""
     params = states.ThermoParams.from_tau(1.0)
     layout = fock.ModeLayout(cutoff).doubled()
     rho = fock.outer(states.thermal_vacuum(params, layout))
     rho4 = np.ascontiguousarray(rho.mat.reshape(cutoff, cutoff, cutoff, cutoff))
     weights = channel.damping_weights(cutoff, kappa_t, cutoff)
-    return rho4, weights
+    analytic = states.evolved_two_mode_state(
+        states.EvolvedTwoModeSpec.from_theta(params.theta, kappa_t), layout
+    )
+    damped = channel.apply_kraus(rho, channel.ChannelSpec(kappa_t=kappa_t))
+    return rho4, weights, (analytic, damped)
 
 
 def single_mode_payload(cutoff: int):
@@ -49,12 +58,13 @@ def main() -> int:
     args = parser.parse_args()
 
     n = args.cutoff
-    rho4, weights = two_mode_payload(n, kappa_t=0.5)
+    rho4, weights, pair = two_mode_payload(n, kappa_t=0.5)
     rho4_small = single_mode_payload(4 * n)
     flat = rho4.reshape(n * n, n * n)
 
     cases = [
-        ("apply_damping", kernels._apply_damping_np, (rho4, weights, n)),
+        ("apply_damping", kernels.apply_damping, (rho4, weights, n)),
+        ("trace_distance", fock.trace_distance, pair),
         ("lindblad_rhs", kernels._lindblad_rhs_np, (rho4, 1.0)),
         ("rk4_evolve", kernels._rk4_np, (rho4_small, 1.0, 1e-3, 200)),
         ("herm_defect", kernels._herm_defect_np, (flat,)),
@@ -62,13 +72,12 @@ def main() -> int:
     jitted = {}
     if kernels.HAS_NUMBA:
         jitted = {
-            "apply_damping": kernels._apply_damping_nb,
             "lindblad_rhs": kernels._lindblad_rhs_nb,
             "rk4_evolve": kernels._rk4_nb,
             "herm_defect": kernels._herm_defect_nb,
         }
     else:
-        print("numba not importable, timing the numpy fallbacks only")
+        print("numba not importable, timing the numpy paths only")
 
     print(
         f"cutoff {n} (two-mode dim {n * n}), rk4 on single mode dim {4 * n}, "

@@ -11,8 +11,8 @@ element of K_n taking occupation j+n to j is
     W[n, j] = e^(-kappa t j) sqrt(V^n C(j+n, n)),
 
 every factor of which is <= 1, so the table is built by a stable recurrence
-and the operator sum is applied as shifted rescalings of the input instead
-of explicit matrix products (see kernels).
+and the operator sum is applied per offset j - k, as banded products on the
+nonzero entries, instead of explicit matrix products (see kernels).
 
 The Lindblad route integrates d rho / dt = kappa (2 a rho a+ - {a+a, rho})
 with fixed-step RK4 and checks trace drift afterwards; both routes converge
@@ -81,16 +81,15 @@ def damping_weights(cutoff: int, kappa_t: float, n_kraus: int) -> np.ndarray:
 def kraus_operators(spec: ChannelSpec, layout: ModeLayout) -> list[Operator]:
     """Materialize the Kraus family as dense operators.
 
-    Built literally as sqrt(V^n / n!) e^(-kappa t a+a) a^n; apply_kraus does
-    not call this (it uses the weight table), so the two can check each
-    other.  Mostly useful for inspection and small-cutoff tests; the
-    two-mode family at large cutoffs is big (n_kraus matrices of dim^2).
+    Built literally as sqrt(V^n / n!) e^(-kappa t a+a) a^n, with the diagonal
+    e^(-kappa t a+a) taken entrywise; apply_kraus does not call this (it uses
+    the weight table), so the two can check each other.  Mostly useful for
+    inspection and small-cutoff tests; the two-mode family at large cutoffs
+    is big (n_kraus matrices of dim^2).
     """
     n_kraus = spec.max_kraus or layout.cutoff
     single = layout.single() if layout.modes == 2 else layout
-    decay = fock.matrix_exponential(
-        fock.scale(-spec.kappa_t, fock.number(single))
-    ).mat
+    decay = np.diag(np.exp(-spec.kappa_t * np.arange(single.cutoff)))
     a = fock.annihilation(single).mat
     ops: list[Operator] = []
     power = np.eye(single.dim, dtype=np.complex128)
@@ -129,10 +128,15 @@ def _restore_matrix(rho4: np.ndarray, layout: ModeLayout, target_mode: str) -> n
 def apply_kraus(rho: DensityMatrix, spec: ChannelSpec) -> DensityMatrix:
     """Push rho through the damping channel via the structured operator sum.
 
-    Cost is O(n_kraus * dim^2) rather than the O(n_kraus * dim^3) of
-    explicit matrix products.  With the full Kraus family the trace is
-    preserved exactly (to round-off) even at the truncation boundary; a
-    violation indicates a real defect and raises IntegrationError.
+    The Kraus matrices are never formed.  Each offset j - k of the damped
+    mode is mapped on its own by one banded L x L product (L = cutoff -
+    |j - k|) over just the ride-along columns that are nonzero on that
+    offset, after one scan of the input for nonzeros.  A diagonal
+    single-mode state touches one offset; a two-mode state built here
+    touches only its pair-number blocks.  With the full Kraus family the
+    trace is preserved exactly (to round-off) even at the truncation
+    boundary; a violation indicates a real defect and raises
+    IntegrationError.
     """
     layout = rho.layout
     if layout.modes == 1 and spec.target_mode == fock.TILDE:

@@ -1,4 +1,4 @@
-"""Hot numerical kernels with numba and pure-numpy implementations.
+"""Hot numerical kernels.
 
 Every kernel operates on a density matrix stored as a contiguous complex128
 array of shape (N, R, N, R): N is the Fock cutoff of the mode being damped,
@@ -7,8 +7,9 @@ for the undamped partner of a two-mode state).  Row index = (n, m), column
 index = (n', m'); the damped mode always sits on the first slot of each
 pair, so callers that damp the second mode transpose before and after.
 
-numba is used when importable; set THERMOFOCK_DISABLE_NUMBA=1 to force the
-pure-numpy path (the benchmark script compares the two directly).
+The damping operator sum has one numpy implementation (apply_damping).  The
+generator, RK4 and hermiticity kernels also have numba twins, used when numba
+is importable; set THERMOFOCK_DISABLE_NUMBA=1 to force their pure-numpy path.
 """
 
 from __future__ import annotations
@@ -36,17 +37,6 @@ def backend_name() -> str:
 # ---------------------------------------------------------------------------
 # pure-numpy implementations
 # ---------------------------------------------------------------------------
-
-
-def _apply_damping_np(rho4: np.ndarray, weights: np.ndarray, n_kraus: int) -> np.ndarray:
-    """Operator-sum damping: out[j,m,k,m'] = sum_n W[n,j] W[n,k] rho[j+n,m,k+n,m']."""
-    n_modes = rho4.shape[0]
-    out = np.zeros_like(rho4)
-    for n in range(min(n_kraus, n_modes)):
-        span = n_modes - n
-        coef = np.outer(weights[n, :span], weights[n, :span])
-        out[:span, :, :span, :] += coef[:, None, :, None] * rho4[n:, :, n:, :]
-    return out
 
 
 def _lindblad_rhs_np(rho4: np.ndarray, kappa: float) -> np.ndarray:
@@ -93,21 +83,6 @@ def _herm_defect_np(mat: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _apply_damping_nb(rho4, weights, n_kraus):
-        n_modes, ride = rho4.shape[0], rho4.shape[1]
-        out = np.zeros_like(rho4)
-        for j in range(n_modes):
-            for k in range(n_modes):
-                n_max = min(n_kraus, n_modes - j, n_modes - k)
-                for m in range(ride):
-                    for mp in range(ride):
-                        acc = 0.0 + 0.0j
-                        for n in range(n_max):
-                            acc += weights[n, j] * weights[n, k] * rho4[j + n, m, k + n, mp]
-                        out[j, m, k, mp] = acc
-        return out
 
     @njit(cache=True)
     def _rhs_into_nb(rho4, kappa, out):
@@ -205,19 +180,46 @@ if HAS_NUMBA:
 
 
 # ---------------------------------------------------------------------------
-# dispatchers
+# public kernels
 # ---------------------------------------------------------------------------
 
 
 def apply_damping(rho4: np.ndarray, weights: np.ndarray, n_kraus: int) -> np.ndarray:
     """Apply the amplitude-damping operator sum to the first mode of rho4.
 
-    weights[n, j] is the matrix element of the n-th damping operator that
-    maps occupation j+n down to j; rows beyond n_kraus are ignored.
+    out[j,m,k,m'] = sum_n W[n,j] W[n,k] rho[j+n,m,k+n,m'], where weights[n, j]
+    is the matrix element of the n-th damping operator that maps occupation
+    j+n down to j; rows beyond n_kraus are ignored.
+
+    Every term keeps the offset delta = j - k, so the sum acts on each
+    diagonal rho4[p+max(delta,0), :, p+max(-delta,0), :] (p = 0..L-1,
+    L = N - |delta|) on its own, as the upper-triangular L x L matrix
+    T[p, p+n] = W[n, j_p] W[n, k_p].  Only the (m, m') columns with a
+    nonzero on that diagonal are gathered, so the cost follows the nonzero
+    pair-number blocks of the state rather than N^2 R^2 per order n.
     """
-    if NUMBA_ENABLED:
-        return _apply_damping_nb(rho4, weights, n_kraus)
-    return _apply_damping_np(rho4, weights, n_kraus)
+    n_modes = rho4.shape[0]
+    n_kraus = min(n_kraus, n_modes)
+    out = np.zeros_like(rho4)
+    for delta in range(1 - n_modes, n_modes):
+        diag = np.diagonal(rho4, -delta, axis1=0, axis2=2)  # (R, R, L) view
+        m_sel, mp_sel = np.nonzero(diag.any(axis=2))
+        if m_sel.size == 0:
+            continue
+        span = diag.shape[2]
+        j0, k0 = max(delta, 0), max(-delta, 0)
+        row, col = np.triu_indices(span)
+        order = col - row
+        keep = order < n_kraus
+        row, col, order = row[keep], col[keep], order[keep]
+        tmat = np.zeros((span, span))
+        tmat[row, col] = weights[order, j0 + row] * weights[order, k0 + row]
+        # complex columns as interleaved real pairs, so T acts through one real GEMM
+        cols = np.ascontiguousarray(diag[m_sel, mp_sel, :].T)
+        damped = (tmat @ cols.view(np.float64)).view(np.complex128)
+        p = np.arange(span)[:, None]
+        out[j0 + p, m_sel, k0 + p, mp_sel] = damped
+    return out
 
 
 def lindblad_rhs4(rho4: np.ndarray, kappa: float) -> np.ndarray:

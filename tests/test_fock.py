@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermofock import fock
 
@@ -203,6 +205,47 @@ def test_trace_distance_of_basis_projectors():
     p1 = fock.outer(fock.fock_state(layout, 1))
     assert fock.trace_distance(p0, p1) == pytest.approx(1.0)
     assert fock.trace_distance(p0, p0) == pytest.approx(0.0, abs=1e-15)
+
+
+def block_partitions(dim):
+    """Block sizes summing to dim: one dense block, all singletons, or random cuts."""
+
+    def sizes(cuts):
+        edges = [0, *(i + 1 for i, cut in enumerate(cuts) if cut), dim]
+        return np.diff(edges).tolist()
+
+    cuts = st.lists(st.booleans(), min_size=dim - 1, max_size=dim - 1)
+    return st.one_of(st.just([dim]), st.just([1] * dim), cuts.map(sizes))
+
+
+def block_density(sizes, perm, rng):
+    # hermitian, unit trace, block-diagonal after undoing perm
+    dim = sum(sizes)
+    mat = np.zeros((dim, dim), dtype=complex)
+    lo = 0
+    for size in sizes:
+        x = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+        mat[lo:lo + size, lo:lo + size] = x + x.conj().T
+        lo += size
+    mat += np.eye(dim) * (1.0 - mat.trace().real) / dim
+    return mat[np.ix_(perm, perm)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    # a single-mode layout of cutoff dim holds the matrix; cutoffs start at 2
+    sizes=st.integers(2, 40).flatmap(block_partitions),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_trace_distance_is_exact_on_permuted_blocks(sizes, seed):
+    rng = np.random.default_rng(seed)
+    dim = sum(sizes)
+    perm = rng.permutation(dim)
+    layout = fock.ModeLayout(dim)
+    rho = fock.DensityMatrix(layout, block_density(sizes, perm, rng))
+    sigma = fock.DensityMatrix(layout, block_density(sizes, perm, rng))
+    expected = 0.5 * np.abs(np.linalg.eigvalsh(rho.mat - sigma.mat)).sum()
+    assert abs(fock.trace_distance(rho, sigma) - expected) <= 1e-12 * expected + 1e-15
 
 
 @pytest.mark.parametrize(

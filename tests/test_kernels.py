@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from thermofock import kernels
+from thermofock import channel, fock, kernels, states
 
 
 def random_hermitian4(n, ride, seed):
@@ -28,14 +28,44 @@ def reference_damping(rho4, weights, n_kraus):
     return out
 
 
-@pytest.mark.parametrize("n, ride", [(9, 1), (6, 6)])
-def test_damping_backends_match_reference(n, ride):
-    rho4 = random_hermitian4(n, ride, seed=3)
-    weights = np.exp(-0.3 * np.arange(n))[None, :] * np.linspace(1.0, 0.2, n)[:, None]
-    expected = reference_damping(rho4, weights, n)
-    np.testing.assert_allclose(kernels._apply_damping_np(rho4, weights, n), expected, atol=1e-14)
-    if kernels.HAS_NUMBA:
-        np.testing.assert_allclose(kernels._apply_damping_nb(rho4, weights, n), expected, atol=1e-14)
+def random_state4(n, seed):
+    # dense two-mode density matrix, so every offset and column is populated
+    m = random_hermitian4(n, n, seed).reshape(n * n, n * n)
+    m = m @ m.conj().T
+    return (m / m.trace()).reshape(n, n, n, n)
+
+
+def thermal_vacuum4(n):
+    layout = fock.ModeLayout(n).doubled()
+    rho = fock.outer(states.thermal_vacuum(states.ThermoParams.from_tau(1.0), layout))
+    return rho.mat.reshape(n, n, n, n)
+
+
+@pytest.mark.parametrize(
+    "rho4, n_kraus, target",
+    [
+        pytest.param(random_hermitian4(9, 1, seed=3), 9, fock.SYSTEM, id="9-1"),
+        pytest.param(random_hermitian4(6, 6, seed=3), 6, fock.SYSTEM, id="6-6"),
+        pytest.param(thermal_vacuum4(8), 8, fock.SYSTEM, id="thermal-vacuum-8"),
+        pytest.param(random_hermitian4(7, 4, seed=3), 3, fock.SYSTEM, id="capped-7-4"),
+        pytest.param(random_state4(5, seed=3), 5, fock.TILDE, id="tilde-5"),
+    ],
+)
+def test_damping_backends_match_reference(rho4, n_kraus, target):
+    n = rho4.shape[0]
+    if target == fock.SYSTEM:
+        # the full table even when capped: rows beyond n_kraus must be ignored
+        weights = np.exp(-0.3 * np.arange(n))[None, :] * np.linspace(1.0, 0.2, n)[:, None]
+        got = kernels.apply_damping(rho4, weights, n_kraus)
+        expected = reference_damping(rho4, weights, n_kraus)
+    else:
+        spec = channel.ChannelSpec(kappa_t=0.6, target_mode=target)
+        rho = fock.DensityMatrix(fock.ModeLayout(n).doubled(), rho4.reshape(n * n, n * n))
+        got = channel.apply_kraus(rho, spec).mat.reshape(n, n, n, n)
+        swap = (1, 0, 3, 2)
+        weights = channel.damping_weights(n, spec.kappa_t, n_kraus)
+        expected = reference_damping(rho4.transpose(swap), weights, n_kraus).transpose(swap)
+    np.testing.assert_allclose(got, expected, atol=1e-14)
 
 
 @pytest.mark.parametrize("n, ride", [(9, 1), (6, 6)])
