@@ -2,10 +2,11 @@
 
 Run: python3 benchmarks/bench_kernels.py [--cutoff N] [--repeats R]
 
-Timings use the best of R calls after warmup.  apply_damping and
-trace_distance have a single implementation and are timed through their
-public functions; the other kernels are timed on their numpy path, next to
-their numba twin when numba is importable (the numba column excludes JIT
+Timings use the best of R calls after warmup.  apply_damping,
+trace_distance and matrix_exponential (on the squeeze generator at
+tau0 = 1) have a single implementation and are timed through their public
+functions; the other kernels are timed on their numpy path, next to their
+numba twin when numba is importable (the numba column excludes JIT
 compilation time).
 """
 from __future__ import annotations
@@ -45,6 +46,14 @@ def two_mode_payload(cutoff: int, kappa_t: float):
     return rho4, weights, (analytic, damped)
 
 
+def squeeze_generator(cutoff: int) -> fock.Operator:
+    """theta (a+ b+ - a b) at tau0 = 1, the argument of the squeeze operator."""
+    layout = fock.ModeLayout(cutoff).doubled()
+    pair_up = states._pair_creation(layout).mat
+    theta = states.ThermoParams.from_tau(1.0).theta
+    return fock.Operator(layout, theta * (pair_up - pair_up.conj().T))
+
+
 def single_mode_payload(cutoff: int):
     params = states.ThermoParams.from_tau(1.0)
     rho = states.chaotic_state(params, fock.ModeLayout(cutoff))
@@ -65,6 +74,7 @@ def main() -> int:
     cases = [
         ("apply_damping", kernels.apply_damping, (rho4, weights, n)),
         ("trace_distance", fock.trace_distance, pair),
+        ("matrix_exponential", fock.matrix_exponential, (squeeze_generator(n),)),
         ("lindblad_rhs", kernels._lindblad_rhs_np, (rho4, 1.0)),
         ("rk4_evolve", kernels._rk4_np, (rho4_small, 1.0, 1e-3, 200)),
         ("herm_defect", kernels._herm_defect_np, (flat,)),
@@ -83,17 +93,17 @@ def main() -> int:
         f"cutoff {n} (two-mode dim {n * n}), rk4 on single mode dim {4 * n}, "
         f"best of {args.repeats}"
     )
-    print(f"{'kernel':<16}{'numpy':>12}{'numba':>12}{'speedup':>10}")
+    print(f"{'kernel':<20}{'numpy':>12}{'numba':>12}{'speedup':>10}")
     for name, np_fn, payload in cases:
         t_np = best_of(np_fn, payload, args.repeats)
         if name in jitted:
             t_nb = best_of(jitted[name], payload, args.repeats)
             print(
-                f"{name:<16}{t_np * 1e3:>9.2f} ms{t_nb * 1e3:>9.2f} ms"
+                f"{name:<20}{t_np * 1e3:>9.2f} ms{t_nb * 1e3:>9.2f} ms"
                 f"{t_np / t_nb:>9.1f}x"
             )
         else:
-            print(f"{name:<16}{t_np * 1e3:>9.2f} ms{'-':>12}{'-':>10}")
+            print(f"{name:<20}{t_np * 1e3:>9.2f} ms{'-':>12}{'-':>10}")
     return 0
 
 

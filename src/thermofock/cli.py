@@ -24,8 +24,7 @@ import sys
 from dataclasses import dataclass, field
 
 from . import channel, fock, states, thermo, verify
-
-TWO_MODE_CUTOFF_CAP = verify.TWO_MODE_CUTOFF_CAP
+from .fock import TWO_MODE_CUTOFF_CAP
 
 COOL_HEADER = ["kappa_t", "tau_closed", "tau_numeric", "nbar", "trace_error"]
 TWO_MODE_HEADER = [
@@ -172,6 +171,9 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     cfg.out = _pick(args.out, file_values, "out", str, "-")
     cfg.svg = _pick(args.svg, file_values, "svg", str, None)
 
+    for name, value in (("tau0", cfg.tau0), ("kappa", cfg.kappa), ("t-max", cfg.t_max)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
     if cfg.tau0 <= 0:
         raise ConfigError(f"tau0 must be > 0, got {cfg.tau0}")
     if cfg.kappa <= 0:

@@ -6,12 +6,13 @@ of the same cutoff, ordered system-major: basis index = n_sys * cutoff +
 n_tilde.  Everything is stored dense complex128; cutoffs of interest are
 <= 128 (two-mode dimension <= 16384).  The two-mode states built here
 conserve the pair-number difference n_tilde - n_sys, so they are
-block-diagonal up to a permutation; trace_distance uses that exact zero
-structure and eigensolves each connected block of the difference on its own.
+block-diagonal up to a permutation; trace_distance and matrix_exponential
+use that exact zero structure and work on each connected block on its own.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +25,9 @@ TILDE = "tilde"
 
 CUTOFF_MIN = 8
 CUTOFF_MAX = 128
+# two-mode states are stored dense: at cutoff 48 one doubled matrix is
+# 2304^2 complex128 values, 85 MB
+TWO_MODE_CUTOFF_CAP = 48
 TAIL_TARGET = 1e-14
 
 HERMITICITY_TOL = 1e-12
@@ -276,22 +280,14 @@ def partial_trace(rho: DensityMatrix, over: str) -> DensityMatrix:
     return DensityMatrix(rho.layout.single(), red, trace_tol=rho.trace_tol)
 
 
-def matrix_exponential(a: Operator) -> Operator:
-    """exp(A) via scipy's scaling-and-squaring Pade implementation."""
-    return Operator(a.layout, _scipy_expm(a.mat))
+def _components_by_size(pattern: np.ndarray) -> Iterator[np.ndarray]:
+    """Connected components of the square nonzero pattern, grouped by size.
 
-
-def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """(1/2) sum of singular values of rho - sigma (hermitian, so |eigenvalues|).
-
-    rho - sigma is split into the connected components of its nonzero
-    pattern.  A matrix that is block-diagonal up to a permutation has the
-    union of its blocks' eigenvalues, so each component is eigensolved on
-    its own; components of equal size share one batched eigvalsh, which
-    takes all singletons (|diagonal entry|) in one step.  The states built
-    here conserve the pair-number difference, so the largest component has
-    at most `cutoff` states; a dense difference is a single component and
-    costs one full eigensolve, as before.
+    Yields one integer array of shape (count, size) per distinct component
+    size; each row lists the basis indices of one component in increasing
+    order.  A matrix is block-diagonal up to a permutation on exactly these
+    blocks, so its eigenvalues are the union of theirs and its exponential
+    is the exponential of each block.  A dense pattern is one component.
     """
     # scipy.sparse is imported here, not at module level: only the two-mode
     # and verify commands reach this, and the import costs every CLI start
@@ -299,15 +295,45 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
 
-    _same_layout(rho, sigma)
-    pattern = csr_matrix(rho.mat != sigma.mat)
-    _, labels = connected_components(pattern, directed=False)
+    _, labels = connected_components(csr_matrix(pattern), directed=False)
     members = np.argsort(labels, kind="stable")
     sizes = np.bincount(labels)
     starts = np.cumsum(sizes) - sizes
-    total = 0.0
     for size in np.unique(sizes):
-        idx = members[starts[sizes == size][:, None] + np.arange(size)]
+        yield members[starts[sizes == size][:, None] + np.arange(size)]
+
+
+def matrix_exponential(a: Operator) -> Operator:
+    """exp(A) via scipy's scaling-and-squaring Pade implementation.
+
+    Each connected component of A's nonzero pattern is exponentiated on its
+    own, one batched expm per component size, and scattered into the dense
+    result; the entries between components are exactly zero.  The squeeze
+    generator and a+ b+ conserve the pair-number difference, so on a
+    two-mode layout their largest block has `cutoff` states and the cost is
+    O(cutoff^4) rather than O(cutoff^6); a dense A is one block, as before.
+    """
+    out = np.zeros_like(a.mat)
+    for idx in _components_by_size(a.mat != 0):
+        rows, cols = idx[:, :, None], idx[:, None, :]
+        out[rows, cols] = _scipy_expm(a.mat[rows, cols])
+    return Operator(a.layout, out)
+
+
+def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
+    """(1/2) sum of singular values of rho - sigma (hermitian, so |eigenvalues|).
+
+    rho - sigma is split into the connected components of its nonzero
+    pattern and each component is eigensolved on its own; components of
+    equal size share one batched eigvalsh, which takes all singletons
+    (|diagonal entry|) in one step.  The states built here conserve the
+    pair-number difference, so the largest component has at most `cutoff`
+    states; a dense difference is a single component and costs one full
+    eigensolve, as before.
+    """
+    _same_layout(rho, sigma)
+    total = 0.0
+    for idx in _components_by_size(rho.mat != sigma.mat):
         rows, cols = idx[:, :, None], idx[:, None, :]
         blocks = rho.mat[rows, cols] - sigma.mat[rows, cols]
         total += np.abs(np.linalg.eigvalsh(blocks)).sum()

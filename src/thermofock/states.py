@@ -113,15 +113,20 @@ def thermal_vacuum(params: ThermoParams, layout: ModeLayout) -> PureState:
     return PureState(layout, vec, norm_tol=params.tail_weight(n) + 1e-12)
 
 
+def _pair_creation(layout: ModeLayout) -> Operator:
+    """a+ b+ on the doubled space, as the tensor product of two single-mode
+    raising operators."""
+    single = layout.single()
+    return fock.tensor(fock.creation(single), fock.creation(single))
+
+
 def thermo_squeeze_operator(theta: float, layout: ModeLayout) -> Operator:
     """Unitary exp[theta (a+ b+ - a b)] mixing the system and tilde modes."""
     if layout.modes != 2:
         raise fock.LayoutError("the squeeze operator lives on a two-mode layout")
     if theta < 0:
         raise ValueError(f"theta must be >= 0, got {theta}")
-    a_sys = fock.annihilation(layout, fock.SYSTEM)
-    a_til = fock.annihilation(layout, fock.TILDE)
-    pair_up = fock.multiply(fock.dagger(a_sys), fock.dagger(a_til)).mat
+    pair_up = _pair_creation(layout).mat
     gen = theta * (pair_up - pair_up.conj().T)
     return fock.matrix_exponential(Operator(layout, gen))
 
@@ -184,7 +189,7 @@ def evolved_two_mode_state(
 
     method="series" expands E|0, m~> = sum_n lam^n sqrt(C(m+n, n)) |n, (m+n)~>
     column by column and accumulates the dyads directly; method="expm" forms
-    E = exp(lam a+ b+) as a dense matrix exponential and conjugates.  The two
+    E = exp(lam a+ b+) with fock.matrix_exponential and conjugates.  The two
     agree to round-off; the series route is the cheap one.
 
     The exact state keeps a fraction tanh^2(theta)^cutoff of its weight above
@@ -214,13 +219,11 @@ def evolved_two_mode_state(
             rho4[rows[:, None], m + rows[:, None], rows[None, :], m + rows[None, :]] = block
         mat = rho4.reshape(layout.dim, layout.dim)
     else:
-        a_sys = fock.annihilation(layout, fock.SYSTEM)
-        a_til = fock.annihilation(layout, fock.TILDE)
-        pair_up = fock.multiply(fock.dagger(a_sys), fock.dagger(a_til))
-        expand = fock.matrix_exponential(fock.scale(spec.lam, pair_up)).mat
-        core = np.zeros(layout.dim, dtype=np.float64)
-        core[np.arange(n)] = sech2 * spec.mu ** np.arange(n)
-        mat = (expand * core) @ expand.conj().T
+        expand = fock.matrix_exponential(fock.scale(spec.lam, _pair_creation(layout))).mat
+        # the core sech^2 mu^m |0, m~><0, m~| lives on basis indices 0..n-1,
+        # so only those columns of E enter the conjugation
+        head = expand[:, :n]
+        mat = (head * (sech2 * spec.mu ** np.arange(n))) @ head.conj().T
 
     tr = mat.trace().real
     deficit = 1.0 - tr

@@ -2,8 +2,9 @@
 
 Each check computes a single observed number and passes when it is below
 (or, for signed-margin checks, at most) its tolerance.  Check functions
-take an optional cutoff override; two-mode checks cap it at 48 because
-they build dense matrix exponentials of dimension cutoff^2.
+take an optional cutoff override; two-mode checks cap it at
+fock.TWO_MODE_CUTOFF_CAP (48) because they store dense doubled matrices of
+dimension cutoff^2 (85 MB each at the cap).
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import numpy as np
 from . import channel, fock, states, thermo
 
 SUITES = ("fock", "states", "channel", "thermo")
-TWO_MODE_CUTOFF_CAP = 48
 
 _GRID_TAU0 = (0.3, 1.0, 3.0)
 _GRID_KAPPA_T = (0.1, 0.5, 1.0, 2.0, 5.0)
@@ -28,7 +28,7 @@ def _single_cutoff(cutoff: int | None, default: int = 32) -> int:
 
 
 def _double_cutoff(cutoff: int | None, default: int = 33) -> int:
-    return default if cutoff is None else min(cutoff, TWO_MODE_CUTOFF_CAP)
+    return default if cutoff is None else min(cutoff, fock.TWO_MODE_CUTOFF_CAP)
 
 
 # ---------------------------------------------------------------------------

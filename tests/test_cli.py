@@ -212,6 +212,31 @@ def test_invalid_numbers_are_config_errors(capsys):
     assert run_cli(["cool", "--tol", "cross_method"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cool", "--tau0", "nan"],
+        ["cool", "--kappa", "inf"],
+        ["cool", "--t-max", "inf"],
+        ["two-mode", "--tau0", "nan"],
+    ],
+)
+def test_non_finite_flags_are_config_errors(argv, capsys):
+    # main returns instead of raising, so no traceback reaches the user
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must be finite" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key, value", [("tau0", "nan"), ("kappa", "inf"), ("t-max", "-inf")])
+def test_non_finite_config_values_are_config_errors(tmp_path, capsys, key, value):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    assert run_cli(["cool", "--config", str(cfg)]) == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
 def test_empty_config_file_uses_defaults(tmp_path):
     cfg = tmp_path / "empty.cfg"
     cfg.write_text("")

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -246,6 +247,39 @@ def test_trace_distance_is_exact_on_permuted_blocks(sizes, seed):
     sigma = fock.DensityMatrix(layout, block_density(sizes, perm, rng))
     expected = 0.5 * np.abs(np.linalg.eigvalsh(rho.mat - sigma.mat)).sum()
     assert abs(fock.trace_distance(rho, sigma) - expected) <= 1e-12 * expected + 1e-15
+
+
+def block_generator(sizes, perm, rng, nilpotent):
+    # non-hermitian blocks of spectral norm <= 2, strictly lower-triangular
+    # if nilpotent, block-diagonal after undoing perm
+    dim = sum(sizes)
+    mat = np.zeros((dim, dim), dtype=complex)
+    lo = 0
+    for size in sizes:
+        x = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+        if nilpotent:
+            x = np.tril(x, -1)
+        norm = np.linalg.norm(x, 2)
+        if norm > 0:
+            x *= 2.0 * rng.uniform() / norm
+        mat[lo:lo + size, lo:lo + size] = x
+        lo += size
+    return mat[np.ix_(perm, perm)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sizes=st.integers(2, 40).flatmap(block_partitions),
+    nilpotent=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_matrix_exponential_is_exact_on_permuted_blocks(sizes, nilpotent, seed):
+    rng = np.random.default_rng(seed)
+    dim = sum(sizes)
+    gen = block_generator(sizes, rng.permutation(dim), rng, nilpotent)
+    got = fock.matrix_exponential(fock.Operator(fock.ModeLayout(dim), gen)).mat
+    ref = scipy.linalg.expm(gen)
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max() + 1e-15
 
 
 @pytest.mark.parametrize(

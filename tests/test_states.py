@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from thermofock import channel, fock, states, thermo
 
@@ -153,6 +154,32 @@ def test_evolved_state_series_equals_expm():
     via_expm = states.evolved_two_mode_state(spec, layout, method="expm")
     assert fock.trace_distance(via_series, via_expm) < 1e-12
     np.testing.assert_allclose(via_series.mat, via_expm.mat, atol=1e-13)
+
+
+def dense_pair_creation(layout):
+    # a+ b+ as the product of the two embedded raising operators
+    a_sys = fock.annihilation(layout, fock.SYSTEM)
+    a_til = fock.annihilation(layout, fock.TILDE)
+    return fock.multiply(fock.dagger(a_sys), fock.dagger(a_til)).mat
+
+
+def test_block_exponentials_match_dense_oracle():
+    # dense expm of the generator at a cutoff small enough to afford it
+    n = 12
+    layout = fock.ModeLayout(n).doubled()
+    pair_up = dense_pair_creation(layout)
+    theta = states.ThermoParams.from_tau(0.5).theta
+    want = scipy.linalg.expm(theta * (pair_up - pair_up.conj().T))
+    got = states.thermo_squeeze_operator(theta, layout).mat
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+    spec = states.EvolvedTwoModeSpec.from_theta(theta, 0.5)
+    expand = scipy.linalg.expm(spec.lam * pair_up)
+    core = np.zeros(n * n)
+    core[:n] = (1.0 - math.tanh(theta) ** 2) * spec.mu ** np.arange(n)
+    want = (expand * core) @ expand.conj().T
+    got = states.evolved_two_mode_state(spec, layout, method="expm").mat
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
 
 def test_evolved_state_at_zero_time_is_thermal_vacuum_projector():
