@@ -1,13 +1,17 @@
-"""Time the hot kernels and the trace distance on a two-mode payload.
+"""Time the hot kernels and the two-mode sector operations.
 
 Run: python3 benchmarks/bench_kernels.py [--cutoff N] [--repeats R]
 
-Timings use the best of R calls after warmup.  apply_damping,
-trace_distance and matrix_exponential (on the squeeze generator at
-tau0 = 1) have a single implementation and are timed through their public
-functions; the other kernels are timed on their numpy path, next to their
-numba twin when numba is importable (the numba column excludes JIT
-compilation time).
+Timings use the best of R calls after warmup.  The two-mode rows run on the
+CLI's payload at tau0 = 1 and kappa*t = 0.5, stored as pair-number sector
+blocks: the thermal-vacuum projector, its damped image and the closed-form
+damped state.  They time the damping operator sum on the blocks
+(damp_sectors), apply_kraus with its validation of the result, the trace
+distance, the partial trace, the purity and the construction of a
+DensityMatrix from blocks.  matrix_exponential runs on the squeeze
+generator, a dense two-mode operator.  The single-mode kernels run at
+cutoff 4N, on their numpy path next to their numba twin when numba is
+importable (the numba column excludes JIT compilation time).
 """
 from __future__ import annotations
 
@@ -32,18 +36,18 @@ def best_of(fn, args, repeats: int, warmup: int = 2) -> float:
 
 
 def two_mode_payload(cutoff: int, kappa_t: float):
-    """Thermal-vacuum projector as rho4, its damping weights, and the CLI's
-    trace-distance pair (closed-form damped state, operator-sum image)."""
+    """Thermal-vacuum projector, its damping weights and spec, the damped
+    state and the closed-form damped state, all stored by sector."""
     params = states.ThermoParams.from_tau(1.0)
     layout = fock.ModeLayout(cutoff).doubled()
     rho = fock.outer(states.thermal_vacuum(params, layout))
-    rho4 = np.ascontiguousarray(rho.mat.reshape(cutoff, cutoff, cutoff, cutoff))
+    spec = channel.ChannelSpec(kappa_t=kappa_t)
     weights = channel.damping_weights(cutoff, kappa_t, cutoff)
     analytic = states.evolved_two_mode_state(
         states.EvolvedTwoModeSpec.from_theta(params.theta, kappa_t), layout
     )
-    damped = channel.apply_kraus(rho, channel.ChannelSpec(kappa_t=kappa_t))
-    return rho4, weights, (analytic, damped)
+    damped = channel.apply_kraus(rho, spec)
+    return rho, spec, weights, damped, analytic
 
 
 def squeeze_generator(cutoff: int) -> fock.Operator:
@@ -67,17 +71,24 @@ def main() -> int:
     args = parser.parse_args()
 
     n = args.cutoff
-    rho4, weights, pair = two_mode_payload(n, kappa_t=0.5)
+    rho, spec, weights, damped, analytic = two_mode_payload(n, kappa_t=0.5)
     rho4_small = single_mode_payload(4 * n)
-    flat = rho4.reshape(n * n, n * n)
+    flat_small = rho4_small.reshape(4 * n, 4 * n)
+    weights_small = channel.damping_weights(4 * n, 0.5, 4 * n)
+    stored = sum(block.size for block in damped.blocks.values())
 
     cases = [
-        ("apply_damping", kernels.apply_damping, (rho4, weights, n)),
-        ("trace_distance", fock.trace_distance, pair),
+        ("damp_sectors", kernels.damp_sectors, (rho.blocks, weights, n, n)),
+        ("apply_kraus", channel.apply_kraus, (rho, spec)),
+        ("trace_distance", fock.trace_distance, (analytic, damped)),
+        ("partial_trace", fock.partial_trace, (damped, fock.TILDE)),
+        ("purity", fock.purity, (damped,)),
+        ("from_blocks", fock.DensityMatrix.from_blocks, (damped.layout, damped.blocks, damped.trace_tol)),
         ("matrix_exponential", fock.matrix_exponential, (squeeze_generator(n),)),
-        ("lindblad_rhs", kernels._lindblad_rhs_np, (rho4, 1.0)),
+        ("apply_damping", kernels.apply_damping, (rho4_small, weights_small, 4 * n)),
+        ("lindblad_rhs", kernels._lindblad_rhs_np, (rho4_small, 1.0)),
         ("rk4_evolve", kernels._rk4_np, (rho4_small, 1.0, 1e-3, 200)),
-        ("herm_defect", kernels._herm_defect_np, (flat,)),
+        ("herm_defect", kernels._herm_defect_np, (flat_small,)),
     ]
     jitted = {}
     if kernels.HAS_NUMBA:
@@ -90,8 +101,9 @@ def main() -> int:
         print("numba not importable, timing the numpy paths only")
 
     print(
-        f"cutoff {n} (two-mode dim {n * n}), rk4 on single mode dim {4 * n}, "
-        f"best of {args.repeats}"
+        f"two-mode cutoff {n}: damped state stores {stored} entries in "
+        f"{len(damped.blocks)} blocks ({16 * stored / 1e6:.2f} MB; dense would be "
+        f"{16 * n**4 / 1e6:.1f} MB); single mode dim {4 * n}; best of {args.repeats}"
     )
     print(f"{'kernel':<20}{'numpy':>12}{'numba':>12}{'speedup':>10}")
     for name, np_fn, payload in cases:

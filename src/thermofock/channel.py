@@ -11,8 +11,9 @@ element of K_n taking occupation j+n to j is
     W[n, j] = e^(-kappa t j) sqrt(V^n C(j+n, n)),
 
 every factor of which is <= 1, so the table is built by a stable recurrence
-and the operator sum is applied per offset j - k, as banded products on the
-nonzero entries, instead of explicit matrix products (see kernels).
+and the operator sum is applied from the table instead of explicit matrix
+products: per offset j - k for a single mode, per pair-number sector block
+for two modes (see kernels).
 
 The Lindblad route integrates d rho / dt = kappa (2 a rho a+ - {a+a, rho})
 with fixed-step RK4 and checks trace drift afterwards; both routes converge
@@ -108,66 +109,71 @@ def kraus_operators(spec: ChannelSpec, layout: ModeLayout) -> list[Operator]:
     return ops
 
 
-def _damped_axis_view(mat: np.ndarray, layout: ModeLayout, target_mode: str) -> np.ndarray:
-    """Reshape to (N, R, N, R) with the damped mode on the first axis pair."""
-    n = layout.cutoff
+def _damp(rho: DensityMatrix, target_mode: str, single, sectors) -> dict:
+    """Run a damping kernel on rho's storage and return the output blocks.
+
+    single(rho4) gets the (N, 1, N, 1) view of a single-mode matrix;
+    sectors(blocks) gets the sector blocks of a two-mode state with the
+    damped mode in the system slot.
+    """
+    layout = rho.layout
     if layout.modes == 1:
-        return np.ascontiguousarray(mat.reshape(n, 1, n, 1))
-    four = mat.reshape(n, n, n, n)
-    if target_mode == fock.TILDE:
-        four = four.transpose(1, 0, 3, 2)
-    return np.ascontiguousarray(four)
-
-
-def _restore_matrix(rho4: np.ndarray, layout: ModeLayout, target_mode: str) -> np.ndarray:
-    if layout.modes == 2 and target_mode == fock.TILDE:
-        rho4 = rho4.transpose(1, 0, 3, 2)
-    return np.ascontiguousarray(rho4.reshape(layout.dim, layout.dim))
+        if target_mode == fock.TILDE:
+            raise fock.LayoutError("single-mode states have no tilde mode to damp")
+        n = layout.cutoff
+        return {(0, 0): single(rho.mat.reshape(n, 1, n, 1)).reshape(n, n)}
+    if target_mode == fock.SYSTEM:
+        return sectors(rho.blocks)
+    return fock.swap_modes(sectors(fock.swap_modes(rho.blocks)))
 
 
 def apply_kraus(rho: DensityMatrix, spec: ChannelSpec) -> DensityMatrix:
     """Push rho through the damping channel via the structured operator sum.
 
-    The Kraus matrices are never formed.  Each offset j - k of the damped
-    mode is mapped on its own by one banded L x L product (L = cutoff -
-    |j - k|) over just the ride-along columns that are nonzero on that
-    offset, after one scan of the input for nonzeros.  A diagonal
-    single-mode state touches one offset; a two-mode state built here
-    touches only its pair-number blocks.  With the full Kraus family the
-    trace is preserved exactly (to round-off) even at the truncation
-    boundary; a violation indicates a real defect and raises
+    The Kraus matrices are never formed.  A single-mode state is mapped per
+    offset j - k by one banded product over its nonzero entries; a two-mode
+    state is mapped block by block, input block (d, d') feeding output
+    blocks (d + n, d' + n) for a damped system mode.  With the full Kraus
+    family the trace is preserved exactly (to round-off) even at the
+    truncation boundary; a violation indicates a real defect and raises
     IntegrationError.
     """
-    layout = rho.layout
-    if layout.modes == 1 and spec.target_mode == fock.TILDE:
-        raise fock.LayoutError("single-mode states have no tilde mode to damp")
-    n_kraus = spec.max_kraus or layout.cutoff
-    n_kraus = min(n_kraus, layout.cutoff)
-    weights = damping_weights(layout.cutoff, spec.kappa_t, n_kraus)
-    rho4 = _damped_axis_view(rho.mat, layout, spec.target_mode)
-    out4 = kernels.apply_damping(rho4, weights, n_kraus)
-    out = _restore_matrix(out4, layout, spec.target_mode)
+    cutoff = rho.layout.cutoff
+    n_kraus = min(spec.max_kraus or cutoff, cutoff)
+    weights = damping_weights(cutoff, spec.kappa_t, n_kraus)
+    out = _damp(
+        rho,
+        spec.target_mode,
+        lambda rho4: kernels.apply_damping(rho4, weights, n_kraus),
+        lambda blocks: kernels.damp_sectors(blocks, weights, n_kraus, cutoff),
+    )
+    tr = fock.sector_trace(out)
     if spec.max_kraus is None:
-        drift = abs(out.trace() - rho.mat.trace())
+        drift = abs(tr - fock.trace(rho))
         if drift > TRACE_PRESERVATION_TOL:
             raise IntegrationError(f"operator sum changed the trace by {drift:.3e}")
         tol = rho.trace_tol + TRACE_PRESERVATION_TOL
     else:
         # a deliberately capped family is lossy; carry the measured deficit
-        tol = abs(out.trace() - 1.0) + rho.trace_tol + TRACE_PRESERVATION_TOL
-    return DensityMatrix(layout, out, trace_tol=tol)
+        tol = abs(tr - 1.0) + rho.trace_tol + TRACE_PRESERVATION_TOL
+    return DensityMatrix.from_blocks(rho.layout, out, trace_tol=tol)
 
 
-def lindblad_rhs(rho: Operator, kappa: float, target_mode: str = fock.SYSTEM) -> Operator:
-    """kappa (2 a rho a+ - a+a rho - rho a+a) on the damped mode."""
+def lindblad_rhs(rho: Operator | DensityMatrix, kappa: float, target_mode: str = fock.SYSTEM) -> Operator:
+    """kappa (2 a rho a+ - a+a rho - rho a+a) on a single mode.
+
+    Two-mode states are integrated per sector block by lindblad_integrate.
+    """
     if kappa < 0:
         raise ValueError(f"kappa must be >= 0, got {kappa}")
     layout = rho.layout
-    if layout.modes == 1 and target_mode == fock.TILDE:
+    if layout.modes == 2:
+        raise fock.LayoutError("lindblad_rhs acts on single-mode operators")
+    if target_mode == fock.TILDE:
         raise fock.LayoutError("single-mode states have no tilde mode to damp")
-    rho4 = _damped_axis_view(rho.mat, layout, target_mode)
-    out4 = kernels.lindblad_rhs4(rho4, kappa)
-    return Operator(layout, _restore_matrix(out4, layout, target_mode))
+    n = layout.cutoff
+    out4 = kernels.lindblad_rhs4(np.ascontiguousarray(rho.mat.reshape(n, 1, n, 1)), kappa)
+    return Operator(layout, out4.reshape(n, n))
 
 
 def lindblad_integrate(
@@ -193,7 +199,8 @@ def lindblad_integrate(
     if layout.modes == 1 and target_mode == fock.TILDE:
         raise fock.LayoutError("single-mode states have no tilde mode to damp")
     if t_final == 0:
-        return DensityMatrix(layout, rho.mat.copy(), trace_tol=rho.trace_tol)
+        blocks = {key: block.copy() for key, block in rho.blocks.items()}
+        return DensityMatrix.from_blocks(layout, blocks, trace_tol=rho.trace_tol)
     if dt is None:
         dt = min(1e-3 / kappa, t_final / 100.0)
     if dt <= 0:
@@ -203,15 +210,19 @@ def lindblad_integrate(
     if remainder < 1e-12 * dt:
         remainder = 0.0
 
-    rho4 = _damped_axis_view(rho.mat, layout, target_mode)
-    out4 = kernels.rk4_evolve(rho4, kappa, dt, n_full)
-    if remainder > 0.0:
-        out4 = kernels.rk4_evolve(out4, kappa, remainder, 1)
-    out = _restore_matrix(out4, layout, target_mode)
+    cutoff = layout.cutoff
+    n_tail = int(remainder > 0.0)
 
-    drift = abs(out.trace() - rho.mat.trace())
+    def single(rho4):
+        return kernels.rk4_evolve(kernels.rk4_evolve(rho4, kappa, dt, n_full), kappa, remainder, n_tail)
+
+    def sectors(blocks):
+        return kernels.rk4_sectors(kernels.rk4_sectors(blocks, kappa, dt, n_full, cutoff), kappa, remainder, n_tail, cutoff)
+
+    out = _damp(rho, target_mode, single, sectors)
+    drift = abs(fock.sector_trace(out) - fock.trace(rho))
     if drift > TRACE_DRIFT_TOL:
         raise IntegrationError(
-            f"trace drifted by {drift:.3e} over {n_full + (remainder > 0)} RK4 steps"
+            f"trace drifted by {drift:.3e} over {n_full + n_tail} RK4 steps"
         )
-    return DensityMatrix(layout, out, trace_tol=rho.trace_tol + drift + 1e-12)
+    return DensityMatrix.from_blocks(layout, out, trace_tol=rho.trace_tol + drift + 1e-12)

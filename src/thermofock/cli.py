@@ -24,7 +24,6 @@ import sys
 from dataclasses import dataclass, field
 
 from . import channel, fock, states, thermo, verify
-from .fock import TWO_MODE_CUTOFF_CAP
 
 COOL_HEADER = ["kappa_t", "tau_closed", "tau_numeric", "nbar", "trace_error"]
 TWO_MODE_HEADER = [
@@ -187,11 +186,6 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     if command == "two-mode":
         if cfg.method != "kraus":
             raise ConfigError("two-mode evolves by the operator sum; only method=kraus is supported")
-        if cfg.cutoff is not None and cfg.cutoff > TWO_MODE_CUTOFF_CAP:
-            raise ConfigError(
-                f"two-mode cutoff is capped at {TWO_MODE_CUTOFF_CAP} "
-                f"(doubled dimension {TWO_MODE_CUTOFF_CAP**2}), got {cfg.cutoff}"
-            )
     unknown_tols = sorted(set(tolerances) - _CURVE_TOL_NAMES)
     if unknown_tols:
         raise ConfigError(
@@ -331,7 +325,7 @@ def cmd_two_mode(cfg: RunConfig) -> int:
     params = states.ThermoParams.from_tau(cfg.tau0)
     cutoff = cfg.cutoff
     if cutoff is None:
-        cutoff = min(fock.default_cutoff(params.theta), TWO_MODE_CUTOFF_CAP)
+        cutoff = fock.default_cutoff(params.theta)
     layout = fock.ModeLayout(cutoff).doubled()
     deficit_tol = cfg.tolerances.get("deficit", TWO_MODE_DEFICIT_TOL)
 

@@ -1,13 +1,23 @@
-"""Dense operator algebra on truncated Fock spaces.
+"""Operator algebra on truncated Fock spaces, with states stored by sector.
 
 A single bosonic mode is truncated to occupations 0..cutoff-1.  Two-mode
 objects live on the tensor product of a "system" mode and a "tilde" partner
 of the same cutoff, ordered system-major: basis index = n_sys * cutoff +
-n_tilde.  Everything is stored dense complex128; cutoffs of interest are
-<= 128 (two-mode dimension <= 16384).  The two-mode states built here
-conserve the pair-number difference n_tilde - n_sys, so they are
-block-diagonal up to a permutation; trace_distance and matrix_exponential
-use that exact zero structure and work on each connected block on its own.
+n_tilde.  Operators and pure states are stored dense complex128.
+
+Density matrices are stored as pair-number sectors.  Sector d of a two-mode
+layout holds the basis states with n_tilde - n_sys = d; its index p is the
+state (n_sys, n_tilde) = (p + max(-d, 0), p + max(d, 0)), so it has
+cutoff - |d| states.  A single-mode layout is one sector, d = 0.  Block
+(d, d') holds the entries whose row lies in sector d and whose column lies
+in sector d'; blocks that are exactly zero are not stored.  The squeeze
+generator a+ b+ and every damping operator conserve d, so the states built
+here fill only blocks with d = d': at most 2 cutoff^3 / 3 entries, 22 MB at
+cutoff 128, where the dense matrix would hold cutoff^4 (4.3 GB).
+Validation, partial trace, purity and trace distance work block by block;
+the dense matrix (DensityMatrix.mat) is assembled only on request, as a
+test oracle.  matrix_exponential works on each connected block of its dense
+argument.
 """
 
 from __future__ import annotations
@@ -25,9 +35,6 @@ TILDE = "tilde"
 
 CUTOFF_MIN = 8
 CUTOFF_MAX = 128
-# two-mode states are stored dense: at cutoff 48 one doubled matrix is
-# 2304^2 complex128 values, 85 MB
-TWO_MODE_CUTOFF_CAP = 48
 TAIL_TARGET = 1e-14
 
 HERMITICITY_TOL = 1e-12
@@ -90,31 +97,129 @@ class Operator:
         self.mat = mat
 
 
-@dataclass(eq=False)
-class DensityMatrix(Operator):
-    """Hermitian, unit-trace (within trace_tol) operator.
+def _sector_range(layout: ModeLayout) -> range:
+    """Pair-number differences d = n_tilde - n_sys of the layout's sectors."""
+    top = layout.cutoff - 1 if layout.modes == 2 else 0
+    return range(-top, top + 1)
+
+
+def sector_indices(layout: ModeLayout, d: int) -> np.ndarray:
+    """Dense basis indices of sector d, in sector order."""
+    n = layout.cutoff
+    p = np.arange(n - abs(d))
+    if layout.modes == 1:
+        return p
+    return (p + max(-d, 0)) * n + (p + max(d, 0))
+
+
+def swap_modes(blocks: dict) -> dict:
+    """Sector blocks of the same state with system and tilde exchanged.
+
+    Exchanging the modes maps sector d to sector -d and keeps the index p,
+    so every block keeps its entries and only its key changes.
+    """
+    return {(-d, -d2): block for (d, d2), block in blocks.items()}
+
+
+def sector_trace(blocks: dict) -> complex:
+    """Trace of a matrix given by its sector blocks: the d = d' blocks."""
+    return sum((np.trace(block) for (d, d2), block in blocks.items() if d == d2), np.complex128(0))
+
+
+def _split_sectors(layout: ModeLayout, mat: np.ndarray) -> dict:
+    """The nonzero sector blocks of a dense matrix."""
+    if layout.modes == 1:
+        return {(0, 0): mat} if mat.any() else {}
+    index = {d: sector_indices(layout, d) for d in _sector_range(layout)}
+    label = np.empty(layout.dim, dtype=np.intp)
+    for d, idx in index.items():
+        label[idx] = d
+    rows, cols = np.nonzero(mat)
+    pairs = sorted(set(zip(label[rows].tolist(), label[cols].tolist())))
+    return {(d, d2): mat[np.ix_(index[d], index[d2])] for d, d2 in pairs}
+
+
+def _hermiticity_defect(blocks: dict) -> float:
+    """max |rho - rho^dagger| entrywise, block (d, d') against block (d', d)."""
+    worst = 0.0
+    for (d, d2), block in blocks.items():
+        partner = blocks.get((d2, d))
+        if d == d2:
+            defect = kernels.hermiticity_defect(block)
+        elif partner is None:
+            defect = float(np.abs(block).max())
+        elif d < d2:
+            defect = kernels.hermiticity_defect(block, partner)
+        else:
+            continue
+        worst = max(worst, defect)
+    return worst
+
+
+class DensityMatrix:
+    """Hermitian, unit-trace (within trace_tol) state, stored as sector blocks.
+
+    `DensityMatrix(layout, mat)` splits a dense matrix into its nonzero
+    blocks, so any input is stored exactly; `from_blocks` takes the blocks
+    themselves, keyed by (d, d').  Both check finiteness, hermiticity and the
+    trace.  `blocks` must not be modified afterwards.
 
     trace_tol is carried with the instance because deliberately truncated
     states (thermal tails cut at the top of the space) have a known trace
     deficit that downstream operations must tolerate rather than reject.
     """
 
-    trace_tol: float = field(default=DEFAULT_TRACE_TOL, compare=False)
+    def __init__(self, layout: ModeLayout, mat, trace_tol: float = DEFAULT_TRACE_TOL) -> None:
+        mat = np.ascontiguousarray(mat, dtype=np.complex128)
+        if mat.shape != (layout.dim, layout.dim):
+            raise LayoutError(f"matrix shape {mat.shape} does not match layout dim {layout.dim}")
+        self._store(layout, _split_sectors(layout, mat), trace_tol)
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        defect = kernels.hermiticity_defect(self.mat)
+    @classmethod
+    def from_blocks(
+        cls, layout: ModeLayout, blocks: dict, trace_tol: float = DEFAULT_TRACE_TOL
+    ) -> "DensityMatrix":
+        rho = cls.__new__(cls)
+        rho._store(layout, blocks, trace_tol)
+        return rho
+
+    def _store(self, layout: ModeLayout, blocks: dict, trace_tol: float) -> None:
+        sectors = _sector_range(layout)
+        self.layout = layout
+        self.trace_tol = trace_tol
+        self.blocks = {}
+        for (d, d2), block in blocks.items():
+            block = np.ascontiguousarray(block, dtype=np.complex128)
+            if d not in sectors or d2 not in sectors:
+                raise LayoutError(f"sector pair {(d, d2)} outside the layout {layout}")
+            if block.shape != (layout.cutoff - abs(d), layout.cutoff - abs(d2)):
+                raise LayoutError(f"block {(d, d2)} has shape {block.shape}")
+            if not np.all(np.isfinite(block.view(np.float64))):
+                raise StateError("matrix contains non-finite entries")
+            if block.any():
+                self.blocks[(d, d2)] = block
+        defect = _hermiticity_defect(self.blocks)
         if defect > HERMITICITY_TOL:
             raise StateError(f"not hermitian: max |rho - rho^dagger| = {defect:.3e}")
-        tr = self.mat.trace()
+        tr = sector_trace(self.blocks)
         err = abs(tr - 1.0)
         if err > self.trace_tol:
             raise StateError(f"trace {tr:.12g} deviates from 1 by {err:.3e} (tol {self.trace_tol:.3e})")
 
+    @property
+    def mat(self) -> np.ndarray:
+        """The dense matrix; a single-mode state returns its one block."""
+        if self.layout.modes == 1 and (0, 0) in self.blocks:
+            return self.blocks[(0, 0)]
+        out = np.zeros((self.layout.dim, self.layout.dim), dtype=np.complex128)
+        for (d, d2), block in self.blocks.items():
+            out[np.ix_(sector_indices(self.layout, d), sector_indices(self.layout, d2))] = block
+        return out
+
     def min_eigenvalue(self) -> float:
-        """Smallest eigenvalue; O(dim^3), so called on demand rather than
-        in the constructor."""
-        return float(np.linalg.eigvalsh(self.mat)[0])
+        """Smallest eigenvalue, sector by sector; called on demand rather
+        than in the constructor."""
+        return min(float(part.min()) for part in _spectrum(self.layout, self.blocks))
 
     def check_positive(self, floor: float = PSD_FLOOR) -> float:
         lo = self.min_eigenvalue()
@@ -232,25 +337,35 @@ def scale(c: complex, a: Operator) -> Operator:
     return Operator(a.layout, c * a.mat)
 
 
-def trace(a: Operator) -> complex:
+def trace(a: Operator | DensityMatrix) -> complex:
+    if isinstance(a, DensityMatrix):
+        return complex(sector_trace(a.blocks))
     return complex(a.mat.trace())
 
 
-def expectation(rho: Operator, obs: Operator) -> complex:
+def expectation(rho: Operator | DensityMatrix, obs: Operator) -> complex:
     """Tr(rho A)."""
     _same_layout(rho, obs)
     return complex(np.einsum("ij,ji->", rho.mat, obs.mat))
 
 
-def purity(rho: Operator) -> float:
-    """Tr(rho^2); 1 for pure states, 1/rank-ish for mixed ones."""
-    return float(np.einsum("ij,ji->", rho.mat, rho.mat).real)
+def purity(rho: DensityMatrix) -> float:
+    """Tr(rho^2), the squared Frobenius norm of the hermitian rho summed over
+    its blocks; 1 for pure states, 1/rank-ish for mixed ones."""
+    return float(sum(np.vdot(block, block).real for block in rho.blocks.values()))
 
 
 def outer(psi: PureState, trace_tol: float | None = None) -> DensityMatrix:
-    """Projector |psi><psi| as a density matrix."""
+    """Projector |psi><psi| as a density matrix: block (d, d') is v_d v_d'^+
+    for the parts v_d of psi in each sector."""
     tol = DEFAULT_TRACE_TOL if trace_tol is None else trace_tol
-    return DensityMatrix(psi.layout, np.outer(psi.vec, psi.vec.conj()), trace_tol=max(tol, 2 * psi.norm_tol))
+    parts = {}
+    for d in _sector_range(psi.layout):
+        part = psi.vec[sector_indices(psi.layout, d)]
+        if part.any():
+            parts[d] = part
+    blocks = {(d, d2): np.outer(v, v2.conj()) for d, v in parts.items() for d2, v2 in parts.items()}
+    return DensityMatrix.from_blocks(psi.layout, blocks, trace_tol=max(tol, 2 * psi.norm_tol))
 
 
 def tensor(a: Operator, b: Operator) -> Operator:
@@ -271,11 +386,17 @@ def partial_trace(rho: DensityMatrix, over: str) -> DensityMatrix:
     if rho.layout.modes != 2:
         raise LayoutError("partial_trace needs a two-mode state")
     n = rho.layout.cutoff
-    four = rho.mat.reshape(n, n, n, n)
-    if over == TILDE:
-        red = np.einsum("nmpm->np", four)
-    else:
-        red = np.einsum("nmnp->mp", four)
+    blocks = rho.blocks if over == TILDE else swap_modes(rho.blocks)
+    red = np.zeros((n, n), dtype=np.complex128)
+    # in increasing d, so each entry sums in increasing traced occupation
+    for (d, d2), block in sorted(blocks.items()):
+        # the traced occupations agree on diagonal max(d, 0) - max(d2, 0) of
+        # the block, where the kept occupations differ by d - d2
+        k = max(d, 0) - max(d2, 0)
+        diag = np.diagonal(block, k)
+        start = max(-k, 0) + max(-d, 0)
+        rows = np.arange(start, start + diag.size)
+        red[rows, rows + d - d2] += diag
     red = 0.5 * (red + red.conj().T)
     return DensityMatrix(rho.layout.single(), red, trace_tol=rho.trace_tol)
 
@@ -289,9 +410,10 @@ def _components_by_size(pattern: np.ndarray) -> Iterator[np.ndarray]:
     blocks, so its eigenvalues are the union of theirs and its exponential
     is the exponential of each block.  A dense pattern is one component.
     """
-    # scipy.sparse is imported here, not at module level: only the two-mode
-    # and verify commands reach this, and the import costs every CLI start
-    # about 40 ms and 5 MB
+    # scipy.sparse is imported here, not at module level: only matrix
+    # exponentials (the verify command) and states with blocks between
+    # sectors reach this, and the import costs every CLI start about 40 ms
+    # and 5 MB
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
 
@@ -320,24 +442,58 @@ def matrix_exponential(a: Operator) -> Operator:
     return Operator(a.layout, out)
 
 
+def _spectrum(layout: ModeLayout, blocks: dict) -> Iterator[np.ndarray]:
+    """Eigenvalues of a hermitian matrix given by its sector blocks.
+
+    Sectors coupled by stored blocks with d != d' form connected groups
+    (found with _components_by_size on the sector pattern), and each group is
+    eigensolved as one dense matrix.  Without such blocks, as for every state
+    built here, each sector is eigensolved on its own: one eigvalsh per
+    block, zeros for a sector with nothing stored.
+    """
+    sectors = list(_sector_range(layout))
+    if all(d == d2 for d, d2 in blocks):
+        groups = [[d] for d in sectors]
+    else:
+        top = sectors[-1]
+        pattern = np.eye(len(sectors), dtype=bool)
+        for d, d2 in blocks:
+            pattern[d + top, d2 + top] = True
+        groups = [
+            [sectors[i] for i in comp] for comps in _components_by_size(pattern) for comp in comps
+        ]
+    for group in groups:
+        sizes = [layout.cutoff - abs(d) for d in group]
+        starts = dict(zip(group, np.cumsum([0] + sizes[:-1]).tolist()))
+        present = [(d, d2) for d in group for d2 in group if (d, d2) in blocks]
+        if not present:
+            yield np.zeros(sum(sizes))
+            continue
+        mat = np.zeros((sum(sizes), sum(sizes)), dtype=np.complex128)
+        for d, d2 in present:
+            block = blocks[(d, d2)]
+            mat[starts[d]:starts[d] + block.shape[0], starts[d2]:starts[d2] + block.shape[1]] = block
+        # the states built here are real; the real symmetric solver has the
+        # same eigenvalues and is about three times faster
+        yield np.linalg.eigvalsh(mat if mat.imag.any() else mat.real)
+
+
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """(1/2) sum of singular values of rho - sigma (hermitian, so |eigenvalues|).
 
-    rho - sigma is split into the connected components of its nonzero
-    pattern and each component is eigensolved on its own; components of
-    equal size share one batched eigvalsh, which takes all singletons
-    (|diagonal entry|) in one step.  The states built here conserve the
-    pair-number difference, so the largest component has at most `cutoff`
-    states; a dense difference is a single component and costs one full
-    eigensolve, as before.
+    rho - sigma is formed block by block and eigensolved sector by sector
+    (see _spectrum), so a difference of states built here costs one
+    eigvalsh of at most `cutoff` states per sector.  A difference with
+    blocks between sectors is exact too; its coupled sectors are solved
+    together.
     """
     _same_layout(rho, sigma)
-    total = 0.0
-    for idx in _components_by_size(rho.mat != sigma.mat):
-        rows, cols = idx[:, :, None], idx[:, None, :]
-        blocks = rho.mat[rows, cols] - sigma.mat[rows, cols]
-        total += np.abs(np.linalg.eigvalsh(blocks)).sum()
-    return float(0.5 * total)
+    diff = {}
+    for key in sorted(rho.blocks.keys() | sigma.blocks.keys()):
+        block = rho.blocks.get(key, 0) - sigma.blocks.get(key, 0)
+        if block.any():
+            diff[key] = block
+    return float(0.5 * sum(np.abs(part).sum() for part in _spectrum(rho.layout, diff)))
 
 
 def default_cutoff(theta: float, tail: float = TAIL_TARGET) -> int:
@@ -348,5 +504,9 @@ def default_cutoff(theta: float, tail: float = TAIL_TARGET) -> int:
     t2 = np.tanh(theta) ** 2
     if t2 == 0.0:
         return CUTOFF_MIN
+    if t2 == 1.0:
+        raise ArithmeticError(
+            f"tanh(theta)^2 rounds to 1 at theta = {theta:.6g}: no cutoff holds the thermal tail"
+        )
     need = int(np.ceil(np.log(tail) / np.log(t2)))
     return max(CUTOFF_MIN, min(CUTOFF_MAX, need))

@@ -1,15 +1,24 @@
 """Hot numerical kernels.
 
-Every kernel operates on a density matrix stored as a contiguous complex128
-array of shape (N, R, N, R): N is the Fock cutoff of the mode being damped,
-R is the dimension of whatever rides along (R = 1 for a single mode, R = N
-for the undamped partner of a two-mode state).  Row index = (n, m), column
-index = (n', m'); the damped mode always sits on the first slot of each
-pair, so callers that damp the second mode transpose before and after.
+Two storage forms are handled.  The dense kernels (apply_damping,
+lindblad_rhs4, rk4_evolve) take a contiguous complex128 array of shape
+(N, R, N, R): N is the Fock cutoff of the mode being damped, R is the
+dimension of whatever rides along, row index = (n, m), column index =
+(n', m').  The package passes single-mode states, R = 1.
 
-The damping operator sum has one numpy implementation (apply_damping).  The
-generator, RK4 and hermiticity kernels also have numba twins, used when numba
-is importable; set THERMOFOCK_DISABLE_NUMBA=1 to force their pure-numpy path.
+The sector kernels (damp_sectors, lindblad_rhs_sectors, rk4_sectors) take a
+two-mode state as a dict of pair-number sector blocks, keyed by (d, d'),
+d = n_tilde - n_sys, in the form fock.DensityMatrix stores: row p of a
+block in sector d is (n_sys, n_tilde) = (p + max(-d, 0), p + max(d, 0)).
+They damp the system mode; callers that damp the tilde mode exchange the
+modes before and after (fock.swap_modes).  Lowering n_sys by n moves block
+(d, d') to (d + n, d' + n) and keeps n_tilde, so each term is a shifted
+slice of one block times a weight per row and per column.
+
+The damping operator sums have one numpy implementation each.  The dense
+generator, RK4 and hermiticity kernels also have numba twins, used when
+numba is importable; set THERMOFOCK_DISABLE_NUMBA=1 to force their
+pure-numpy path.
 """
 
 from __future__ import annotations
@@ -66,16 +75,9 @@ def _rk4_np(rho4: np.ndarray, kappa: float, dt: float, n_steps: int) -> np.ndarr
     return out
 
 
-def _herm_defect_np(mat: np.ndarray) -> float:
-    # blockwise so the defect of a large matrix never allocates a full copy
-    dim = mat.shape[0]
-    step = 512
-    worst = 0.0
-    for lo in range(0, dim, step):
-        hi = min(lo + step, dim)
-        block = np.abs(mat[lo:hi, :] - mat[:, lo:hi].conj().T)
-        worst = max(worst, float(block.max()))
-    return worst
+def _herm_defect_np(mat: np.ndarray, partner: np.ndarray | None = None) -> float:
+    partner = mat if partner is None else partner
+    return float(np.abs(mat - partner.conj().T).max())
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +197,8 @@ def apply_damping(rho4: np.ndarray, weights: np.ndarray, n_kraus: int) -> np.nda
     diagonal rho4[p+max(delta,0), :, p+max(-delta,0), :] (p = 0..L-1,
     L = N - |delta|) on its own, as the upper-triangular L x L matrix
     T[p, p+n] = W[n, j_p] W[n, k_p].  Only the (m, m') columns with a
-    nonzero on that diagonal are gathered, so the cost follows the nonzero
-    pair-number blocks of the state rather than N^2 R^2 per order n.
+    nonzero on that diagonal are gathered, so a diagonal single-mode state
+    touches one offset.
     """
     n_modes = rho4.shape[0]
     n_kraus = min(n_kraus, n_modes)
@@ -242,8 +244,112 @@ def rk4_evolve(rho4: np.ndarray, kappa: float, dt: float, n_steps: int) -> np.nd
     return _rk4_np(rho4, kappa, dt, n_steps)
 
 
-def hermiticity_defect(mat: np.ndarray) -> float:
-    """max |mat - mat^dagger| entrywise, without forming the full difference."""
-    if NUMBA_ENABLED:
+def hermiticity_defect(mat: np.ndarray, partner: np.ndarray | None = None) -> float:
+    """max |mat - partner^dagger| entrywise; partner defaults to mat itself.
+
+    Density matrices call this per sector block (at most cutoff x cutoff),
+    comparing block (d, d') with block (d', d).
+    """
+    if partner is None and NUMBA_ENABLED:
         return float(_herm_defect_nb(mat))
-    return _herm_defect_np(mat)
+    return _herm_defect_np(mat, partner)
+
+
+# ---------------------------------------------------------------------------
+# sector kernels
+# ---------------------------------------------------------------------------
+
+
+def _add_to(out: dict, key: tuple[int, int], term: np.ndarray, cutoff: int) -> None:
+    """out[key][:rows, :cols] += term, starting from a zero block."""
+    dst = out.get(key)
+    if dst is None:
+        dst = out[key] = np.zeros((cutoff - abs(key[0]), cutoff - abs(key[1])), dtype=np.complex128)
+    dst[: term.shape[0], : term.shape[1]] += term
+
+
+def _add_lowered(out: dict, key: tuple[int, int], block: np.ndarray, n: int, table: np.ndarray, cutoff: int) -> bool:
+    """Add the image of one block with n_sys lowered by n on both sides.
+
+    The entry with system occupations (j + n, k + n) lands at the entry
+    with (j, k) in block (d + n, d' + n), times table[j] table[k]; the tilde
+    occupations stay.  The surviving rows start at row r0 of the block,
+    whose n_tilde is the lowest the output sector holds, so the image fills
+    the top-left corner of the output block (likewise for columns).
+    Returns False when no row or column survives, which then holds for
+    every larger n as well.
+    """
+    d, d2 = key
+    f, f2 = d + n, d2 + n
+    r0, c0 = max(f, 0) - max(d, 0), max(f2, 0) - max(d2, 0)
+    rows, cols = block.shape[0] - r0, block.shape[1] - c0
+    if rows <= 0 or cols <= 0:
+        return False
+    j0, k0 = max(-f, 0), max(-f2, 0)
+    weight = table[j0:j0 + rows, None] * table[k0:k0 + cols]
+    _add_to(out, (f, f2), weight * block[r0:, c0:], cutoff)
+    return True
+
+
+def damp_sectors(blocks: dict, weights: np.ndarray, n_kraus: int, cutoff: int) -> dict:
+    """Apply the amplitude-damping operator sum to the system mode.
+
+    out[(j, .), (k, .)] = sum_n W[n, j] W[n, k] rho[(j + n, .), (k + n, .)]
+    with the tilde occupations unchanged: input block (d, d') feeds output
+    blocks (d + n, d' + n), n < n_kraus, with weight row W[n] on each side.
+    The thermal-vacuum projector has the single block (0, 0), so it costs
+    cutoff such terms.
+    """
+    out: dict = {}
+    for key, block in blocks.items():
+        for n in range(min(n_kraus, cutoff)):
+            if not _add_lowered(out, key, block, n, weights[n], cutoff):
+                break
+    return out
+
+
+def lindblad_rhs_sectors(blocks: dict, kappa: float, cutoff: int) -> dict:
+    """kappa (2 a rho a+ - a+a rho - rho a+a) on the system mode, per block.
+
+    The anticommutator scales each block by -kappa (n_sys + n_sys'); the
+    jump term is the n = 1 lowering with weights sqrt(2 kappa (j + 1)).
+    """
+    gain = np.sqrt(2.0 * kappa * np.arange(1.0, cutoff + 1.0))
+    out: dict = {}
+    for (d, d2), block in blocks.items():
+        n_row = np.arange(block.shape[0]) + max(-d, 0)
+        n_col = np.arange(block.shape[1]) + max(-d2, 0)
+        _add_to(out, (d, d2), -kappa * (n_row[:, None] + n_col) * block, cutoff)
+        _add_lowered(out, (d, d2), block, 1, gain, cutoff)
+    return out
+
+
+def rk4_sectors(blocks: dict, kappa: float, dt: float, n_steps: int, cutoff: int) -> dict:
+    """Integrate the system-mode damping generator with fixed-step RK4.
+
+    The state is first padded with zero blocks to the set of keys the
+    generator can reach, (d + n, d' + n), closed under transposition, and
+    re-hermitized after every step, block (d, d') against block (d', d),
+    as in rk4_evolve.
+    """
+    keys = set(blocks) | {(d2, d) for d, d2 in blocks}
+    todo = list(keys)
+    while todo:
+        d, d2 = todo.pop()
+        nxt = (d + 1, d2 + 1)
+        if max(nxt) < cutoff and nxt not in keys:
+            keys.add(nxt)
+            todo.append(nxt)
+    out = {
+        key: blocks[key].copy() if key in blocks
+        else np.zeros((cutoff - abs(key[0]), cutoff - abs(key[1])), dtype=np.complex128)
+        for key in keys
+    }
+    for _ in range(n_steps):
+        k1 = lindblad_rhs_sectors(out, kappa, cutoff)
+        k2 = lindblad_rhs_sectors({k: out[k] + (0.5 * dt) * k1[k] for k in keys}, kappa, cutoff)
+        k3 = lindblad_rhs_sectors({k: out[k] + (0.5 * dt) * k2[k] for k in keys}, kappa, cutoff)
+        k4 = lindblad_rhs_sectors({k: out[k] + dt * k3[k] for k in keys}, kappa, cutoff)
+        out = {k: out[k] + (dt / 6.0) * (k1[k] + 2.0 * k2[k] + 2.0 * k3[k] + k4[k]) for k in keys}
+        out = {(d, d2): 0.5 * (block + out[(d2, d)].conj().T) for (d, d2), block in out.items()}
+    return out

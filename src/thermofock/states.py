@@ -187,10 +187,13 @@ def evolved_two_mode_state(
 ) -> DensityMatrix:
     """Build the damped thermal vacuum rho(t) on the truncated doubled space.
 
-    method="series" expands E|0, m~> = sum_n lam^n sqrt(C(m+n, n)) |n, (m+n)~>
-    column by column and accumulates the dyads directly; method="expm" forms
-    E = exp(lam a+ b+) with fock.matrix_exponential and conjugates.  The two
-    agree to round-off; the series route is the cheap one.
+    E conserves the pair-number difference, so E|0, m~> lies in sector m and
+    each term sech^2 mu^m E|0, m~><0, m~|E+ is the block (m, m) of the
+    result.  method="series" expands E|0, m~> = sum_n lam^n sqrt(C(m+n, n))
+    |n, (m+n)~>, whose amplitude at index n of sector m is the n-th term;
+    method="expm" forms E = exp(lam a+ b+) with fock.matrix_exponential and
+    reads column m.  The two agree to round-off; the series route is the
+    cheap one.
 
     The exact state keeps a fraction tanh^2(theta)^cutoff of its weight above
     the truncation; a measured trace deficit beyond deficit_tol raises
@@ -203,32 +206,28 @@ def evolved_two_mode_state(
     n = layout.cutoff
     sech2 = 1.0 - math.tanh(spec.theta) ** 2
 
-    if method == "series":
-        rho4 = np.zeros((n, n, n, n), dtype=np.complex128)
-        for m in range(n):
-            weight = sech2 * spec.mu**m
-            if weight == 0.0:
-                break
+    blocks = {}
+    if method == "expm":
+        expand = fock.matrix_exponential(fock.scale(spec.lam, _pair_creation(layout))).mat
+    for m in range(n):
+        weight = sech2 * spec.mu**m
+        if weight == 0.0:
+            break
+        if method == "series":
             span = n - m
             amps = np.empty(span)
             amps[0] = 1.0
             for k in range(1, span):
                 amps[k] = amps[k - 1] * spec.lam * math.sqrt((m + k) / k)
-            block = weight * np.outer(amps, amps)
-            rows = np.arange(span)
-            rho4[rows[:, None], m + rows[:, None], rows[None, :], m + rows[None, :]] = block
-        mat = rho4.reshape(layout.dim, layout.dim)
-    else:
-        expand = fock.matrix_exponential(fock.scale(spec.lam, _pair_creation(layout))).mat
-        # the core sech^2 mu^m |0, m~><0, m~| lives on basis indices 0..n-1,
-        # so only those columns of E enter the conjugation
-        head = expand[:, :n]
-        mat = (head * (sech2 * spec.mu ** np.arange(n))) @ head.conj().T
+            blocks[(m, m)] = weight * np.outer(amps, amps)
+        else:
+            # |0, m~> is basis index m
+            column = expand[fock.sector_indices(layout, m), m]
+            blocks[(m, m)] = weight * np.outer(column, column.conj())
 
-    tr = mat.trace().real
-    deficit = 1.0 - tr
+    deficit = 1.0 - fock.sector_trace(blocks).real
     if deficit > deficit_tol:
         raise TruncationError(
             f"trace deficit {deficit:.3e} exceeds {deficit_tol:.3e}; raise the cutoff"
         )
-    return DensityMatrix(layout, mat, trace_tol=abs(deficit) + 1e-12)
+    return DensityMatrix.from_blocks(layout, blocks, trace_tol=abs(deficit) + 1e-12)

@@ -12,6 +12,9 @@ rate kappa is again thermal, at
     tau' = -1 / ln( e^(-2 kappa t) q / (1 - (1 - e^(-2 kappa t)) q) ),
 
 which is the temperature whose mean occupation is e^(-2 kappa t) * nbar.
+The conversions and the law are evaluated in forms that stay finite and
+accurate from the cold limit (q -> 0) to the hot one (q -> 1) and for
+arbitrarily long times.
 """
 
 from __future__ import annotations
@@ -48,12 +51,18 @@ class CoolingCurveError(RuntimeError):
 
 
 def theta_from_tau(tau: float) -> float:
-    """Squeeze angle of the thermal purification: tanh(theta) = e^(-1/(2 tau))."""
+    """Squeeze angle of the thermal purification: tanh(theta) = e^(-1/(2 tau)).
+
+    Evaluated as -log(tanh(1/(4 tau))) / 2, which equals
+    atanh(e^(-1/(2 tau))) but stays finite for every finite tau: the atanh
+    form reaches atanh(1) once e^(-1/(2 tau)) rounds to 1.
+    """
     if tau < 0:
         raise ValueError(f"tau must be >= 0, got {tau}")
     if tau == 0:
         return 0.0
-    return math.atanh(math.exp(-1.0 / (2.0 * tau)))
+    # max() turns the -0.0 of a cold tau into 0.0
+    return max(0.0, -0.5 * math.log(math.tanh(1.0 / (4.0 * tau))))
 
 
 def tau_from_theta(theta: float) -> float:
@@ -65,12 +74,13 @@ def tau_from_theta(theta: float) -> float:
 
 
 def nbar_from_tau(tau: float) -> float:
-    """Bose occupation 1 / (e^(1/tau) - 1)."""
+    """Bose occupation 1 / (e^(1/tau) - 1), as q / (1 - q) with q = e^(-1/tau),
+    which cannot overflow at small tau."""
     if tau < 0:
         raise ValueError(f"tau must be >= 0, got {tau}")
     if tau == 0:
         return 0.0
-    return 1.0 / math.expm1(1.0 / tau)
+    return math.exp(-1.0 / tau) / -math.expm1(-1.0 / tau)
 
 
 def tau_from_nbar(nbar: float) -> float:
@@ -120,15 +130,26 @@ def theta_prime(theta: float, kappa_t: float) -> float:
 
 
 def tau_after(tau0: float, kappa_t: float) -> float:
-    """Temperature after damping a thermal state of temperature tau0 for kappa*t."""
+    """Temperature after damping a thermal state of temperature tau0 for kappa*t.
+
+    In log space the law reads 1/tau' = 1/tau0 + g with
+    g = log1p((1 - q) expm1(2 kappa t)) >= 0, so tau' = tau0 / (1 + tau0 g):
+    no cancellation, never above tau0, and non-increasing in kappa*t.  Past
+    2 kappa t = 700, where expm1 would overflow, g is taken as
+    2 kappa t + log((1 - q) + q e^(-2 kappa t)), the same quantity.
+    """
     if tau0 <= 0:
         raise ValueError(f"tau0 must be > 0, got {tau0}")
     if kappa_t < 0:
         raise ValueError(f"kappa_t must be >= 0, got {kappa_t}")
+    x = 2.0 * kappa_t
     q = math.exp(-1.0 / tau0)
-    decay2 = math.exp(-2.0 * kappa_t)
-    arg = decay2 * q / (1.0 - (1.0 - decay2) * q)
-    return -1.0 / math.log(arg)
+    one_minus_q = -math.expm1(-1.0 / tau0)
+    if x <= 700.0:
+        g = math.log1p(one_minus_q * math.expm1(x))
+    else:
+        g = x + math.log(one_minus_q + q * math.exp(-x))
+    return tau0 / (1.0 + tau0 * g)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,11 @@
 
 Each check computes a single observed number and passes when it is below
 (or, for signed-margin checks, at most) its tolerance.  Check functions
-take an optional cutoff override; two-mode checks cap it at
-fock.TWO_MODE_CUTOFF_CAP (48) because they store dense doubled matrices of
-dimension cutoff^2 (85 MB each at the cap).
+take an optional cutoff override.  Two-mode states are stored by sector and
+take any cutoff; the checks that build dense two-mode operators (the squeeze
+unitary, E = exp(lambda a+ b+), the tensor product of two states) cap it at
+TWO_MODE_CUTOFF_CAP, because one such operator holds cutoff^4 complex128
+values: 85 MB at 48, 4.3 GB at 128.
 """
 
 from __future__ import annotations
@@ -19,16 +21,19 @@ from . import channel, fock, states, thermo
 
 SUITES = ("fock", "states", "channel", "thermo")
 
+TWO_MODE_CUTOFF_CAP = 48
+
 _GRID_TAU0 = (0.3, 1.0, 3.0)
 _GRID_KAPPA_T = (0.1, 0.5, 1.0, 2.0, 5.0)
 
 
-def _single_cutoff(cutoff: int | None, default: int = 32) -> int:
+def _cutoff(cutoff: int | None, default: int = 32) -> int:
     return default if cutoff is None else cutoff
 
 
-def _double_cutoff(cutoff: int | None, default: int = 33) -> int:
-    return default if cutoff is None else min(cutoff, fock.TWO_MODE_CUTOFF_CAP)
+def _operator_cutoff(cutoff: int | None, default: int = 33) -> int:
+    """Cutoff of a check that builds a dense two-mode operator."""
+    return min(_cutoff(cutoff, default), TWO_MODE_CUTOFF_CAP)
 
 
 # ---------------------------------------------------------------------------
@@ -37,13 +42,13 @@ def _double_cutoff(cutoff: int | None, default: int = 33) -> int:
 
 
 def _ladder_adjoint(cutoff: int | None) -> float:
-    layout = fock.ModeLayout(_single_cutoff(cutoff))
+    layout = fock.ModeLayout(_cutoff(cutoff))
     a = fock.annihilation(layout)
     return float(np.abs(fock.creation(layout).mat - fock.dagger(a).mat).max())
 
 
 def _commutator_interior(cutoff: int | None) -> float:
-    n = _single_cutoff(cutoff)
+    n = _cutoff(cutoff)
     layout = fock.ModeLayout(n)
     a = fock.annihilation(layout)
     ad = fock.creation(layout)
@@ -52,14 +57,14 @@ def _commutator_interior(cutoff: int | None) -> float:
 
 
 def _number_from_ladders(cutoff: int | None) -> float:
-    layout = fock.ModeLayout(_single_cutoff(cutoff))
+    layout = fock.ModeLayout(_cutoff(cutoff))
     a = fock.annihilation(layout)
     built = fock.multiply(fock.dagger(a), a).mat
     return float(np.abs(built - fock.number(layout).mat).max())
 
 
 def _partial_trace_tensor(cutoff: int | None) -> float:
-    layout = fock.ModeLayout(_single_cutoff(cutoff))
+    layout = fock.ModeLayout(_operator_cutoff(cutoff, default=32))
     rho_a = states.chaotic_state(states.ThermoParams.from_tau(1.0), layout)
     rho_b = states.chaotic_state(states.ThermoParams.from_tau(0.5), layout)
     prod = fock.tensor(rho_a, rho_b)
@@ -79,14 +84,14 @@ def _partial_trace_tensor(cutoff: int | None) -> float:
 
 
 def _squeeze_unitarity(cutoff: int | None) -> float:
-    layout = fock.ModeLayout(_double_cutoff(cutoff)).doubled()
+    layout = fock.ModeLayout(_operator_cutoff(cutoff)).doubled()
     u = states.thermo_squeeze_operator(thermo.theta_from_tau(1.0), layout)
     gram = fock.multiply(fock.dagger(u), u).mat
     return float(np.abs(gram - np.eye(layout.dim)).max())
 
 
 def _squeeze_generates_thermal_vacuum(cutoff: int | None) -> float:
-    n = _double_cutoff(cutoff)
+    n = _operator_cutoff(cutoff)
     layout = fock.ModeLayout(n).doubled()
     params = states.ThermoParams.from_tau(1.0)
     u = states.thermo_squeeze_operator(params.theta, layout)
@@ -97,7 +102,7 @@ def _squeeze_generates_thermal_vacuum(cutoff: int | None) -> float:
 
 
 def _tfd_identity(cutoff: int | None) -> float:
-    layout = fock.ModeLayout(_double_cutoff(cutoff))
+    layout = fock.ModeLayout(_cutoff(cutoff, default=33))
     params = states.ThermoParams.from_tau(1.0)
     worst = 0.0
     a = fock.annihilation(layout)
@@ -109,7 +114,7 @@ def _tfd_identity(cutoff: int | None) -> float:
 
 
 def _evolved_series_vs_expm(cutoff: int | None) -> float:
-    layout = fock.ModeLayout(_double_cutoff(cutoff)).doubled()
+    layout = fock.ModeLayout(_operator_cutoff(cutoff)).doubled()
     spec = states.EvolvedTwoModeSpec.from_theta(thermo.theta_from_tau(1.0), 0.7)
     via_series = states.evolved_two_mode_state(spec, layout, method="series")
     via_expm = states.evolved_two_mode_state(spec, layout, method="expm")
@@ -117,7 +122,7 @@ def _evolved_series_vs_expm(cutoff: int | None) -> float:
 
 
 def _evolved_tilde_reduction_thermal(cutoff: int | None) -> float:
-    n = _double_cutoff(cutoff)
+    n = _cutoff(cutoff, default=33)
     layout = fock.ModeLayout(n).doubled()
     params = states.ThermoParams.from_tau(1.0)
     spec = states.EvolvedTwoModeSpec.from_theta(params.theta, 0.9)
@@ -133,7 +138,7 @@ def _evolved_tilde_reduction_thermal(cutoff: int | None) -> float:
 
 
 def _kraus_completeness(cutoff: int | None) -> float:
-    layout = fock.ModeLayout(_single_cutoff(cutoff))
+    layout = fock.ModeLayout(_cutoff(cutoff))
     ops = channel.kraus_operators(channel.ChannelSpec(kappa_t=0.5), layout)
     acc = np.zeros((layout.dim, layout.dim), dtype=np.complex128)
     for op in ops:
@@ -142,14 +147,14 @@ def _kraus_completeness(cutoff: int | None) -> float:
 
 
 def _trace_preservation(cutoff: int | None) -> float:
-    layout = fock.ModeLayout(_single_cutoff(cutoff))
+    layout = fock.ModeLayout(_cutoff(cutoff))
     rho = states.chaotic_state(states.ThermoParams.from_tau(1.0), layout)
     out = channel.apply_kraus(rho, channel.ChannelSpec(kappa_t=0.37))
     return abs(fock.trace(out) - fock.trace(rho))
 
 
 def _mean_photon_decay(cutoff: int | None) -> float:
-    layout = fock.ModeLayout(_single_cutoff(cutoff))
+    layout = fock.ModeLayout(_cutoff(cutoff))
     kappa_t = 0.5
     rho = states.chaotic_state(states.ThermoParams.from_tau(1.0), layout)
     out = channel.apply_kraus(rho, channel.ChannelSpec(kappa_t=kappa_t))
@@ -160,7 +165,7 @@ def _mean_photon_decay(cutoff: int | None) -> float:
 
 
 def _kraus_vs_lindblad(cutoff: int | None) -> float:
-    layout = fock.ModeLayout(_single_cutoff(cutoff))
+    layout = fock.ModeLayout(_cutoff(cutoff))
     rho = states.chaotic_state(states.ThermoParams.from_tau(1.0), layout)
     via_kraus = channel.apply_kraus(rho, channel.ChannelSpec(kappa_t=0.5))
     via_ode = channel.lindblad_integrate(rho, kappa=1.0, t_final=0.5)
@@ -168,14 +173,14 @@ def _kraus_vs_lindblad(cutoff: int | None) -> float:
 
 
 def _damped_state_positive(cutoff: int | None) -> float:
-    layout = fock.ModeLayout(_single_cutoff(cutoff))
+    layout = fock.ModeLayout(_cutoff(cutoff))
     rho = states.chaotic_state(states.ThermoParams.from_tau(1.0), layout)
     out = channel.apply_kraus(rho, channel.ChannelSpec(kappa_t=0.5))
     return max(0.0, -out.min_eigenvalue())
 
 
 def _structured_vs_explicit(cutoff: int | None) -> float:
-    layout = fock.ModeLayout(_single_cutoff(cutoff, default=24))
+    layout = fock.ModeLayout(_cutoff(cutoff, default=24))
     spec = channel.ChannelSpec(kappa_t=0.8)
     rho = states.chaotic_state(states.ThermoParams.from_tau(1.0), layout)
     fast = channel.apply_kraus(rho, spec).mat
@@ -226,20 +231,20 @@ def _cooling_denominator_margin(cutoff: int | None) -> float:
 
 
 def _fit_geometric_roundtrip(cutoff: int | None) -> float:
-    layout = fock.ModeLayout(_single_cutoff(cutoff, default=40))
+    layout = fock.ModeLayout(_cutoff(cutoff, default=40))
     params = states.ThermoParams.from_tau(1.7)
     fit = thermo.fit_geometric(states.chaotic_state(params, layout))
     return abs(fit.q - params.q)
 
 
 def _effective_temperature_roundtrip(cutoff: int | None) -> float:
-    layout = fock.ModeLayout(_single_cutoff(cutoff, default=33))
+    layout = fock.ModeLayout(_cutoff(cutoff, default=33))
     rho = states.chaotic_state(states.ThermoParams.from_tau(1.0), layout)
     return abs(thermo.effective_temperature(rho) - 1.0)
 
 
 def _fit_rejects_offdiagonal(cutoff: int | None) -> float:
-    layout = fock.ModeLayout(_single_cutoff(cutoff, default=8))
+    layout = fock.ModeLayout(_cutoff(cutoff, default=8))
     vec = np.zeros(layout.dim, dtype=np.complex128)
     vec[0] = vec[1] = 1.0 / math.sqrt(2.0)
     rho = fock.outer(fock.PureState(layout, vec))

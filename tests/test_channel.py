@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermofock import channel, fock, states
 
@@ -205,9 +207,10 @@ def test_lindblad_two_mode_matches_kraus():
     layout = fock.ModeLayout(12).doubled()
     params = states.ThermoParams.from_tau(0.6)
     rho = fock.outer(states.thermal_vacuum(params, layout), trace_tol=1e-4)
-    via_ode = channel.lindblad_integrate(rho, kappa=2.0, t_final=0.25)
-    via_kraus = channel.apply_kraus(rho, channel.ChannelSpec(kappa_t=0.5))
-    assert fock.trace_distance(via_ode, via_kraus) < 1e-10
+    for target in (fock.SYSTEM, fock.TILDE):
+        via_ode = channel.lindblad_integrate(rho, kappa=2.0, t_final=0.25, target_mode=target)
+        via_kraus = channel.apply_kraus(rho, channel.ChannelSpec(kappa_t=0.5, target_mode=target))
+        assert fock.trace_distance(via_ode, via_kraus) < 1e-10
 
 
 def test_lindblad_input_validation():
@@ -219,3 +222,94 @@ def test_lindblad_input_validation():
         channel.lindblad_integrate(rho, kappa=1.0, t_final=-0.1)
     with pytest.raises(ValueError):
         channel.lindblad_integrate(rho, kappa=1.0, t_final=0.1, dt=-1e-3)
+
+
+def dense_partial_trace(mat, n, over):
+    four = mat.reshape(n, n, n, n)
+    red = np.einsum("nmpm->np", four) if over == fock.TILDE else np.einsum("nmnp->mp", four)
+    return 0.5 * (red + red.conj().T)
+
+
+def dense_trace_distance(a, b):
+    return 0.5 * np.abs(np.linalg.eigvalsh(a - b)).sum()
+
+
+def assert_relative(got, want):
+    assert abs(got - want) <= 1e-12 * abs(want) + 1e-15
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    cutoff=st.integers(2, 16),
+    tau0=st.floats(0.05, 5.0),
+    kappa_t=st.floats(0.0, 4.0),
+    target=st.sampled_from([fock.SYSTEM, fock.TILDE]),
+    thermal=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sector_storage_matches_dense_oracle(cutoff, tau0, kappa_t, target, thermal, seed):
+    # the thermal vacuum fills one sector block; a random pure state fills
+    # every block, including the ones between sectors
+    layout = fock.ModeLayout(cutoff).doubled()
+    if thermal:
+        psi = states.thermal_vacuum(states.ThermoParams.from_tau(tau0), layout)
+    else:
+        vec = np.array([1.0, 1j]) @ np.random.default_rng(seed).normal(size=(2, layout.dim))
+        psi = fock.PureState(layout, vec / np.linalg.norm(vec))
+    rho = fock.outer(psi)
+    spec = channel.ChannelSpec(kappa_t=kappa_t, target_mode=target)
+    damped = channel.apply_kraus(rho, spec)
+    oracle = explicit_kraus_sum(rho.mat, channel.kraus_operators(spec, layout))
+    np.testing.assert_allclose(damped.mat, oracle, rtol=0, atol=1e-14)
+    again = fock.DensityMatrix(layout, damped.mat, trace_tol=damped.trace_tol)
+    assert again.blocks.keys() == damped.blocks.keys()
+    np.testing.assert_array_equal(again.mat, damped.mat)
+
+    assert_relative(fock.trace_distance(rho, damped), dense_trace_distance(rho.mat, oracle))
+    assert_relative(fock.purity(damped), np.einsum("ij,ji->", oracle, oracle).real)
+    for over in (fock.SYSTEM, fock.TILDE):
+        got = fock.partial_trace(damped, over=over).mat
+        want = dense_partial_trace(oracle, cutoff, over)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max() + 1e-15
+
+
+def off_sector_states(n):
+    """A dense random state, and the thermal vacuum plus a coupling that lives
+    only in the sector pair (1, -2) and its transpose."""
+    layout = fock.ModeLayout(n).doubled()
+    rng = np.random.default_rng(5)
+    m = rng.normal(size=(layout.dim, layout.dim)) + 1j * rng.normal(size=(layout.dim, layout.dim))
+    m = m @ m.conj().T
+    dense = m / m.trace()
+    sparse = fock.outer(states.thermal_vacuum(states.ThermoParams.from_tau(1.0), layout), trace_tol=1e-2).mat
+    rows, cols = fock.sector_indices(layout, 1), fock.sector_indices(layout, -2)
+    coupling = 0.01 * (rng.normal(size=(rows.size, cols.size)) + 1j * rng.normal(size=(rows.size, cols.size)))
+    sparse[np.ix_(rows, cols)] = coupling
+    sparse[np.ix_(cols, rows)] = coupling.conj().T
+    return {"dense": dense, "sparse": sparse}
+
+
+@pytest.mark.parametrize("kind", ["dense", "sparse"])
+@pytest.mark.parametrize("target", [fock.SYSTEM, fock.TILDE])
+def test_off_sector_input_round_trips(kind, target):
+    n = 6
+    layout = fock.ModeLayout(n).doubled()
+    m = off_sector_states(n)[kind]
+    rho = fock.DensityMatrix(layout, m, trace_tol=1e-2)
+    assert any(d != d2 for d, d2 in rho.blocks)
+    if kind == "sparse":
+        assert set(rho.blocks) == {(0, 0), (1, -2), (-2, 1)}
+    np.testing.assert_array_equal(rho.mat, m)
+    again = fock.DensityMatrix.from_blocks(layout, rho.blocks, trace_tol=1e-2)
+    np.testing.assert_array_equal(again.mat, m)
+
+    spec = channel.ChannelSpec(kappa_t=0.4, target_mode=target)
+    damped = channel.apply_kraus(rho, spec)
+    oracle = explicit_kraus_sum(m, channel.kraus_operators(spec, layout))
+    np.testing.assert_allclose(damped.mat, oracle, rtol=0, atol=1e-14)
+    assert_relative(fock.trace_distance(rho, damped), dense_trace_distance(m, oracle))
+    assert_relative(damped.min_eigenvalue(), np.linalg.eigvalsh(oracle)[0])
+    assert_relative(fock.purity(damped), np.einsum("ij,ji->", oracle, oracle).real)
+    for over in (fock.SYSTEM, fock.TILDE):
+        got = fock.partial_trace(damped, over=over).mat
+        np.testing.assert_allclose(got, dense_partial_trace(oracle, n, over), rtol=0, atol=1e-14)

@@ -119,9 +119,9 @@ def test_two_mode_csv_contract(tmp_path):
 def test_two_mode_rejects_lindblad_and_oversized_cutoff(capsys):
     assert run_cli(["two-mode", "--method", "lindblad"]) == 2
     capsys.readouterr()
-    assert run_cli(["two-mode", "--cutoff", "64"]) == 2
+    assert run_cli(["two-mode", "--cutoff", "129"]) == 2
     err = capsys.readouterr().err
-    assert "capped" in err
+    assert "[2, 128]" in err
 
 
 def test_verify_all_passes(capsys):
@@ -261,3 +261,40 @@ def test_cutoff_auto_equals_default_rule(tmp_path):
     run_cli(["cool", "--tau0", "1", "--steps", "2", "--t-max", "1", "--cutoff", "auto", "--out", str(out_auto)])
     run_cli(["cool", "--tau0", "1", "--steps", "2", "--t-max", "1", "--cutoff", "33", "--out", str(out_explicit)])
     assert out_auto.read_bytes() == out_explicit.read_bytes()
+
+
+def test_two_mode_runs_uncapped_at_automatic_cutoff(tmp_path):
+    from thermofock import fock, states
+
+    assert fock.default_cutoff(states.ThermoParams.from_tau(3.0).theta) == 97
+    out = tmp_path / "hot.csv"
+    assert run_cli(["two-mode", "--tau0", "3", "--out", str(out)]) == 0
+    _, rows = read_rows(out)
+    assert len(rows) == 9
+    for row in rows:
+        assert row[1] < 1e-10
+        assert abs(row[2] - row[3]) < 1e-7
+
+
+def test_cool_long_time_stays_finite(tmp_path):
+    out = tmp_path / "long.csv"
+    assert run_cli(["cool", "--t-max", "400", "--out", str(out)]) == 0
+    _, rows = read_rows(out)
+    taus = [r[1] for r in rows]
+    assert all(math.isfinite(t) and t > 0 for t in taus)
+    assert all(a > b for a, b in zip(taus, taus[1:]))
+    # 1/tau' = 2 kappa t + 1/tau0 + log1p(q expm1(-2 kappa t)) at kappa t = 400
+    assert taus[-1] == pytest.approx(1.0 / (801.0 + math.log1p(-math.exp(-1.0))), rel=1e-12)
+
+
+@pytest.mark.parametrize("tau0, code", [("1e300", 3), ("0.001", 0)])
+def test_cool_extreme_temperatures_exit_cleanly(tau0, code, capsys):
+    assert run_cli(["cool", "--tau0", tau0]) == code
+    captured = capsys.readouterr()
+    if code == 3:
+        assert captured.err.startswith("numerical failure: ")
+        assert captured.err.count("\n") == 1
+    else:
+        assert captured.err == ""
+        rows = [[float(x) for x in line.split(",")] for line in captured.out.strip().split("\n")[1:]]
+        assert all(math.isfinite(x) for row in rows for x in row)

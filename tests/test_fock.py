@@ -124,6 +124,26 @@ def test_density_matrix_validation():
         fock.DensityMatrix(layout, skew)
 
 
+def test_sector_blocks_are_validated():
+    layout = fock.ModeLayout(4).doubled()
+    proj = fock.outer(fock.fock_state(layout, (1, 1)))
+    assert set(proj.blocks) == {(0, 0)}
+    blocks = dict(proj.blocks)
+    # sector 1 holds 3 states, sector -2 holds 2
+    blocks[(1, -2)] = np.full((3, 2), 0.1j)
+    with pytest.raises(fock.StateError, match="hermitian"):
+        fock.DensityMatrix.from_blocks(layout, blocks)
+    blocks[(-2, 1)] = blocks[(1, -2)].conj().T
+    rho = fock.DensityMatrix.from_blocks(layout, blocks)
+    np.testing.assert_array_equal(fock.DensityMatrix(layout, rho.mat).mat, rho.mat)
+    with pytest.raises(fock.LayoutError):
+        fock.DensityMatrix.from_blocks(layout, {(0, 0): np.eye(3)})
+    with pytest.raises(fock.LayoutError):
+        fock.DensityMatrix.from_blocks(layout, {(4, 4): np.eye(1)})
+    with pytest.raises(fock.StateError, match="non-finite"):
+        fock.DensityMatrix.from_blocks(layout, {(0, 0): np.full((4, 4), np.nan)})
+
+
 def test_density_matrix_positivity_check():
     layout = fock.ModeLayout(3)
     rho = fock.DensityMatrix(layout, np.diag([1.5, -0.5, 0.0]).astype(complex))

@@ -143,3 +143,18 @@ def test_default_backend_reports_numba_when_available():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert got.stdout.strip() == "numba"
+
+
+def test_sector_generator_matches_bracket_form():
+    # every sector pair is populated, so each block shift is exercised
+    n = 5
+    layout = fock.ModeLayout(n).doubled()
+    rho = fock.DensityMatrix(layout, random_state4(n, seed=17).reshape(n * n, n * n))
+    kappa = 0.7
+    got = np.zeros((n * n, n * n), dtype=complex)
+    for (d, d2), block in kernels.lindblad_rhs_sectors(rho.blocks, kappa, n).items():
+        got[np.ix_(fock.sector_indices(layout, d), fock.sector_indices(layout, d2))] = block
+    a = fock.annihilation(layout).mat
+    num = a.conj().T @ a
+    expected = kappa * (2 * a @ rho.mat @ a.conj().T - num @ rho.mat - rho.mat @ num)
+    np.testing.assert_allclose(got, expected, atol=1e-13)

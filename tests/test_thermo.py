@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermofock import channel, fock, states, thermo
 
@@ -214,3 +216,18 @@ def test_cooling_curve_error_names_failing_time():
     # must surface the offending time point
     with pytest.raises(thermo.CoolingCurveError, match="t=2"):
         thermo.cooling_curve(1.0, 1.0, [2.0], method="lindblad", cutoff=16, dt=1.9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    tau0=st.floats(1e-3, 1e3),
+    kappa_ts=st.lists(st.floats(0.0, 1e3), min_size=2, max_size=2),
+)
+def test_tau_after_is_finite_bounded_and_monotone(tau0, kappa_ts):
+    early, late = sorted(kappa_ts)
+    tau_early = thermo.tau_after(tau0, early)
+    tau_late = thermo.tau_after(tau0, late)
+    for tau in (tau_early, tau_late):
+        assert math.isfinite(tau)
+        assert 0.0 <= tau <= tau0
+    assert tau_late <= tau_early
