@@ -109,22 +109,23 @@ def kraus_operators(spec: ChannelSpec, layout: ModeLayout) -> list[Operator]:
     return ops
 
 
-def _damp(rho: DensityMatrix, target_mode: str, single, sectors) -> dict:
-    """Run a damping kernel on rho's storage and return the output blocks.
+def _system_slot(layout: ModeLayout, blocks: dict, target_mode: str) -> dict:
+    """The sector blocks with the damped mode in the system slot.
 
-    single(rho4) gets the (N, 1, N, 1) view of a single-mode matrix;
-    sectors(blocks) gets the sector blocks of a two-mode state with the
-    damped mode in the system slot.
+    Exchanging the modes is its own inverse, so the same call maps a
+    kernel's output back.
     """
-    layout = rho.layout
-    if layout.modes == 1:
-        if target_mode == fock.TILDE:
-            raise fock.LayoutError("single-mode states have no tilde mode to damp")
-        n = layout.cutoff
-        return {(0, 0): single(rho.mat.reshape(n, 1, n, 1)).reshape(n, n)}
     if target_mode == fock.SYSTEM:
-        return sectors(rho.blocks)
-    return fock.swap_modes(sectors(fock.swap_modes(rho.blocks)))
+        return blocks
+    if layout.modes == 1:
+        raise fock.LayoutError("single-mode states have no tilde mode to damp")
+    return fock.swap_modes(blocks)
+
+
+def _generator(layout: ModeLayout, blocks: dict, kappa: float) -> kernels.LindbladTable:
+    """The packed damping generator for a state with these blocks."""
+    sectors = {d: fock.sector_indices(layout, d) for d in fock._sector_range(layout)}
+    return kernels.lindblad_table(sectors, blocks, kappa)
 
 
 def apply_kraus(rho: DensityMatrix, spec: ChannelSpec) -> DensityMatrix:
@@ -141,12 +142,12 @@ def apply_kraus(rho: DensityMatrix, spec: ChannelSpec) -> DensityMatrix:
     cutoff = rho.layout.cutoff
     n_kraus = min(spec.max_kraus or cutoff, cutoff)
     weights = damping_weights(cutoff, spec.kappa_t, n_kraus)
-    out = _damp(
-        rho,
-        spec.target_mode,
-        lambda rho4: kernels.apply_damping(rho4, weights, n_kraus),
-        lambda blocks: kernels.damp_sectors(blocks, weights, n_kraus, cutoff),
-    )
+    blocks = _system_slot(rho.layout, rho.blocks, spec.target_mode)
+    if rho.layout.modes == 1:
+        rho4 = rho.mat.reshape(cutoff, 1, cutoff, 1)
+        out = {(0, 0): kernels.apply_damping(rho4, weights, n_kraus).reshape(cutoff, cutoff)}
+    else:
+        out = _system_slot(rho.layout, kernels.damp_sectors(blocks, weights, n_kraus, cutoff), spec.target_mode)
     tr = fock.sector_trace(out)
     if spec.max_kraus is None:
         drift = abs(tr - fock.trace(rho))
@@ -160,20 +161,16 @@ def apply_kraus(rho: DensityMatrix, spec: ChannelSpec) -> DensityMatrix:
 
 
 def lindblad_rhs(rho: Operator | DensityMatrix, kappa: float, target_mode: str = fock.SYSTEM) -> Operator:
-    """kappa (2 a rho a+ - a+a rho - rho a+a) on a single mode.
-
-    Two-mode states are integrated per sector block by lindblad_integrate.
-    """
+    """kappa (2 a rho a+ - a+a rho - rho a+a) on a single mode, evaluated by
+    the packed generator that lindblad_integrate runs on either layout."""
     if kappa < 0:
         raise ValueError(f"kappa must be >= 0, got {kappa}")
     layout = rho.layout
     if layout.modes == 2:
         raise fock.LayoutError("lindblad_rhs acts on single-mode operators")
-    if target_mode == fock.TILDE:
-        raise fock.LayoutError("single-mode states have no tilde mode to damp")
-    n = layout.cutoff
-    out4 = kernels.lindblad_rhs4(np.ascontiguousarray(rho.mat.reshape(n, 1, n, 1)), kappa)
-    return Operator(layout, out4.reshape(n, n))
+    blocks = _system_slot(layout, {(0, 0): rho.mat}, target_mode)
+    table = _generator(layout, blocks, kappa)
+    return Operator(layout, table.unpack(table.rhs(table.pack(blocks)))[(0, 0)])
 
 
 def lindblad_integrate(
@@ -196,30 +193,25 @@ def lindblad_integrate(
     if t_final < 0:
         raise ValueError(f"t_final must be >= 0, got {t_final}")
     layout = rho.layout
-    if layout.modes == 1 and target_mode == fock.TILDE:
-        raise fock.LayoutError("single-mode states have no tilde mode to damp")
+    blocks = _system_slot(layout, rho.blocks, target_mode)
     if t_final == 0:
         blocks = {key: block.copy() for key, block in rho.blocks.items()}
         return DensityMatrix.from_blocks(layout, blocks, trace_tol=rho.trace_tol)
     if dt is None:
-        dt = min(1e-3 / kappa, t_final / 100.0)
+        # t_final / 100 underflows to 0 below about 5e-322; one step covers that
+        dt = min(1e-3 / kappa, t_final / 100.0) or t_final
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")
     n_full = int(t_final / dt)
     remainder = t_final - n_full * dt
     if remainder < 1e-12 * dt:
         remainder = 0.0
-
-    cutoff = layout.cutoff
     n_tail = int(remainder > 0.0)
 
-    def single(rho4):
-        return kernels.rk4_evolve(kernels.rk4_evolve(rho4, kappa, dt, n_full), kappa, remainder, n_tail)
-
-    def sectors(blocks):
-        return kernels.rk4_sectors(kernels.rk4_sectors(blocks, kappa, dt, n_full, cutoff), kappa, remainder, n_tail, cutoff)
-
-    out = _damp(rho, target_mode, single, sectors)
+    table = _generator(layout, blocks, kappa)
+    vec = kernels.rk4_evolve(table.pack(blocks), table, dt, n_full)
+    vec = kernels.rk4_evolve(vec, table, remainder, n_tail)
+    out = _system_slot(layout, table.unpack(vec), target_mode)
     drift = abs(fock.sector_trace(out) - fock.trace(rho))
     if drift > TRACE_DRIFT_TOL:
         raise IntegrationError(

@@ -36,7 +36,7 @@ TWO_MODE_HEADER = [
 ]
 
 CROSS_METHOD_TOL = 1e-5
-TWO_MODE_DEFICIT_TOL = 1e-6
+DEFICIT_TOL = 1e-6
 
 _CURVE_TOL_NAMES = {"cross_method", "deficit"}
 
@@ -287,10 +287,11 @@ def svg_line_plot(
 def cmd_cool(cfg: RunConfig) -> int:
     times = [cfg.t_max * i / cfg.steps for i in range(cfg.steps + 1)]
     primary = "kraus" if cfg.method == "both" else cfg.method
-    curve = thermo.cooling_curve(cfg.tau0, cfg.kappa, times, cutoff=cfg.cutoff, method=primary)
+    limits = {"cutoff": cfg.cutoff, "deficit_tol": cfg.tolerances.get("deficit", DEFICIT_TOL)}
+    curve = thermo.cooling_curve(cfg.tau0, cfg.kappa, times, method=primary, **limits)
 
     if cfg.method == "both":
-        other = thermo.cooling_curve(cfg.tau0, cfg.kappa, times, cutoff=cfg.cutoff, method="lindblad")
+        other = thermo.cooling_curve(cfg.tau0, cfg.kappa, times, method="lindblad", **limits)
         gate = cfg.tolerances.get("cross_method", CROSS_METHOD_TOL)
         gaps = [abs(a.tau_numeric - b.tau_numeric) for a, b in zip(curve, other)]
         worst = max(gaps)
@@ -327,7 +328,7 @@ def cmd_two_mode(cfg: RunConfig) -> int:
     if cutoff is None:
         cutoff = fock.default_cutoff(params.theta)
     layout = fock.ModeLayout(cutoff).doubled()
-    deficit_tol = cfg.tolerances.get("deficit", TWO_MODE_DEFICIT_TOL)
+    deficit_tol = cfg.tolerances.get("deficit", DEFICIT_TOL)
 
     psi = states.thermal_vacuum(params, layout)
     rho0 = fock.outer(psi)

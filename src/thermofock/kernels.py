@@ -1,189 +1,28 @@
-"""Hot numerical kernels.
+"""Hot numerical kernels, in numpy.
 
-Two storage forms are handled.  The dense kernels (apply_damping,
-lindblad_rhs4, rk4_evolve) take a contiguous complex128 array of shape
-(N, R, N, R): N is the Fock cutoff of the mode being damped, R is the
-dimension of whatever rides along, row index = (n, m), column index =
-(n', m').  The package passes single-mode states, R = 1.
+States reach these kernels as dicts of pair-number sector blocks keyed by
+(d, d'), d = n_tilde - n_sys, as fock.DensityMatrix stores them; a
+single-mode state is the one block (0, 0).  Every kernel damps the system
+mode; callers that damp the tilde mode exchange the modes before and after
+(fock.swap_modes).
 
-The sector kernels (damp_sectors, lindblad_rhs_sectors, rk4_sectors) take a
-two-mode state as a dict of pair-number sector blocks, keyed by (d, d'),
-d = n_tilde - n_sys, in the form fock.DensityMatrix stores: row p of a
-block in sector d is (n_sys, n_tilde) = (p + max(-d, 0), p + max(d, 0)).
-They damp the system mode; callers that damp the tilde mode exchange the
-modes before and after (fock.swap_modes).  Lowering n_sys by n moves block
-(d, d') to (d + n, d' + n) and keeps n_tilde, so each term is a shifted
-slice of one block times a weight per row and per column.
-
-The damping operator sums have one numpy implementation each.  The dense
-generator, RK4 and hermiticity kernels also have numba twins, used when
-numba is importable; set THERMOFOCK_DISABLE_NUMBA=1 to force their
-pure-numpy path.
+apply_damping and damp_sectors apply the amplitude-damping operator sum, to
+a dense single mode per offset j - k and to two-mode blocks per sector
+shift.  lindblad_table and rk4_evolve integrate the damping generator
+kappa (2 a rho a+ - {a+a, rho}) on either layout with one code path: the
+blocks are packed into one complex vector, and the system occupation of
+basis index i is i // (dim // cutoff) in both layouts.
 """
 
 from __future__ import annotations
 
-import os
+from dataclasses import dataclass
 
 import numpy as np
 
-DISABLE_ENV = "THERMOFOCK_DISABLE_NUMBA"
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:
-    HAS_NUMBA = False
-
-NUMBA_ENABLED = HAS_NUMBA and not os.environ.get(DISABLE_ENV)
-
 
 def backend_name() -> str:
-    return "numba" if NUMBA_ENABLED else "numpy"
-
-
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-# ---------------------------------------------------------------------------
-
-
-def _lindblad_rhs_np(rho4: np.ndarray, kappa: float) -> np.ndarray:
-    """Damping generator: kappa * (2 a rho a+ - {a+a, rho}) on the first mode."""
-    n_modes = rho4.shape[0]
-    idx = np.arange(n_modes, dtype=np.float64)
-    out = -(idx[:, None, None, None] + idx[None, None, :, None]) * rho4
-    if n_modes > 1:
-        gain = np.outer(np.sqrt(idx[1:]), np.sqrt(idx[1:]))
-        out[:-1, :, :-1, :] += 2.0 * gain[:, None, :, None] * rho4[1:, :, 1:, :]
-    return kappa * out
-
-
-def _hermitize_np(rho4: np.ndarray) -> np.ndarray:
-    return 0.5 * (rho4 + rho4.transpose(2, 3, 0, 1).conj())
-
-
-def _rk4_np(rho4: np.ndarray, kappa: float, dt: float, n_steps: int) -> np.ndarray:
-    out = rho4.copy()
-    for _ in range(n_steps):
-        k1 = _lindblad_rhs_np(out, kappa)
-        k2 = _lindblad_rhs_np(out + (0.5 * dt) * k1, kappa)
-        k3 = _lindblad_rhs_np(out + (0.5 * dt) * k2, kappa)
-        k4 = _lindblad_rhs_np(out + dt * k3, kappa)
-        out += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out = _hermitize_np(out)
-    return out
-
-
-def _herm_defect_np(mat: np.ndarray, partner: np.ndarray | None = None) -> float:
-    partner = mat if partner is None else partner
-    return float(np.abs(mat - partner.conj().T).max())
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _rhs_into_nb(rho4, kappa, out):
-        n_modes, ride = rho4.shape[0], rho4.shape[1]
-        root = np.sqrt(np.arange(1.0, n_modes + 1.0))
-        if ride == 1:
-            src = rho4.reshape(n_modes, n_modes)
-            dst = out.reshape(n_modes, n_modes)
-            last = n_modes - 1
-            for j in range(last):
-                decay_j = kappa * j
-                gain_j = 2.0 * kappa * root[j]
-                for k in range(last):
-                    dst[j, k] = (
-                        gain_j * root[k] * src[j + 1, k + 1]
-                        - (decay_j + kappa * k) * src[j, k]
-                    )
-                dst[j, last] = -(decay_j + kappa * last) * src[j, last]
-            decay_j = kappa * last
-            for k in range(n_modes):
-                dst[last, k] = -(decay_j + kappa * k) * src[last, k]
-            return
-        for j in range(n_modes):
-            for k in range(n_modes):
-                decay = kappa * (j + k)
-                gain = 0.0
-                if j + 1 < n_modes and k + 1 < n_modes:
-                    gain = 2.0 * kappa * root[j] * root[k]
-                for m in range(ride):
-                    for mp in range(ride):
-                        val = -decay * rho4[j, m, k, mp]
-                        if gain != 0.0:
-                            val += gain * rho4[j + 1, m, k + 1, mp]
-                        out[j, m, k, mp] = val
-
-    @njit(cache=True)
-    def _lindblad_rhs_nb(rho4, kappa):
-        out = np.empty_like(rho4)
-        _rhs_into_nb(rho4, kappa, out)
-        return out
-
-    @njit(cache=True)
-    def _hermitize_inplace_nb(rho4):
-        dim = rho4.shape[0] * rho4.shape[1]
-        flat = rho4.reshape(dim, dim)
-        for i in range(dim):
-            for j in range(i, dim):
-                h = 0.5 * (flat[i, j] + flat[j, i].conjugate())
-                flat[i, j] = h
-                flat[j, i] = h.conjugate()
-
-    @njit(cache=True)
-    def _rk4_nb(rho4, kappa, dt, n_steps):
-        out = rho4.copy()
-        k1 = np.empty_like(out)
-        k2 = np.empty_like(out)
-        k3 = np.empty_like(out)
-        k4 = np.empty_like(out)
-        stage = np.empty_like(out)
-        flat_out = out.reshape(-1)
-        flat_k1 = k1.reshape(-1)
-        flat_k2 = k2.reshape(-1)
-        flat_k3 = k3.reshape(-1)
-        flat_k4 = k4.reshape(-1)
-        flat_stage = stage.reshape(-1)
-        size = flat_out.size
-        for _ in range(n_steps):
-            _rhs_into_nb(out, kappa, k1)
-            for i in range(size):
-                flat_stage[i] = flat_out[i] + (0.5 * dt) * flat_k1[i]
-            _rhs_into_nb(stage, kappa, k2)
-            for i in range(size):
-                flat_stage[i] = flat_out[i] + (0.5 * dt) * flat_k2[i]
-            _rhs_into_nb(stage, kappa, k3)
-            for i in range(size):
-                flat_stage[i] = flat_out[i] + dt * flat_k3[i]
-            _rhs_into_nb(stage, kappa, k4)
-            for i in range(size):
-                flat_out[i] += (dt / 6.0) * (
-                    flat_k1[i] + 2.0 * flat_k2[i] + 2.0 * flat_k3[i] + flat_k4[i]
-                )
-            _hermitize_inplace_nb(out)
-        return out
-
-    @njit(cache=True)
-    def _herm_defect_nb(mat):
-        dim = mat.shape[0]
-        worst = 0.0
-        for i in range(dim):
-            for j in range(i, dim):
-                d = abs(mat[i, j] - mat[j, i].conjugate())
-                if d > worst:
-                    worst = d
-        return worst
-
-
-# ---------------------------------------------------------------------------
-# public kernels
-# ---------------------------------------------------------------------------
+    return "numpy"
 
 
 def apply_damping(rho4: np.ndarray, weights: np.ndarray, n_kraus: int) -> np.ndarray:
@@ -224,48 +63,19 @@ def apply_damping(rho4: np.ndarray, weights: np.ndarray, n_kraus: int) -> np.nda
     return out
 
 
-def lindblad_rhs4(rho4: np.ndarray, kappa: float) -> np.ndarray:
-    """Evaluate the damping generator on the first mode of rho4."""
-    if NUMBA_ENABLED:
-        return _lindblad_rhs_nb(rho4, kappa)
-    return _lindblad_rhs_np(rho4, kappa)
-
-
-def rk4_evolve(rho4: np.ndarray, kappa: float, dt: float, n_steps: int) -> np.ndarray:
-    """Integrate the damping generator with fixed-step RK4.
-
-    The state is re-hermitized after every step so round-off cannot
-    accumulate an anti-hermitian component over long integrations.
-    """
-    if n_steps <= 0:
-        return rho4.copy()
-    if NUMBA_ENABLED:
-        return _rk4_nb(rho4, kappa, dt, n_steps)
-    return _rk4_np(rho4, kappa, dt, n_steps)
-
-
 def hermiticity_defect(mat: np.ndarray, partner: np.ndarray | None = None) -> float:
     """max |mat - partner^dagger| entrywise; partner defaults to mat itself.
 
     Density matrices call this per sector block (at most cutoff x cutoff),
     comparing block (d, d') with block (d', d).
     """
-    if partner is None and NUMBA_ENABLED:
-        return float(_herm_defect_nb(mat))
-    return _herm_defect_np(mat, partner)
+    partner = mat if partner is None else partner
+    return float(np.abs(mat - partner.conj().T).max())
 
 
 # ---------------------------------------------------------------------------
-# sector kernels
+# operator sum on sector blocks
 # ---------------------------------------------------------------------------
-
-
-def _add_to(out: dict, key: tuple[int, int], term: np.ndarray, cutoff: int) -> None:
-    """out[key][:rows, :cols] += term, starting from a zero block."""
-    dst = out.get(key)
-    if dst is None:
-        dst = out[key] = np.zeros((cutoff - abs(key[0]), cutoff - abs(key[1])), dtype=np.complex128)
-    dst[: term.shape[0], : term.shape[1]] += term
 
 
 def _add_lowered(out: dict, key: tuple[int, int], block: np.ndarray, n: int, table: np.ndarray, cutoff: int) -> bool:
@@ -287,7 +97,10 @@ def _add_lowered(out: dict, key: tuple[int, int], block: np.ndarray, n: int, tab
         return False
     j0, k0 = max(-f, 0), max(-f2, 0)
     weight = table[j0:j0 + rows, None] * table[k0:k0 + cols]
-    _add_to(out, (f, f2), weight * block[r0:, c0:], cutoff)
+    dst = out.get((f, f2))
+    if dst is None:
+        dst = out[(f, f2)] = np.zeros((cutoff - abs(f), cutoff - abs(f2)), dtype=np.complex128)
+    dst[:rows, :cols] += weight * block[r0:, c0:]
     return True
 
 
@@ -308,48 +121,129 @@ def damp_sectors(blocks: dict, weights: np.ndarray, n_kraus: int, cutoff: int) -
     return out
 
 
-def lindblad_rhs_sectors(blocks: dict, kappa: float, cutoff: int) -> dict:
-    """kappa (2 a rho a+ - a+a rho - rho a+a) on the system mode, per block.
+# ---------------------------------------------------------------------------
+# Lindblad generator on packed blocks
+# ---------------------------------------------------------------------------
 
-    The anticommutator scales each block by -kappa (n_sys + n_sys'); the
-    jump term is the n = 1 lowering with weights sqrt(2 kappa (j + 1)).
+
+@dataclass(frozen=True, eq=False)
+class LindbladTable:
+    """The damping generator on one closed set of sector blocks, packed.
+
+    Block keys[i] has shape shapes[i] and occupies vec[offsets[i]:offsets[i+1]]
+    in row-major order.  rhs(vec) is decay * vec + gain * vec[feed]: entry
+    feed[i] is the one whose jump lands on entry i, or i itself with gain 0;
+    partner[i] is the position of the transpose of entry i.
     """
-    gain = np.sqrt(2.0 * kappa * np.arange(1.0, cutoff + 1.0))
-    out: dict = {}
-    for (d, d2), block in blocks.items():
-        n_row = np.arange(block.shape[0]) + max(-d, 0)
-        n_col = np.arange(block.shape[1]) + max(-d2, 0)
-        _add_to(out, (d, d2), -kappa * (n_row[:, None] + n_col) * block, cutoff)
-        _add_lowered(out, (d, d2), block, 1, gain, cutoff)
-    return out
+
+    keys: tuple
+    shapes: tuple
+    offsets: tuple
+    decay: np.ndarray
+    feed: np.ndarray
+    gain: np.ndarray
+    partner: np.ndarray
+
+    def pack(self, blocks: dict) -> np.ndarray:
+        """One vector holding the blocks; keys the state lacks are zero."""
+        vec = np.zeros(self.offsets[-1], dtype=np.complex128)
+        for key, lo, hi in zip(self.keys, self.offsets, self.offsets[1:]):
+            if key in blocks:
+                vec[lo:hi] = blocks[key].ravel()
+        return vec
+
+    def unpack(self, vec: np.ndarray) -> dict:
+        """The blocks of a packed vector, as views into it."""
+        return {
+            key: vec[lo:hi].reshape(shape)
+            for key, shape, lo, hi in zip(self.keys, self.shapes, self.offsets, self.offsets[1:])
+        }
+
+    def rhs(self, vec: np.ndarray) -> np.ndarray:
+        """kappa (2 a rho a+ - a+a rho - rho a+a) on the system mode."""
+        return self.decay * vec + self.gain * vec[self.feed]
 
 
-def rk4_sectors(blocks: dict, kappa: float, dt: float, n_steps: int, cutoff: int) -> dict:
-    """Integrate the system-mode damping generator with fixed-step RK4.
+def lindblad_table(sectors: dict, blocks: dict, kappa: float) -> LindbladTable:
+    """Pack the blocks a damped state can reach and tabulate the generator.
 
-    The state is first padded with zero blocks to the set of keys the
-    generator can reach, (d + n, d' + n), closed under transposition, and
-    re-hermitized after every step, block (d, d') against block (d', d),
-    as in rk4_evolve.
+    sectors maps every pair-number difference d of the layout to the dense
+    basis indices of sector d (fock.sector_indices); blocks holds the keys
+    of the state.  The jump term lowers n_sys on both sides, so it maps
+    block (d, d') into the block of the lowered sectors; the packed keys are
+    the state's keys closed under that map and under transposition.  Entry
+    (r, c) decays at kappa (n_r + n_c), and for n_r, n_c >= 1 feeds the entry
+    (r, c) lowered by one quantum on each side with weight
+    2 kappa sqrt(n_r) sqrt(n_c).
     """
+    top = max(sectors)  # the sectors are d = -top..top
+    dim = sum(idx.size for idx in sectors.values())
+    ride = dim // sectors[0].size  # basis states per system occupation
+    label = np.empty(dim, dtype=np.intp)  # d + top of each basis state
+    pos = np.empty(dim, dtype=np.intp)  # its index within sector d
+    for d, idx in sectors.items():
+        label[idx] = d + top
+        pos[idx] = np.arange(idx.size)
+
+    def lowered(d: int) -> int | None:
+        """The sector that lowering n_sys maps sector d to; None if n_sys = 0 throughout."""
+        idx = sectors[d][sectors[d] >= ride]
+        return int(label[idx[0] - ride]) - top if idx.size else None
+
     keys = set(blocks) | {(d2, d) for d, d2 in blocks}
     todo = list(keys)
     while todo:
         d, d2 = todo.pop()
-        nxt = (d + 1, d2 + 1)
-        if max(nxt) < cutoff and nxt not in keys:
+        nxt = (lowered(d), lowered(d2))
+        if None not in nxt and nxt not in keys:
             keys.add(nxt)
             todo.append(nxt)
-    out = {
-        key: blocks[key].copy() if key in blocks
-        else np.zeros((cutoff - abs(key[0]), cutoff - abs(key[1])), dtype=np.complex128)
-        for key in keys
-    }
+    keys = sorted(keys)
+
+    shapes = tuple((sectors[d].size, sectors[d2].size) for d, d2 in keys)
+    offsets = tuple(np.cumsum([0] + [a * b for a, b in shapes]).tolist())
+    width = np.array([sectors[d].size for d in range(-top, top + 1)])
+    start = np.full((2 * top + 1, 2 * top + 1), -1, dtype=np.intp)
+    for (d, d2), lo in zip(keys, offsets):
+        start[d + top, d2 + top] = lo
+
+    def at(r: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """Packed positions of the basis index pairs (r, c)."""
+        return start[label[r], label[c]] + pos[r] * width[label[c]] + pos[c]
+
+    rows = np.concatenate([np.repeat(sectors[d], sectors[d2].size) for d, d2 in keys])
+    cols = np.concatenate([np.tile(sectors[d2], sectors[d].size) for d, d2 in keys])
+    n_row, n_col = rows // ride, cols // ride
+    src = np.flatnonzero((n_row > 0) & (n_col > 0))
+    dst = at(rows[src] - ride, cols[src] - ride)
+    feed = np.arange(rows.size)
+    feed[dst] = src
+    gain = np.zeros(rows.size)
+    gain[dst] = 2.0 * kappa * (np.sqrt(n_row[src]) * np.sqrt(n_col[src]))
+    return LindbladTable(
+        keys=tuple(keys),
+        shapes=shapes,
+        offsets=offsets,
+        decay=-kappa * (n_row + n_col).astype(np.float64),
+        feed=feed,
+        gain=gain,
+        partner=at(cols, rows),
+    )
+
+
+def rk4_evolve(vec: np.ndarray, table: LindbladTable, dt: float, n_steps: int) -> np.ndarray:
+    """Integrate the packed generator with fixed-step RK4.
+
+    The state is re-hermitized after every step, each entry against its
+    partner, so round-off cannot accumulate an anti-hermitian component
+    over long integrations.
+    """
+    out = vec.copy()
     for _ in range(n_steps):
-        k1 = lindblad_rhs_sectors(out, kappa, cutoff)
-        k2 = lindblad_rhs_sectors({k: out[k] + (0.5 * dt) * k1[k] for k in keys}, kappa, cutoff)
-        k3 = lindblad_rhs_sectors({k: out[k] + (0.5 * dt) * k2[k] for k in keys}, kappa, cutoff)
-        k4 = lindblad_rhs_sectors({k: out[k] + dt * k3[k] for k in keys}, kappa, cutoff)
-        out = {k: out[k] + (dt / 6.0) * (k1[k] + 2.0 * k2[k] + 2.0 * k3[k] + k4[k]) for k in keys}
-        out = {(d, d2): 0.5 * (block + out[(d2, d)].conj().T) for (d, d2), block in out.items()}
+        k1 = table.rhs(out)
+        k2 = table.rhs(out + (0.5 * dt) * k1)
+        k3 = table.rhs(out + (0.5 * dt) * k2)
+        k4 = table.rhs(out + dt * k3)
+        out += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out = 0.5 * (out + out[table.partner].conj())
     return out

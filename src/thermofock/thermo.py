@@ -240,6 +240,7 @@ def cooling_curve(
     cutoff: int | None = None,
     method: str = "kraus",
     dt: float | None = None,
+    deficit_tol: float = 1e-6,
 ) -> list[CoolingPoint]:
     """Evaluate the cooling law along a time grid and check it numerically.
 
@@ -247,6 +248,10 @@ def cooling_curve(
     read off the numerically damped state (Kraus operator sum or RK4
     Lindblad integration).  method="closed_only" skips the numerics and fills
     tau_numeric/trace_error with nan.
+
+    The numeric methods need the thermal state to fit below the cutoff: a
+    tail weight q^cutoff above deficit_tol, which would bias the fitted
+    temperature, raises states.TruncationError.
     """
     # imported here because states imports this module
     from . import channel, states
@@ -277,6 +282,11 @@ def cooling_curve(
         return points
 
     params = states.ThermoParams.from_tau(tau0)
+    tail = params.tail_weight(cutoff)
+    if tail > deficit_tol:
+        raise states.TruncationError(
+            f"thermal tail weight {tail:.3e} at cutoff {cutoff} exceeds {deficit_tol:.3e}; raise the cutoff"
+        )
     rho0 = states.chaotic_state(params, layout)
     num_op = fock.number(layout)
     for t in times:

@@ -213,6 +213,29 @@ def test_lindblad_two_mode_matches_kraus():
         assert fock.trace_distance(via_ode, via_kraus) < 1e-10
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    cutoff=st.integers(2, 6),
+    two_mode=st.booleans(),
+    target=st.sampled_from([fock.SYSTEM, fock.TILDE]),
+    kappa=st.floats(0.5, 2.0),
+    kappa_t=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lindblad_matches_kraus_on_random_states(cutoff, two_mode, target, kappa, kappa_t, seed):
+    # a random mixed state of rank 2 fills every sector pair of its layout
+    layout = fock.ModeLayout(cutoff, 2 if two_mode else 1)
+    if not two_mode:
+        target = fock.SYSTEM
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(layout.dim, 2)) + 1j * rng.normal(size=(layout.dim, 2))
+    m = m @ m.conj().T
+    rho = fock.DensityMatrix(layout, m / m.trace())
+    via_ode = channel.lindblad_integrate(rho, kappa=kappa, t_final=kappa_t / kappa, target_mode=target)
+    via_kraus = channel.apply_kraus(rho, channel.ChannelSpec(kappa_t=kappa_t, target_mode=target))
+    assert fock.trace_distance(via_ode, via_kraus) < 1e-10
+
+
 def test_lindblad_input_validation():
     layout = fock.ModeLayout(8)
     rho = states.chaotic_state(states.ThermoParams.from_tau(1.0), layout)

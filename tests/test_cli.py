@@ -298,3 +298,35 @@ def test_cool_extreme_temperatures_exit_cleanly(tau0, code, capsys):
         assert captured.err == ""
         rows = [[float(x) for x in line.split(",")] for line in captured.out.strip().split("\n")[1:]]
         assert all(math.isfinite(x) for row in rows for x in row)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--tau0", "1e300", "--cutoff", "16"],
+        ["--tau0", "20"],
+        ["--tau0", "20", "--cutoff", "16"],
+        ["--tau0", "20", "--cutoff", "16", "--method", "lindblad", "--steps", "1", "--t-max", "0.01"],
+    ],
+    ids=["hot-cutoff-16", "clamped-128", "cutoff-16", "lindblad-cutoff-16"],
+)
+def test_cool_refuses_a_truncated_thermal_tail(argv, capsys):
+    # q^N above the deficit tolerance would bias the fitted temperature
+    assert run_cli(["cool", *argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure: thermal tail weight ")
+    assert captured.err.count("\n") == 1
+
+
+def test_cool_deficit_tolerance_admits_a_truncated_tail(capsys):
+    assert run_cli(["cool", "--tau0", "20", "--cutoff", "16", "--tol", "deficit=1"]) == 0
+    rows = [[float(x) for x in line.split(",")] for line in capsys.readouterr().out.strip().split("\n")[1:]]
+    assert len(rows) == 9
+    assert all(math.isfinite(x) for row in rows for x in row)
+
+
+def test_cool_lindblad_at_subnormal_times_exits_cleanly(capsys):
+    # the default RK4 step t / 100 underflows to 0 at the first grid time
+    assert run_cli(["cool", "--method", "lindblad", "--t-max", "1e-321"]) == 0
+    assert capsys.readouterr().err == ""

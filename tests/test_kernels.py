@@ -1,7 +1,3 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -68,42 +64,72 @@ def test_damping_backends_match_reference(rho4, n_kraus, target):
     np.testing.assert_allclose(got, expected, atol=1e-14)
 
 
+def packed_generator(blocks, layout, kappa):
+    """The shared generator's table for a state's sector blocks, and the packed blocks."""
+    top = layout.cutoff - 1 if layout.modes == 2 else 0
+    sectors = {d: fock.sector_indices(layout, d) for d in range(-top, top + 1)}
+    table = kernels.lindblad_table(sectors, blocks, kappa)
+    return table, table.pack(blocks)
+
+
+def dense_of(blocks, layout):
+    out = np.zeros((layout.dim, layout.dim), dtype=complex)
+    for (d, d2), block in blocks.items():
+        out[np.ix_(fock.sector_indices(layout, d), fock.sector_indices(layout, d2))] = block
+    return out
+
+
+def bracket(rho, a, kappa):
+    num = a.conj().T @ a
+    return kappa * (2 * a @ rho @ a.conj().T - num @ rho - rho @ num)
+
+
 @pytest.mark.parametrize("n, ride", [(9, 1), (6, 6)])
 def test_lindblad_rhs_backends_match_bracket_form(n, ride):
-    rho4 = random_hermitian4(n, ride, seed=5)
+    # ride 1 is a single mode, ride n the two-mode layout, where the dense
+    # random matrix fills every sector pair
+    layout = fock.ModeLayout(n, 1 if ride == 1 else 2)
+    rho = random_hermitian4(n, ride, seed=5).reshape(layout.dim, layout.dim)
     kappa = 0.7
-    dim = n * ride
-    a = np.zeros((n, n))
-    a[np.arange(n - 1), np.arange(1, n)] = np.sqrt(np.arange(1, n))
-    a_full = np.kron(a, np.eye(ride))
-    rho = rho4.reshape(dim, dim)
-    num = a_full.T @ a_full
-    expected = kappa * (2 * a_full @ rho @ a_full.T - num @ rho - rho @ num)
-    expected4 = expected.reshape(n, ride, n, ride)
-    np.testing.assert_allclose(kernels._lindblad_rhs_np(rho4, kappa), expected4, atol=1e-13)
-    if kernels.HAS_NUMBA:
-        np.testing.assert_allclose(kernels._lindblad_rhs_nb(rho4, kappa), expected4, atol=1e-13)
+    table, vec = packed_generator(fock._split_sectors(layout, rho), layout, kappa)
+    assert len(table.keys) == (1 if ride == 1 else (2 * n - 1) ** 2)
+    got = dense_of(table.unpack(table.rhs(vec)), layout)
+    expected = bracket(rho, fock.annihilation(layout).mat, kappa)
+    np.testing.assert_allclose(got, expected, atol=1e-13)
+
+
+def reference_rk4(rho, a, kappa, dt, n_steps):
+    # textbook RK4 on the dense bracket form, no shared code with the kernels
+    out = rho.copy()
+    for _ in range(n_steps):
+        k1 = bracket(out, a, kappa)
+        k2 = bracket(out + 0.5 * dt * k1, a, kappa)
+        k3 = bracket(out + 0.5 * dt * k2, a, kappa)
+        k4 = bracket(out + dt * k3, a, kappa)
+        out = out + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return out
 
 
 def test_rk4_backends_agree():
-    rho4 = random_hermitian4(8, 1, seed=7)
-    # make it a valid density matrix so the trajectory stays bounded
-    flat = rho4.reshape(8, 8)
-    flat[:] = flat @ flat.conj().T
-    flat /= flat.trace()
-    via_np = kernels._rk4_np(rho4, kappa=1.0, dt=1e-3, n_steps=200)
-    if kernels.HAS_NUMBA:
-        via_nb = kernels._rk4_nb(rho4, kappa=1.0, dt=1e-3, n_steps=200)
-        np.testing.assert_allclose(via_nb, via_np, atol=1e-13)
-    # the generator is trace-free, so integration must keep the trace
-    assert abs(via_np.reshape(8, 8).trace() - 1.0) < 1e-10
+    for layout in (fock.ModeLayout(8), fock.ModeLayout(4, 2)):
+        m = random_hermitian4(layout.dim, 1, seed=7).reshape(layout.dim, layout.dim)
+        # a valid density matrix, so the trajectory stays bounded
+        rho = m @ m.conj().T
+        rho /= rho.trace()
+        table, vec = packed_generator(fock._split_sectors(layout, rho), layout, kappa=1.0)
+        got = dense_of(table.unpack(kernels.rk4_evolve(vec, table, 1e-3, 200)), layout)
+        expected = reference_rk4(rho, fock.annihilation(layout).mat, 1.0, 1e-3, 200)
+        np.testing.assert_allclose(got, expected, atol=1e-13)
+        # the generator is trace-free, so integration must keep the trace
+        assert abs(got.trace() - 1.0) < 1e-10
 
 
 def test_rk4_zero_steps_copies():
-    rho4 = random_hermitian4(5, 1, seed=9)
-    out = kernels.rk4_evolve(rho4, kappa=1.0, dt=1e-3, n_steps=0)
-    np.testing.assert_array_equal(out, rho4)
-    assert out is not rho4
+    layout = fock.ModeLayout(5)
+    table, vec = packed_generator({(0, 0): random_hermitian4(5, 1, seed=9).reshape(5, 5)}, layout, 1.0)
+    out = kernels.rk4_evolve(vec, table, 1e-3, 0)
+    np.testing.assert_array_equal(out, vec)
+    assert out is not vec
 
 
 def test_hermiticity_defect_backends():
@@ -112,49 +138,32 @@ def test_hermiticity_defect_backends():
     m = 0.5 * (m + m.conj().T)
     m[3, 17] += 2.5e-7j
     expected = float(np.abs(m - m.conj().T).max())
-    assert kernels._herm_defect_np(m) == pytest.approx(expected, rel=1e-12)
-    if kernels.HAS_NUMBA:
-        assert kernels._herm_defect_nb(m) == pytest.approx(expected, rel=1e-12)
+    assert kernels.hermiticity_defect(m) == pytest.approx(expected, rel=1e-12)
+    # against a partner block: block (d, d') is compared with block (d', d)
+    upper, lower = m[:15, 15:], m[15:, :15]
+    assert kernels.hermiticity_defect(upper, lower) == pytest.approx(expected, rel=1e-12)
 
 
 def test_hermitize_numpy_symmetrizes():
-    rho4 = random_hermitian4(6, 1, seed=15)
-    rho4[2, 0, 4, 0] += 1e-3j
-    fixed = kernels._hermitize_np(rho4)
-    assert kernels._herm_defect_np(fixed.reshape(6, 6)) < 1e-16
-
-
-def test_env_flag_selects_numpy_backend():
-    env = dict(os.environ)
-    env[kernels.DISABLE_ENV] = "1"
-    code = "from thermofock import kernels; print(kernels.backend_name())"
-    got = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert got.stdout.strip() == "numpy"
-
-
-def test_default_backend_reports_numba_when_available():
-    if not kernels.HAS_NUMBA:
-        pytest.skip("numba not importable in this environment")
-    env = {k: v for k, v in os.environ.items() if k != kernels.DISABLE_ENV}
-    code = "from thermofock import kernels; print(kernels.backend_name())"
-    got = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert got.stdout.strip() == "numba"
+    layout = fock.ModeLayout(4, 2)
+    rho = random_hermitian4(4, 4, seed=15).reshape(16, 16)
+    rho[2, 9] += 1e-3j
+    table, vec = packed_generator(fock._split_sectors(layout, rho), layout, 1.0)
+    # every entry's partner is its transpose
+    np.testing.assert_array_equal(dense_of(table.unpack(vec[table.partner]), layout), rho.T)
+    # a step of length zero only re-hermitizes
+    fixed = dense_of(table.unpack(kernels.rk4_evolve(vec, table, 0.0, 1)), layout)
+    assert kernels.hermiticity_defect(fixed) < 1e-16
+    np.testing.assert_allclose(fixed, 0.5 * (rho + rho.conj().T), rtol=0, atol=1e-16)
 
 
 def test_sector_generator_matches_bracket_form():
-    # every sector pair is populated, so each block shift is exercised
+    # the tilde mode goes through the shared generator with the modes exchanged
     n = 5
     layout = fock.ModeLayout(n).doubled()
-    rho = fock.DensityMatrix(layout, random_state4(n, seed=17).reshape(n * n, n * n))
+    rho = random_state4(n, seed=17).reshape(n * n, n * n)
     kappa = 0.7
-    got = np.zeros((n * n, n * n), dtype=complex)
-    for (d, d2), block in kernels.lindblad_rhs_sectors(rho.blocks, kappa, n).items():
-        got[np.ix_(fock.sector_indices(layout, d), fock.sector_indices(layout, d2))] = block
-    a = fock.annihilation(layout).mat
-    num = a.conj().T @ a
-    expected = kappa * (2 * a @ rho.mat @ a.conj().T - num @ rho.mat - rho.mat @ num)
+    table, vec = packed_generator(fock.swap_modes(fock._split_sectors(layout, rho)), layout, kappa)
+    got = dense_of(fock.swap_modes(table.unpack(table.rhs(vec))), layout)
+    expected = bracket(rho, fock.annihilation(layout, fock.TILDE).mat, kappa)
     np.testing.assert_allclose(got, expected, atol=1e-13)
