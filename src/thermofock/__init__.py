@@ -23,13 +23,11 @@ from .fock import (
     expectation,
     fock_state,
     identity,
-    matrix_exponential,
     multiply,
     number,
     outer,
     partial_trace,
     purity,
-    tensor,
     trace,
     trace_distance,
 )

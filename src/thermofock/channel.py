@@ -80,32 +80,27 @@ def damping_weights(cutoff: int, kappa_t: float, n_kraus: int) -> np.ndarray:
 
 
 def kraus_operators(spec: ChannelSpec, layout: ModeLayout) -> list[Operator]:
-    """Materialize the Kraus family as dense operators.
+    """Materialize the single-mode Kraus family as dense operators.
 
     Built literally as sqrt(V^n / n!) e^(-kappa t a+a) a^n, with the diagonal
     e^(-kappa t a+a) taken entrywise; apply_kraus does not call this (it uses
-    the weight table), so the two can check each other.  Mostly useful for
-    inspection and small-cutoff tests; the two-mode family at large cutoffs
-    is big (n_kraus matrices of dim^2).
+    the weight table), so the two can check each other.  A two-mode layout
+    raises LayoutError: its family would be n_kraus dense matrices of
+    cutoff^4 entries, and apply_kraus damps two-mode states by sector.
     """
+    if layout.modes != 1:
+        raise fock.LayoutError("kraus_operators builds the single-mode family")
     n_kraus = spec.max_kraus or layout.cutoff
-    single = layout.single() if layout.modes == 2 else layout
-    decay = np.diag(np.exp(-spec.kappa_t * np.arange(single.cutoff)))
-    a = fock.annihilation(single).mat
+    decay = np.diag(np.exp(-spec.kappa_t * np.arange(layout.cutoff)))
+    a = fock.annihilation(layout).mat
     ops: list[Operator] = []
-    power = np.eye(single.dim, dtype=np.complex128)
+    power = np.eye(layout.dim, dtype=np.complex128)
     coef = 1.0
     for n in range(n_kraus):
         if n > 0:
             power = power @ a
             coef *= spec.v / n
-        core = math.sqrt(coef) * (decay @ power)
-        if layout.modes == 2:
-            eye = np.eye(layout.cutoff, dtype=np.complex128)
-            full = np.kron(core, eye) if spec.target_mode == fock.SYSTEM else np.kron(eye, core)
-            ops.append(Operator(layout, full))
-        else:
-            ops.append(Operator(layout, core))
+        ops.append(Operator(layout, math.sqrt(coef) * (decay @ power)))
     return ops
 
 

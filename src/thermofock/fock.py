@@ -3,7 +3,9 @@
 A single bosonic mode is truncated to occupations 0..cutoff-1.  Two-mode
 objects live on the tensor product of a "system" mode and a "tilde" partner
 of the same cutoff, ordered system-major: basis index = n_sys * cutoff +
-n_tilde.  Operators and pure states are stored dense complex128.
+n_tilde.  Operators and pure states are stored dense complex128; the
+two-mode operators the package needs (the squeeze unitary, E = exp(lambda
+a+ b+)) are built sector by sector in `states` instead.
 
 Density matrices are stored as pair-number sectors.  Sector d of a two-mode
 layout holds the basis states with n_tilde - n_sys = d; its index p is the
@@ -16,8 +18,7 @@ here fill only blocks with d = d': at most 2 cutoff^3 / 3 entries, 22 MB at
 cutoff 128, where the dense matrix would hold cutoff^4 (4.3 GB).
 Validation, partial trace, purity and trace distance work block by block;
 the dense matrix (DensityMatrix.mat) is assembled only on request, as a
-test oracle.  matrix_exponential works on each connected block of its dense
-argument.
+test oracle.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm as _scipy_expm
 
 from . import kernels
 
@@ -333,10 +333,6 @@ def add(a: Operator, b: Operator) -> Operator:
     return Operator(_same_layout(a, b), a.mat + b.mat)
 
 
-def scale(c: complex, a: Operator) -> Operator:
-    return Operator(a.layout, c * a.mat)
-
-
 def trace(a: Operator | DensityMatrix) -> complex:
     if isinstance(a, DensityMatrix):
         return complex(sector_trace(a.blocks))
@@ -344,8 +340,14 @@ def trace(a: Operator | DensityMatrix) -> complex:
 
 
 def expectation(rho: Operator | DensityMatrix, obs: Operator) -> complex:
-    """Tr(rho A)."""
+    """Tr(rho A) against a dense observable.
+
+    A two-mode density matrix is refused: its dense form would hold
+    cutoff^4 entries (4.3 GB at cutoff 128).
+    """
     _same_layout(rho, obs)
+    if isinstance(rho, DensityMatrix) and rho.layout.modes == 2:
+        raise LayoutError("expectation takes a single-mode density matrix")
     return complex(np.einsum("ij,ji->", rho.mat, obs.mat))
 
 
@@ -366,15 +368,6 @@ def outer(psi: PureState, trace_tol: float | None = None) -> DensityMatrix:
             parts[d] = part
     blocks = {(d, d2): np.outer(v, v2.conj()) for d, v in parts.items() for d2, v2 in parts.items()}
     return DensityMatrix.from_blocks(psi.layout, blocks, trace_tol=max(tol, 2 * psi.norm_tol))
-
-
-def tensor(a: Operator, b: Operator) -> Operator:
-    """system (x) tilde product of two single-mode operators."""
-    if a.layout.modes != 1 or b.layout.modes != 1:
-        raise LayoutError("tensor takes two single-mode operators")
-    if a.layout.cutoff != b.layout.cutoff:
-        raise LayoutError("tensor factors must share a cutoff")
-    return Operator(a.layout.doubled(), np.kron(a.mat, b.mat))
 
 
 def partial_trace(rho: DensityMatrix, over: str) -> DensityMatrix:
@@ -401,67 +394,19 @@ def partial_trace(rho: DensityMatrix, over: str) -> DensityMatrix:
     return DensityMatrix(rho.layout.single(), red, trace_tol=rho.trace_tol)
 
 
-def _components_by_size(pattern: np.ndarray) -> Iterator[np.ndarray]:
-    """Connected components of the square nonzero pattern, grouped by size.
-
-    Yields one integer array of shape (count, size) per distinct component
-    size; each row lists the basis indices of one component in increasing
-    order.  A matrix is block-diagonal up to a permutation on exactly these
-    blocks, so its eigenvalues are the union of theirs and its exponential
-    is the exponential of each block.  A dense pattern is one component.
-    """
-    # scipy.sparse is imported here, not at module level: only matrix
-    # exponentials (the verify command) and states with blocks between
-    # sectors reach this, and the import costs every CLI start about 40 ms
-    # and 5 MB
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
-
-    _, labels = connected_components(csr_matrix(pattern), directed=False)
-    members = np.argsort(labels, kind="stable")
-    sizes = np.bincount(labels)
-    starts = np.cumsum(sizes) - sizes
-    for size in np.unique(sizes):
-        yield members[starts[sizes == size][:, None] + np.arange(size)]
-
-
-def matrix_exponential(a: Operator) -> Operator:
-    """exp(A) via scipy's scaling-and-squaring Pade implementation.
-
-    Each connected component of A's nonzero pattern is exponentiated on its
-    own, one batched expm per component size, and scattered into the dense
-    result; the entries between components are exactly zero.  The squeeze
-    generator and a+ b+ conserve the pair-number difference, so on a
-    two-mode layout their largest block has `cutoff` states and the cost is
-    O(cutoff^4) rather than O(cutoff^6); a dense A is one block, as before.
-    """
-    out = np.zeros_like(a.mat)
-    for idx in _components_by_size(a.mat != 0):
-        rows, cols = idx[:, :, None], idx[:, None, :]
-        out[rows, cols] = _scipy_expm(a.mat[rows, cols])
-    return Operator(a.layout, out)
-
-
 def _spectrum(layout: ModeLayout, blocks: dict) -> Iterator[np.ndarray]:
     """Eigenvalues of a hermitian matrix given by its sector blocks.
 
-    Sectors coupled by stored blocks with d != d' form connected groups
-    (found with _components_by_size on the sector pattern), and each group is
-    eigensolved as one dense matrix.  Without such blocks, as for every state
-    built here, each sector is eigensolved on its own: one eigvalsh per
-    block, zeros for a sector with nothing stored.
+    Without blocks between sectors, as for every state built here, each
+    sector is eigensolved on its own: one eigvalsh per block, zeros for a
+    sector with nothing stored.  Stored blocks with d != d' couple sectors;
+    then all sectors are eigensolved together as one dense matrix.
     """
     sectors = list(_sector_range(layout))
     if all(d == d2 for d, d2 in blocks):
         groups = [[d] for d in sectors]
     else:
-        top = sectors[-1]
-        pattern = np.eye(len(sectors), dtype=bool)
-        for d, d2 in blocks:
-            pattern[d + top, d2 + top] = True
-        groups = [
-            [sectors[i] for i in comp] for comps in _components_by_size(pattern) for comp in comps
-        ]
+        groups = [sectors]
     for group in groups:
         sizes = [layout.cutoff - abs(d) for d in group]
         starts = dict(zip(group, np.cumsum([0] + sizes[:-1]).tolist()))
@@ -484,8 +429,7 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     rho - sigma is formed block by block and eigensolved sector by sector
     (see _spectrum), so a difference of states built here costs one
     eigvalsh of at most `cutoff` states per sector.  A difference with
-    blocks between sectors is exact too; its coupled sectors are solved
-    together.
+    blocks between sectors is exact too; it is solved as one dense matrix.
     """
     _same_layout(rho, sigma)
     diff = {}

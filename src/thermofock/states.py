@@ -113,22 +113,42 @@ def thermal_vacuum(params: ThermoParams, layout: ModeLayout) -> PureState:
     return PureState(layout, vec, norm_tol=params.tail_weight(n) + 1e-12)
 
 
-def _pair_creation(layout: ModeLayout) -> Operator:
-    """a+ b+ on the doubled space, as the tensor product of two single-mode
-    raising operators."""
-    single = layout.single()
-    return fock.tensor(fock.creation(single), fock.creation(single))
+def pair_creation_block(layout: ModeLayout, d: int) -> np.ndarray:
+    """a+ b+ restricted to sector d, in sector order: the real matrix with
+    S[p+1, p] = sqrt((n_p + 1)(m_p + 1)) for the state p = (n_p, m_p~).
+
+    a+ b+ raises both occupations, so it keeps d = n_tilde - n_sys and moves
+    sector index p to p + 1; the block has cutoff - |d| states and is the
+    same for d and -d.
+    """
+    if layout.modes != 2:
+        raise fock.LayoutError("a+ b+ lives on a two-mode layout")
+    p = np.arange(layout.cutoff - abs(d) - 1)
+    block = np.zeros((p.size + 1, p.size + 1))
+    block[p + 1, p] = np.sqrt((p + 1.0) * (p + 1.0 + abs(d)))
+    return block
 
 
-def thermo_squeeze_operator(theta: float, layout: ModeLayout) -> Operator:
-    """Unitary exp[theta (a+ b+ - a b)] mixing the system and tilde modes."""
+def thermo_squeeze_operator(theta: float, layout: ModeLayout) -> dict[int, np.ndarray]:
+    """Unitary exp[theta (a+ b+ - a b)] mixing the system and tilde modes.
+
+    The generator keeps the pair-number difference d, so the unitary is
+    block diagonal; it is returned as {d: U_d}, U_d acting on sector d in
+    sector order (see fock.sector_indices).  With S = pair_creation_block,
+    theta (S - S^T) is real antisymmetric, and U_d = V exp(-i w) V^+ from one
+    eigh of the hermitian i theta (S - S^T) = V diag(w) V^+.  Sectors d and
+    -d share one array.
+    """
     if layout.modes != 2:
         raise fock.LayoutError("the squeeze operator lives on a two-mode layout")
     if theta < 0:
         raise ValueError(f"theta must be >= 0, got {theta}")
-    pair_up = _pair_creation(layout).mat
-    gen = theta * (pair_up - pair_up.conj().T)
-    return fock.matrix_exponential(Operator(layout, gen))
+    unitaries = {}
+    for d in range(layout.cutoff):
+        pair_up = pair_creation_block(layout, d)
+        w, v = np.linalg.eigh(1j * theta * (pair_up - pair_up.T))
+        unitaries[d] = unitaries[-d] = (v * np.exp(-1j * w)) @ v.conj().T
+    return unitaries
 
 
 def tfd_expectation_identity(obs: Operator, params: ThermoParams) -> tuple[complex, complex]:
@@ -182,18 +202,15 @@ class EvolvedTwoModeSpec:
 def evolved_two_mode_state(
     spec: EvolvedTwoModeSpec,
     layout: ModeLayout,
-    method: str = "series",
     deficit_tol: float = 1e-6,
 ) -> DensityMatrix:
     """Build the damped thermal vacuum rho(t) on the truncated doubled space.
 
     E conserves the pair-number difference, so E|0, m~> lies in sector m and
     each term sech^2 mu^m E|0, m~><0, m~|E+ is the block (m, m) of the
-    result.  method="series" expands E|0, m~> = sum_n lam^n sqrt(C(m+n, n))
-    |n, (m+n)~>, whose amplitude at index n of sector m is the n-th term;
-    method="expm" forms E = exp(lam a+ b+) with fock.matrix_exponential and
-    reads column m.  The two agree to round-off; the series route is the
-    cheap one.
+    result.  In sector m, lam a+ b+ is nilpotent, so E|0, m~> is the finite
+    series sum_n lam^n sqrt(C(m+n, n)) |n, (m+n)~>, whose amplitude at index
+    n of sector m is the n-th term; only blocks with d = d' are stored.
 
     The exact state keeps a fraction tanh^2(theta)^cutoff of its weight above
     the truncation; a measured trace deficit beyond deficit_tol raises
@@ -201,29 +218,20 @@ def evolved_two_mode_state(
     """
     if layout.modes != 2:
         raise fock.LayoutError("the evolved state lives on a two-mode layout")
-    if method not in ("series", "expm"):
-        raise ValueError(f"method must be series or expm, got {method!r}")
     n = layout.cutoff
     sech2 = 1.0 - math.tanh(spec.theta) ** 2
 
     blocks = {}
-    if method == "expm":
-        expand = fock.matrix_exponential(fock.scale(spec.lam, _pair_creation(layout))).mat
     for m in range(n):
         weight = sech2 * spec.mu**m
         if weight == 0.0:
             break
-        if method == "series":
-            span = n - m
-            amps = np.empty(span)
-            amps[0] = 1.0
-            for k in range(1, span):
-                amps[k] = amps[k - 1] * spec.lam * math.sqrt((m + k) / k)
-            blocks[(m, m)] = weight * np.outer(amps, amps)
-        else:
-            # |0, m~> is basis index m
-            column = expand[fock.sector_indices(layout, m), m]
-            blocks[(m, m)] = weight * np.outer(column, column.conj())
+        span = n - m
+        amps = np.empty(span)
+        amps[0] = 1.0
+        for k in range(1, span):
+            amps[k] = amps[k - 1] * spec.lam * math.sqrt((m + k) / k)
+        blocks[(m, m)] = weight * np.outer(amps, amps)
 
     deficit = 1.0 - fock.sector_trace(blocks).real
     if deficit > deficit_tol:

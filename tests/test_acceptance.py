@@ -46,7 +46,9 @@ def test_squeeze_route_matches_closed_amplitudes_at_cutoff_32():
     layout = fock.ModeLayout(32).doubled()
     params = states.ThermoParams.from_tau(1.0)
     u = states.thermo_squeeze_operator(params.theta, layout)
-    squeezed = u.mat @ fock.fock_state(layout, (0, 0)).vec
+    # |0, 0~> is index 0 of sector 0, so its image is column 0 of that block
+    squeezed = np.zeros(layout.dim, dtype=complex)
+    squeezed[fock.sector_indices(layout, 0)] = u[0][:, 0]
     closed = states.thermal_vacuum(params, layout).vec
     observed = float(np.linalg.norm(squeezed - closed))
     report("squeeze route reproduces closed amplitudes", observed, 1e-8)

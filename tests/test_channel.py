@@ -15,6 +15,15 @@ def explicit_kraus_sum(rho_mat, ops):
     return out
 
 
+def two_mode_kraus(spec, layout):
+    # the single-mode family embedded on the damped mode, system-major
+    eye = np.eye(layout.cutoff)
+    ops = channel.kraus_operators(spec, layout.single())
+    if spec.target_mode == fock.SYSTEM:
+        return [fock.Operator(layout, np.kron(op.mat, eye)) for op in ops]
+    return [fock.Operator(layout, np.kron(eye, op.mat)) for op in ops]
+
+
 def test_channel_spec_validation():
     spec = channel.ChannelSpec(kappa_t=0.5)
     assert spec.v == pytest.approx(1 - math.exp(-1.0), abs=1e-15)
@@ -68,8 +77,14 @@ def test_apply_kraus_two_mode_targets(target):
     rho = fock.outer(states.thermal_vacuum(params, layout), trace_tol=1e-3)
     spec = channel.ChannelSpec(kappa_t=0.7, target_mode=target)
     fast = channel.apply_kraus(rho, spec)
-    slow = explicit_kraus_sum(rho.mat, channel.kraus_operators(spec, layout))
+    slow = explicit_kraus_sum(rho.mat, two_mode_kraus(spec, layout))
     np.testing.assert_allclose(fast.mat, slow, atol=1e-14)
+
+
+def test_kraus_operators_refuse_two_mode_layouts():
+    # two-mode states are damped by sector; the dense family is a test oracle
+    with pytest.raises(fock.LayoutError, match="single-mode"):
+        channel.kraus_operators(channel.ChannelSpec(kappa_t=0.5), fock.ModeLayout(4).doubled())
 
 
 def test_damping_by_symmetry_of_tfd():
@@ -282,7 +297,7 @@ def test_sector_storage_matches_dense_oracle(cutoff, tau0, kappa_t, target, ther
     rho = fock.outer(psi)
     spec = channel.ChannelSpec(kappa_t=kappa_t, target_mode=target)
     damped = channel.apply_kraus(rho, spec)
-    oracle = explicit_kraus_sum(rho.mat, channel.kraus_operators(spec, layout))
+    oracle = explicit_kraus_sum(rho.mat, two_mode_kraus(spec, layout))
     np.testing.assert_allclose(damped.mat, oracle, rtol=0, atol=1e-14)
     again = fock.DensityMatrix(layout, damped.mat, trace_tol=damped.trace_tol)
     assert again.blocks.keys() == damped.blocks.keys()
@@ -328,7 +343,7 @@ def test_off_sector_input_round_trips(kind, target):
 
     spec = channel.ChannelSpec(kappa_t=0.4, target_mode=target)
     damped = channel.apply_kraus(rho, spec)
-    oracle = explicit_kraus_sum(m, channel.kraus_operators(spec, layout))
+    oracle = explicit_kraus_sum(m, two_mode_kraus(spec, layout))
     np.testing.assert_allclose(damped.mat, oracle, rtol=0, atol=1e-14)
     assert_relative(fock.trace_distance(rho, damped), dense_trace_distance(m, oracle))
     assert_relative(damped.min_eigenvalue(), np.linalg.eigvalsh(oracle)[0])

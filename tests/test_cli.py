@@ -1,9 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from thermofock import cli
+from thermofock import cli, verify
 
 TAU_AFTER_1_HALF = 0.576260710432279098
 NBAR_TAU1 = 0.581976706869326424
@@ -11,6 +15,13 @@ NBAR_TAU1 = 0.581976706869326424
 
 def run_cli(argv):
     return cli.main(argv)
+
+
+def run_python(*args):
+    """Run a fresh interpreter that imports this checkout's package."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
 
 
 def read_rows(path):
@@ -152,6 +163,39 @@ def test_verify_zero_tolerance_fails(capsys):
     out = capsys.readouterr().out
     assert code == 3
     assert any(ln.startswith("FAIL cooling_law_vs_nbar_oracle") for ln in out.split("\n"))
+
+
+def test_verify_reports_a_failing_check_and_runs_the_rest():
+    # at cutoff 2 the two-mode states of some checks lose most of their
+    # trace; those checks fail on their own lines instead of ending the run
+    done = run_python("-m", "thermofock", "verify", "--cutoff", "2")
+    lines = done.stdout.strip().split("\n")
+    assert done.returncode == 3
+    assert done.stderr == ""
+    assert len(lines) == len(verify.CHECKS) == 21
+    assert all(ln.split()[0] in ("PASS", "FAIL") for ln in lines)
+    assert lines[3].split()[:3] == ["FAIL", "partial_trace_tensor", "inf"]
+
+
+def test_verify_runs_uncapped_at_the_largest_cutoff():
+    # a cap at 48 would leave the truncation error 2.3e-11 in this check
+    results = {res.name: res for res in verify.run_checks("states", cutoff=128)}
+    assert all(res.passed for res in results.values())
+    assert results["squeeze_generates_thermal_vacuum"].observed < 1e-13
+
+
+def test_cli_runs_without_scipy():
+    # scipy is a test dependency only; no command may import it
+    code = (
+        "import sys\n"
+        "from thermofock import cli\n"
+        "assert cli.main(['verify', '--suite', 'all']) == 0\n"
+        "assert cli.main(['two-mode', '--steps', '2']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    done = run_python("-c", code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip().split("\n")[-1] == "[]"
 
 
 def test_verify_unknown_tolerance_is_config_error(capsys):

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -72,30 +71,14 @@ def test_fock_state_indexing():
         fock.fock_state(two, (1, 5))
 
 
-def test_tensor_is_system_major():
-    layout = fock.ModeLayout(3)
-    num = fock.number(layout)
-    eye = fock.identity(layout)
-    left = fock.tensor(num, eye).mat
-    # system-major ordering: index = n_sys * cutoff + n_tilde
-    np.testing.assert_array_equal(
-        np.diag(left).real, np.repeat(np.arange(3.0), 3)
-    )
-    right = fock.tensor(eye, num).mat
-    np.testing.assert_array_equal(np.diag(right).real, np.tile(np.arange(3.0), 3))
-
-
 def test_embedded_single_mode_operators_match_tensor():
     layout = fock.ModeLayout(4)
     two = layout.doubled()
-    a = fock.annihilation(layout)
-    eye = fock.identity(layout)
-    np.testing.assert_array_equal(
-        fock.annihilation(two, fock.SYSTEM).mat, fock.tensor(a, eye).mat
-    )
-    np.testing.assert_array_equal(
-        fock.annihilation(two, fock.TILDE).mat, fock.tensor(eye, a).mat
-    )
+    a = fock.annihilation(layout).mat
+    eye = fock.identity(layout).mat
+    # system-major ordering: index = n_sys * cutoff + n_tilde
+    np.testing.assert_array_equal(fock.annihilation(two, fock.SYSTEM).mat, np.kron(a, eye))
+    np.testing.assert_array_equal(fock.annihilation(two, fock.TILDE).mat, np.kron(eye, a))
 
 
 def test_operator_shape_and_finite_checks():
@@ -207,17 +190,12 @@ def test_expectation_and_trace():
     assert fock.trace(rho).real == pytest.approx(1.0)
 
 
-def test_matrix_exponential_of_nilpotent_is_polynomial():
-    layout = fock.ModeLayout(4)
-    ad = fock.creation(layout).mat
-    lam = 0.3
-    series = np.eye(4, dtype=complex)
-    term = np.eye(4, dtype=complex)
-    for k in range(1, 4):
-        term = term @ (lam * ad) / k
-        series = series + term
-    got = fock.matrix_exponential(fock.Operator(layout, lam * ad)).mat
-    np.testing.assert_allclose(got, series, atol=1e-14)
+def test_expectation_refuses_two_mode_states():
+    # the dense two-mode matrix it would read holds cutoff^4 entries
+    two = fock.ModeLayout(4).doubled()
+    rho = fock.outer(fock.fock_state(two, (1, 2)))
+    with pytest.raises(fock.LayoutError, match="single-mode"):
+        fock.expectation(rho, fock.number(two))
 
 
 def test_trace_distance_of_basis_projectors():
@@ -267,39 +245,6 @@ def test_trace_distance_is_exact_on_permuted_blocks(sizes, seed):
     sigma = fock.DensityMatrix(layout, block_density(sizes, perm, rng))
     expected = 0.5 * np.abs(np.linalg.eigvalsh(rho.mat - sigma.mat)).sum()
     assert abs(fock.trace_distance(rho, sigma) - expected) <= 1e-12 * expected + 1e-15
-
-
-def block_generator(sizes, perm, rng, nilpotent):
-    # non-hermitian blocks of spectral norm <= 2, strictly lower-triangular
-    # if nilpotent, block-diagonal after undoing perm
-    dim = sum(sizes)
-    mat = np.zeros((dim, dim), dtype=complex)
-    lo = 0
-    for size in sizes:
-        x = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
-        if nilpotent:
-            x = np.tril(x, -1)
-        norm = np.linalg.norm(x, 2)
-        if norm > 0:
-            x *= 2.0 * rng.uniform() / norm
-        mat[lo:lo + size, lo:lo + size] = x
-        lo += size
-    return mat[np.ix_(perm, perm)]
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    sizes=st.integers(2, 40).flatmap(block_partitions),
-    nilpotent=st.booleans(),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_matrix_exponential_is_exact_on_permuted_blocks(sizes, nilpotent, seed):
-    rng = np.random.default_rng(seed)
-    dim = sum(sizes)
-    gen = block_generator(sizes, rng.permutation(dim), rng, nilpotent)
-    got = fock.matrix_exponential(fock.Operator(fock.ModeLayout(dim), gen)).mat
-    ref = scipy.linalg.expm(gen)
-    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max() + 1e-15
 
 
 @pytest.mark.parametrize(

@@ -94,11 +94,22 @@ def test_thermal_vacuum_reduces_to_chaotic():
         )
 
 
+def sector_operator(layout, sector_blocks):
+    # the dense matrix of an operator given as {d: its block on sector d}
+    out = np.zeros((layout.dim, layout.dim), dtype=complex)
+    for d, block in sector_blocks.items():
+        idx = fock.sector_indices(layout, d)
+        out[np.ix_(idx, idx)] = block
+    return out
+
+
 def test_squeeze_operator_is_unitary():
     layout = fock.ModeLayout(20).doubled()
     u = states.thermo_squeeze_operator(0.6, layout)
-    gram = fock.multiply(fock.dagger(u), u).mat
-    np.testing.assert_allclose(gram, np.eye(400), atol=1e-12)
+    assert sorted(u) == list(range(-19, 20))
+    assert all(u[d] is u[-d] for d in range(20))
+    dense = sector_operator(layout, u)
+    np.testing.assert_allclose(dense.conj().T @ dense, np.eye(400), atol=1e-12)
 
 
 def test_squeeze_generates_thermal_vacuum_at_ample_cutoff():
@@ -106,7 +117,9 @@ def test_squeeze_generates_thermal_vacuum_at_ample_cutoff():
     layout = fock.ModeLayout(48).doubled()
     params = states.ThermoParams.from_tau(1.0)
     u = states.thermo_squeeze_operator(params.theta, layout)
-    squeezed = u.mat @ fock.fock_state(layout, (0, 0)).vec
+    # |0, 0~> is index 0 of sector 0, so its image is column 0 of that block
+    squeezed = np.zeros(layout.dim, dtype=complex)
+    squeezed[fock.sector_indices(layout, 0)] = u[0][:, 0]
     target = states.thermal_vacuum(params, layout).vec
     assert np.linalg.norm(squeezed - target) < 1e-9
 
@@ -147,15 +160,6 @@ def test_evolved_spec_consistency_checks():
         states.EvolvedTwoModeSpec(theta=THETA_TAU1, kappa_t=0.5, lam=spec.lam, mu=0.5)
 
 
-def test_evolved_state_series_equals_expm():
-    layout = fock.ModeLayout(24).doubled()
-    spec = states.EvolvedTwoModeSpec.from_theta(THETA_TAU1, 0.8)
-    via_series = states.evolved_two_mode_state(spec, layout, method="series")
-    via_expm = states.evolved_two_mode_state(spec, layout, method="expm")
-    assert fock.trace_distance(via_series, via_expm) < 1e-12
-    np.testing.assert_allclose(via_series.mat, via_expm.mat, atol=1e-13)
-
-
 def dense_pair_creation(layout):
     # a+ b+ as the product of the two embedded raising operators
     a_sys = fock.annihilation(layout, fock.SYSTEM)
@@ -163,23 +167,43 @@ def dense_pair_creation(layout):
     return fock.multiply(fock.dagger(a_sys), fock.dagger(a_til)).mat
 
 
+def dense_evolved_state(spec, layout):
+    # sech^2 E (|0><0| (x) sum_m mu^m |m~><m~|) E+ with a dense expm for E;
+    # |0, m~> is basis index m
+    n = layout.cutoff
+    expand = scipy.linalg.expm(spec.lam * dense_pair_creation(layout))
+    core = np.zeros(n * n)
+    core[:n] = (1.0 - math.tanh(spec.theta) ** 2) * spec.mu ** np.arange(n)
+    return (expand * core) @ expand.conj().T
+
+
+def test_evolved_state_series_equals_expm():
+    layout = fock.ModeLayout(24).doubled()
+    spec = states.EvolvedTwoModeSpec.from_theta(THETA_TAU1, 0.8)
+    via_series = states.evolved_two_mode_state(spec, layout)
+    via_expm = fock.DensityMatrix(layout, dense_evolved_state(spec, layout), trace_tol=via_series.trace_tol)
+    assert fock.trace_distance(via_series, via_expm) < 1e-12
+    np.testing.assert_allclose(via_series.mat, via_expm.mat, atol=1e-13)
+
+
 def test_block_exponentials_match_dense_oracle():
     # dense expm of the generator at a cutoff small enough to afford it
     n = 12
     layout = fock.ModeLayout(n).doubled()
     pair_up = dense_pair_creation(layout)
+    blocks = {d: states.pair_creation_block(layout, d) for d in range(1 - n, n)}
+    # sqrt((n+1)(m+1)) against sqrt(n+1) sqrt(m+1): equal up to one rounding
+    np.testing.assert_allclose(sector_operator(layout, blocks), pair_up, rtol=1e-15, atol=0)
+
     theta = states.ThermoParams.from_tau(0.5).theta
     want = scipy.linalg.expm(theta * (pair_up - pair_up.conj().T))
-    got = states.thermo_squeeze_operator(theta, layout).mat
+    got = sector_operator(layout, states.thermo_squeeze_operator(theta, layout))
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
     spec = states.EvolvedTwoModeSpec.from_theta(theta, 0.5)
-    expand = scipy.linalg.expm(spec.lam * pair_up)
-    core = np.zeros(n * n)
-    core[:n] = (1.0 - math.tanh(theta) ** 2) * spec.mu ** np.arange(n)
-    want = (expand * core) @ expand.conj().T
-    got = states.evolved_two_mode_state(spec, layout, method="expm").mat
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+    # a small cutoff holds less of the thermal tail than the default bound
+    got = states.evolved_two_mode_state(spec, layout, deficit_tol=1.0).mat
+    np.testing.assert_allclose(got, dense_evolved_state(spec, layout), rtol=0, atol=1e-13)
 
 
 def test_evolved_state_at_zero_time_is_thermal_vacuum_projector():
