@@ -5,14 +5,16 @@ Run: python3 benchmarks/bench_kernels.py [--cutoff N] [--repeats R]
 Timings use the best of R calls after warmup.  The two-mode rows run on the
 CLI's payload at tau0 = 1 and kappa*t = 0.5, stored as pair-number sector
 blocks: the thermal-vacuum projector, its damped image and the closed-form
-damped state.  They time the damping operator sum on the blocks
-(damp_sectors), apply_kraus with its validation of the result, the trace
+damped state.  They time the damping operator sum of the system mode on
+the blocks (damp_sectors, from the full cutoff x cutoff weight table),
+apply_kraus(rho, kappa_t) with its validation of the result, the trace
 distance, the partial trace, the purity and the construction of a
 DensityMatrix from blocks.  thermo_squeeze_operator builds the squeeze
-unitary at tau0 = 1 with one eigh per sector.  The Lindblad rows build the packed
-generator table and run 200 RK4 steps with rk4_evolve, on the two-mode
-thermal vacuum and on a single mode at cutoff 4N; the single-mode operator
-sum and hermiticity check run at cutoff 4N as well.
+unitary at tau0 = 1 with one eigh per sector.  The Lindblad rows build the
+packed generator table and run 200 RK4 steps with rk4_evolve, on the
+two-mode thermal vacuum and on a single mode at cutoff 4N; the single-mode
+operator sum (apply_damping, all 4N orders) and hermiticity check run at
+cutoff 4N as well.
 """
 from __future__ import annotations
 
@@ -35,20 +37,19 @@ def best_of(fn, args, repeats: int, warmup: int = 2) -> float:
 
 
 def two_mode_payload(cutoff: int, kappa_t: float):
-    """Thermal-vacuum projector, its damping weights and spec, the damped
-    state and the closed-form damped state, all stored by sector."""
+    """Thermal-vacuum projector, its damping weights, the damped state and
+    the closed-form damped state, all stored by sector."""
     params = states.ThermoParams.from_tau(1.0)
     layout = fock.ModeLayout(cutoff).doubled()
     rho = fock.outer(states.thermal_vacuum(params, layout))
-    spec = channel.ChannelSpec(kappa_t=kappa_t)
-    weights = channel.damping_weights(cutoff, kappa_t, cutoff)
+    weights = channel.damping_weights(cutoff, kappa_t)
     # small cutoffs hold less of the thermal tail than the CLI demands; the
     # timings do not depend on it
     analytic = states.evolved_two_mode_state(
-        states.EvolvedTwoModeSpec.from_theta(params.theta, kappa_t), layout, deficit_tol=1.0
+        states.EvolvedTwoModeSpec(params.theta, kappa_t), layout, deficit_tol=1.0
     )
-    damped = channel.apply_kraus(rho, spec)
-    return rho, spec, weights, damped, analytic
+    damped = channel.apply_kraus(rho, kappa_t)
+    return rho, weights, damped, analytic
 
 
 def single_mode_payload(cutoff: int):
@@ -64,17 +65,18 @@ def main() -> int:
 
     n = args.cutoff
     params = states.ThermoParams.from_tau(1.0)
-    rho, spec, weights, damped, analytic = two_mode_payload(n, kappa_t=0.5)
+    kappa_t = 0.5
+    rho, weights, damped, analytic = two_mode_payload(n, kappa_t)
     small = single_mode_payload(4 * n)
     rho4_small = small.mat.reshape(4 * n, 1, 4 * n, 1)
-    weights_small = channel.damping_weights(4 * n, 0.5, 4 * n)
+    weights_small = channel.damping_weights(4 * n, kappa_t)
     table = channel._generator(rho.layout, rho.blocks, 1.0)
     table_small = channel._generator(small.layout, small.blocks, 1.0)
     stored = sum(block.size for block in damped.blocks.values())
 
     cases = [
-        ("damp_sectors", kernels.damp_sectors, (rho.blocks, weights, n, n)),
-        ("apply_kraus", channel.apply_kraus, (rho, spec)),
+        ("damp_sectors", kernels.damp_sectors, (rho.blocks, weights)),
+        ("apply_kraus", channel.apply_kraus, (rho, kappa_t)),
         ("trace_distance", fock.trace_distance, (analytic, damped)),
         ("partial_trace", fock.partial_trace, (damped, fock.TILDE)),
         ("purity", fock.purity, (damped,)),

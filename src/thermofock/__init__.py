@@ -6,7 +6,7 @@ the closed-form cooling law tau -> tau' that damping induces on thermal
 states.
 """
 
-from .channel import ChannelSpec, IntegrationError, apply_kraus, kraus_operators, lindblad_integrate, lindblad_rhs
+from .channel import IntegrationError, apply_kraus, kraus_operators, lindblad_integrate
 from .fock import (
     SYSTEM,
     TILDE,

@@ -1,6 +1,8 @@
 """Amplitude-damping channel: Kraus operator sum and Lindblad integration.
 
-The channel damps one mode at rate kappa for a time t.  Its Kraus family is
+The channel damps the system mode at rate kappa for a time t; in a two-mode
+layout the tilde partner is left alone, as in the thermal-vacuum picture of
+a damped thermal mode.  Its Kraus family is
 
     K_n = sqrt(V^n / n!) e^(-kappa t a+a) a^n,   V = 1 - e^(-2 kappa t),
 
@@ -23,7 +25,6 @@ to the same state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,83 +39,58 @@ class IntegrationError(RuntimeError):
     """The Lindblad integration left its validity envelope."""
 
 
-@dataclass(frozen=True)
-class ChannelSpec:
-    """Amplitude-damping channel with total decay exponent kappa * t.
-
-    max_kraus limits the operator sum to K_0..K_{max_kraus-1}; None means
-    every order the cutoff admits, which is the exactly complete family.
-    """
-
-    kappa_t: float
-    max_kraus: int | None = None
-    target_mode: str = fock.SYSTEM
-
-    def __post_init__(self) -> None:
-        if self.kappa_t < 0:
-            raise ValueError(f"kappa_t must be >= 0, got {self.kappa_t}")
-        if self.max_kraus is not None and self.max_kraus < 1:
-            raise ValueError(f"max_kraus must be >= 1, got {self.max_kraus}")
-        if self.target_mode not in (fock.SYSTEM, fock.TILDE):
-            raise ValueError(f"target_mode must be system or tilde, got {self.target_mode!r}")
-
-    @property
-    def v(self) -> float:
-        """Jump weight V = 1 - e^(-2 kappa t)."""
-        return -math.expm1(-2.0 * self.kappa_t)
+# From kappa t = 750 on, e^(-kappa t) underflows to 0 and V rounds to 1, so the
+# weight table no longer changes.  Clamping there keeps a huge kappa t from
+# overflowing kappa t * j, and kappa t = inf from giving 0 * inf = nan.
+KAPPA_T_SATURATION = 750.0
 
 
-def damping_weights(cutoff: int, kappa_t: float, n_kraus: int) -> np.ndarray:
-    """Table W[n, j] = e^(-kappa t j) sqrt(V^n C(j+n, n)) for n < n_kraus.
+def _jump_weight(kappa_t: float) -> float:
+    """Jump weight V = 1 - e^(-2 kappa t); a negative kappa_t raises ValueError."""
+    if kappa_t < 0:
+        raise ValueError(f"kappa_t must be >= 0, got {kappa_t}")
+    return -math.expm1(-2.0 * kappa_t)
+
+
+def damping_weights(cutoff: int, kappa_t: float) -> np.ndarray:
+    """Table W[n, j] = e^(-kappa t j) sqrt(V^n C(j+n, n)) for n, j < cutoff.
 
     Built by the recurrence W[n, j] = W[n-1, j] sqrt(V (j + n) / n) from
     W[0, j] = e^(-kappa t j); every entry stays in [0, 1].
     """
-    v = -math.expm1(-2.0 * kappa_t)
-    w = np.zeros((n_kraus, cutoff))
+    kappa_t = min(kappa_t, KAPPA_T_SATURATION)
+    v = _jump_weight(kappa_t)
+    w = np.zeros((cutoff, cutoff))
     w[0] = np.exp(-kappa_t * np.arange(cutoff))
     cols = np.arange(cutoff, dtype=np.float64)
-    for n in range(1, n_kraus):
+    for n in range(1, cutoff):
         w[n] = w[n - 1] * np.sqrt(v * (cols + n) / n)
     return w
 
 
-def kraus_operators(spec: ChannelSpec, layout: ModeLayout) -> list[Operator]:
+def kraus_operators(kappa_t: float, layout: ModeLayout) -> list[Operator]:
     """Materialize the single-mode Kraus family as dense operators.
 
     Built literally as sqrt(V^n / n!) e^(-kappa t a+a) a^n, with the diagonal
     e^(-kappa t a+a) taken entrywise; apply_kraus does not call this (it uses
     the weight table), so the two can check each other.  A two-mode layout
-    raises LayoutError: its family would be n_kraus dense matrices of
+    raises LayoutError: its family would be cutoff dense matrices of
     cutoff^4 entries, and apply_kraus damps two-mode states by sector.
     """
     if layout.modes != 1:
         raise fock.LayoutError("kraus_operators builds the single-mode family")
-    n_kraus = spec.max_kraus or layout.cutoff
-    decay = np.diag(np.exp(-spec.kappa_t * np.arange(layout.cutoff)))
+    v = _jump_weight(kappa_t)
+    decay = np.diag(np.exp(-kappa_t * np.arange(layout.cutoff)))
     a = fock.annihilation(layout).mat
     ops: list[Operator] = []
     power = np.eye(layout.dim, dtype=np.complex128)
     coef = 1.0
-    for n in range(n_kraus):
+    for n in range(layout.cutoff):
         if n > 0:
             power = power @ a
-            coef *= spec.v / n
+            coef *= v / n
         ops.append(Operator(layout, math.sqrt(coef) * (decay @ power)))
     return ops
-
-
-def _system_slot(layout: ModeLayout, blocks: dict, target_mode: str) -> dict:
-    """The sector blocks with the damped mode in the system slot.
-
-    Exchanging the modes is its own inverse, so the same call maps a
-    kernel's output back.
-    """
-    if target_mode == fock.SYSTEM:
-        return blocks
-    if layout.modes == 1:
-        raise fock.LayoutError("single-mode states have no tilde mode to damp")
-    return fock.swap_modes(blocks)
 
 
 def _generator(layout: ModeLayout, blocks: dict, kappa: float) -> kernels.LindbladTable:
@@ -123,57 +99,31 @@ def _generator(layout: ModeLayout, blocks: dict, kappa: float) -> kernels.Lindbl
     return kernels.lindblad_table(sectors, blocks, kappa)
 
 
-def apply_kraus(rho: DensityMatrix, spec: ChannelSpec) -> DensityMatrix:
+def apply_kraus(rho: DensityMatrix, kappa_t: float) -> DensityMatrix:
     """Push rho through the damping channel via the structured operator sum.
 
     The Kraus matrices are never formed.  A single-mode state is mapped per
     offset j - k by one banded product over its nonzero entries; a two-mode
     state is mapped block by block, input block (d, d') feeding output
-    blocks (d + n, d' + n) for a damped system mode.  With the full Kraus
-    family the trace is preserved exactly (to round-off) even at the
-    truncation boundary; a violation indicates a real defect and raises
-    IntegrationError.
+    blocks (d + n, d' + n).  The family is complete, so the trace is
+    preserved exactly (to round-off) even at the truncation boundary; a
+    violation indicates a real defect and raises IntegrationError.
     """
     cutoff = rho.layout.cutoff
-    n_kraus = min(spec.max_kraus or cutoff, cutoff)
-    weights = damping_weights(cutoff, spec.kappa_t, n_kraus)
-    blocks = _system_slot(rho.layout, rho.blocks, spec.target_mode)
+    weights = damping_weights(cutoff, kappa_t)
     if rho.layout.modes == 1:
         rho4 = rho.mat.reshape(cutoff, 1, cutoff, 1)
-        out = {(0, 0): kernels.apply_damping(rho4, weights, n_kraus).reshape(cutoff, cutoff)}
+        out = {(0, 0): kernels.apply_damping(rho4, weights, cutoff).reshape(cutoff, cutoff)}
     else:
-        out = _system_slot(rho.layout, kernels.damp_sectors(blocks, weights, n_kraus, cutoff), spec.target_mode)
-    tr = fock.sector_trace(out)
-    if spec.max_kraus is None:
-        drift = abs(tr - fock.trace(rho))
-        if drift > TRACE_PRESERVATION_TOL:
-            raise IntegrationError(f"operator sum changed the trace by {drift:.3e}")
-        tol = rho.trace_tol + TRACE_PRESERVATION_TOL
-    else:
-        # a deliberately capped family is lossy; carry the measured deficit
-        tol = abs(tr - 1.0) + rho.trace_tol + TRACE_PRESERVATION_TOL
-    return DensityMatrix.from_blocks(rho.layout, out, trace_tol=tol)
-
-
-def lindblad_rhs(rho: Operator | DensityMatrix, kappa: float, target_mode: str = fock.SYSTEM) -> Operator:
-    """kappa (2 a rho a+ - a+a rho - rho a+a) on a single mode, evaluated by
-    the packed generator that lindblad_integrate runs on either layout."""
-    if kappa < 0:
-        raise ValueError(f"kappa must be >= 0, got {kappa}")
-    layout = rho.layout
-    if layout.modes == 2:
-        raise fock.LayoutError("lindblad_rhs acts on single-mode operators")
-    blocks = _system_slot(layout, {(0, 0): rho.mat}, target_mode)
-    table = _generator(layout, blocks, kappa)
-    return Operator(layout, table.unpack(table.rhs(table.pack(blocks)))[(0, 0)])
+        out = kernels.damp_sectors(rho.blocks, weights)
+    drift = abs(fock.sector_trace(out) - fock.trace(rho))
+    if drift > TRACE_PRESERVATION_TOL:
+        raise IntegrationError(f"operator sum changed the trace by {drift:.3e}")
+    return DensityMatrix.from_blocks(rho.layout, out, trace_tol=rho.trace_tol + TRACE_PRESERVATION_TOL)
 
 
 def lindblad_integrate(
-    rho: DensityMatrix,
-    kappa: float,
-    t_final: float,
-    dt: float | None = None,
-    target_mode: str = fock.SYSTEM,
+    rho: DensityMatrix, kappa: float, t_final: float, dt: float | None = None
 ) -> DensityMatrix:
     """Integrate the damping generator from 0 to t_final with fixed-step RK4.
 
@@ -188,7 +138,6 @@ def lindblad_integrate(
     if t_final < 0:
         raise ValueError(f"t_final must be >= 0, got {t_final}")
     layout = rho.layout
-    blocks = _system_slot(layout, rho.blocks, target_mode)
     if t_final == 0:
         blocks = {key: block.copy() for key, block in rho.blocks.items()}
         return DensityMatrix.from_blocks(layout, blocks, trace_tol=rho.trace_tol)
@@ -203,10 +152,10 @@ def lindblad_integrate(
         remainder = 0.0
     n_tail = int(remainder > 0.0)
 
-    table = _generator(layout, blocks, kappa)
-    vec = kernels.rk4_evolve(table.pack(blocks), table, dt, n_full)
+    table = _generator(layout, rho.blocks, kappa)
+    vec = kernels.rk4_evolve(table.pack(rho.blocks), table, dt, n_full)
     vec = kernels.rk4_evolve(vec, table, remainder, n_tail)
-    out = _system_slot(layout, table.unpack(vec), target_mode)
+    out = table.unpack(vec)
     drift = abs(fock.sector_trace(out) - fock.trace(rho))
     if drift > TRACE_DRIFT_TOL:
         raise IntegrationError(

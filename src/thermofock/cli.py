@@ -13,7 +13,8 @@ Values are written with 12 significant digits and `\n` newlines, so repeated
 runs with the same configuration produce byte-identical files.  A config
 file (`--config`) holds `key = value` lines with keys matching flag names;
 explicit flags win over file values, unknown keys are rejected.  Exit codes:
-0 success, 2 configuration error, 3 numerical failure.
+0 success, 2 configuration error (including a time grid or damping exponent
+kappa * t-max that overflows), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -149,26 +150,26 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         file_values,
         "cutoff",
         _convert_cutoff,
-        None,
+        cfg.cutoff,
     )
     if cfg.cutoff is not None and not 2 <= cfg.cutoff <= 128:
         raise ConfigError(f"cutoff must lie in [2, 128], got {cfg.cutoff}")
 
     if command == "verify":
-        cfg.suite = _pick(args.suite, file_values, "suite", str, "all")
+        cfg.suite = _pick(args.suite, file_values, "suite", str, cfg.suite)
         if cfg.suite not in ("all",) + verify.SUITES:
             raise ConfigError(
                 f"suite must be one of all, {', '.join(verify.SUITES)}; got {cfg.suite!r}"
             )
         return cfg
 
-    cfg.tau0 = _pick(args.tau0, file_values, "tau0", float, 1.0)
-    cfg.kappa = _pick(args.kappa, file_values, "kappa", float, 1.0)
-    cfg.t_max = _pick(args.t_max, file_values, "t-max", float, 2.0)
-    cfg.steps = _pick(args.steps, file_values, "steps", int, 8)
-    cfg.method = _pick(args.method, file_values, "method", str, "kraus")
-    cfg.out = _pick(args.out, file_values, "out", str, "-")
-    cfg.svg = _pick(args.svg, file_values, "svg", str, None)
+    cfg.tau0 = _pick(args.tau0, file_values, "tau0", float, cfg.tau0)
+    cfg.kappa = _pick(args.kappa, file_values, "kappa", float, cfg.kappa)
+    cfg.t_max = _pick(args.t_max, file_values, "t-max", float, cfg.t_max)
+    cfg.steps = _pick(args.steps, file_values, "steps", int, cfg.steps)
+    cfg.method = _pick(args.method, file_values, "method", str, cfg.method)
+    cfg.out = _pick(args.out, file_values, "out", str, cfg.out)
+    cfg.svg = _pick(args.svg, file_values, "svg", str, cfg.svg)
 
     for name, value in (("tau0", cfg.tau0), ("kappa", cfg.kappa), ("t-max", cfg.t_max)):
         if not math.isfinite(value):
@@ -181,6 +182,11 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"t-max must be > 0 so the time grid strictly increases, got {cfg.t_max}")
     if cfg.steps < 1:
         raise ConfigError(f"steps must be >= 1, got {cfg.steps}")
+    # the time grid is t_max * i / steps and the damping exponent kappa * t
+    products = (("t-max * steps", cfg.t_max * cfg.steps), ("kappa * t-max", cfg.kappa * cfg.t_max))
+    for name, value in products:
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
     if cfg.method not in ("kraus", "lindblad", "both"):
         raise ConfigError(f"method must be kraus, lindblad or both, got {cfg.method!r}")
     if command == "two-mode":
@@ -341,11 +347,11 @@ def cmd_two_mode(cfg: RunConfig) -> int:
         kappa_t = cfg.kappa * t
         try:
             analytic = states.evolved_two_mode_state(
-                states.EvolvedTwoModeSpec.from_theta(params.theta, kappa_t),
+                states.EvolvedTwoModeSpec(params.theta, kappa_t),
                 layout,
                 deficit_tol=deficit_tol,
             )
-            evolved = channel.apply_kraus(rho0, channel.ChannelSpec(kappa_t=kappa_t))
+            evolved = channel.apply_kraus(rho0, kappa_t)
             dist = fock.trace_distance(analytic, evolved)
             sys_side = fock.partial_trace(evolved, over=fock.TILDE)
             tilde_side = fock.partial_trace(evolved, over=fock.SYSTEM)

@@ -3,8 +3,7 @@
 States reach these kernels as dicts of pair-number sector blocks keyed by
 (d, d'), d = n_tilde - n_sys, as fock.DensityMatrix stores them; a
 single-mode state is the one block (0, 0).  Every kernel damps the system
-mode; callers that damp the tilde mode exchange the modes before and after
-(fock.swap_modes).
+mode.
 
 apply_damping and damp_sectors apply the amplitude-damping operator sum, to
 a dense single mode per offset j - k and to two-mode blocks per sector
@@ -104,19 +103,20 @@ def _add_lowered(out: dict, key: tuple[int, int], block: np.ndarray, n: int, tab
     return True
 
 
-def damp_sectors(blocks: dict, weights: np.ndarray, n_kraus: int, cutoff: int) -> dict:
+def damp_sectors(blocks: dict, weights: np.ndarray) -> dict:
     """Apply the amplitude-damping operator sum to the system mode.
 
     out[(j, .), (k, .)] = sum_n W[n, j] W[n, k] rho[(j + n, .), (k + n, .)]
     with the tilde occupations unchanged: input block (d, d') feeds output
-    blocks (d + n, d' + n), n < n_kraus, with weight row W[n] on each side.
-    The thermal-vacuum projector has the single block (0, 0), so it costs
-    cutoff such terms.
+    blocks (d + n, d' + n), n < cutoff, with weight row W[n] on each side;
+    weights is the full cutoff x cutoff table.  The thermal-vacuum projector
+    has the single block (0, 0), so it costs cutoff such terms.
     """
+    cutoff = weights.shape[1]
     out: dict = {}
     for key, block in blocks.items():
-        for n in range(min(n_kraus, cutoff)):
-            if not _add_lowered(out, key, block, n, weights[n], cutoff):
+        for n, row in enumerate(weights):
+            if not _add_lowered(out, key, block, n, row, cutoff):
                 break
     return out
 

@@ -60,10 +60,6 @@ class ThermoParams:
         return cls(theta=thermo.theta_from_tau(tau), tau=tau, nbar=thermo.nbar_from_tau(tau))
 
     @classmethod
-    def from_theta(cls, theta: float) -> "ThermoParams":
-        return cls(theta=theta, tau=thermo.tau_from_theta(theta), nbar=thermo.nbar_from_theta(theta))
-
-    @classmethod
     def from_nbar(cls, nbar: float) -> "ThermoParams":
         tau = thermo.tau_from_nbar(nbar)
         return cls(theta=thermo.theta_from_tau(tau), tau=tau, nbar=nbar)
@@ -78,27 +74,18 @@ class ThermoParams:
         return self.q**cutoff
 
 
-def chaotic_state(
-    params: ThermoParams,
-    layout: ModeLayout,
-    renormalize: bool = False,
-) -> DensityMatrix:
+def chaotic_state(params: ThermoParams, layout: ModeLayout) -> DensityMatrix:
     """Single-mode thermal state diag((1 - q) q^n) on the truncated space.
 
-    By default the populations are the exact infinite-space values, so the
-    trace falls short of 1 by the tail weight q^cutoff; the instance carries
-    that deficit in its trace tolerance.  renormalize=True rescales to unit
-    trace instead.
+    The populations are the exact infinite-space values, so the trace falls
+    short of 1 by the tail weight q^cutoff; the instance carries that
+    deficit in its trace tolerance.
     """
     if layout.modes != 1:
         raise fock.LayoutError("chaotic_state is single-mode")
     q = params.q
     pops = (1.0 - q) * q ** np.arange(layout.cutoff)
-    tol = 1e-12
-    if renormalize:
-        pops = pops / pops.sum()
-    else:
-        tol += params.tail_weight(layout.cutoff)
+    tol = 1e-12 + params.tail_weight(layout.cutoff)
     return DensityMatrix(layout, np.diag(pops.astype(np.complex128)), trace_tol=tol)
 
 
@@ -170,7 +157,7 @@ def tfd_expectation_identity(obs: Operator, params: ThermoParams) -> tuple[compl
 
 @dataclass(frozen=True)
 class EvolvedTwoModeSpec:
-    """Parameters of the damped thermal vacuum in closed form.
+    """The damped thermal vacuum in closed form, fixed by theta and kappa t.
 
     lam = e^(-kappa t) tanh(theta) weights the surviving pair correlations,
     mu = (1 - e^(-2 kappa t)) tanh^2(theta) weights the tilde-side mixture
@@ -179,24 +166,20 @@ class EvolvedTwoModeSpec:
 
     theta: float
     kappa_t: float
-    lam: float
-    mu: float
 
     def __post_init__(self) -> None:
         if self.theta < 0 or self.kappa_t < 0:
             raise ValueError("theta and kappa_t must be >= 0")
+
+    @property
+    def lam(self) -> float:
+        return math.exp(-self.kappa_t) * math.tanh(self.theta)
+
+    @property
+    def mu(self) -> float:
         th = math.tanh(self.theta)
         decay = math.exp(-self.kappa_t)
-        if abs(self.lam - decay * th) > 1e-12:
-            raise ValueError(f"lam {self.lam!r} inconsistent with theta, kappa_t")
-        if abs(self.mu - (1.0 - decay * decay) * th * th) > 1e-12:
-            raise ValueError(f"mu {self.mu!r} inconsistent with theta, kappa_t")
-
-    @classmethod
-    def from_theta(cls, theta: float, kappa_t: float) -> "EvolvedTwoModeSpec":
-        th = math.tanh(theta)
-        decay = math.exp(-kappa_t)
-        return cls(theta=theta, kappa_t=kappa_t, lam=decay * th, mu=(1.0 - decay * decay) * th * th)
+        return (1.0 - decay * decay) * th * th
 
 
 def evolved_two_mode_state(
@@ -220,17 +203,18 @@ def evolved_two_mode_state(
         raise fock.LayoutError("the evolved state lives on a two-mode layout")
     n = layout.cutoff
     sech2 = 1.0 - math.tanh(spec.theta) ** 2
+    lam, mu = spec.lam, spec.mu
 
     blocks = {}
     for m in range(n):
-        weight = sech2 * spec.mu**m
+        weight = sech2 * mu**m
         if weight == 0.0:
             break
         span = n - m
         amps = np.empty(span)
         amps[0] = 1.0
         for k in range(1, span):
-            amps[k] = amps[k - 1] * spec.lam * math.sqrt((m + k) / k)
+            amps[k] = amps[k - 1] * lam * math.sqrt((m + k) / k)
         blocks[(m, m)] = weight * np.outer(amps, amps)
 
     deficit = 1.0 - fock.sector_trace(blocks).real

@@ -246,12 +246,11 @@ def cooling_curve(
 
     For each t the closed-form tau_after is paired with the temperature
     read off the numerically damped state (Kraus operator sum or RK4
-    Lindblad integration).  method="closed_only" skips the numerics and fills
-    tau_numeric/trace_error with nan.
+    Lindblad integration).
 
-    The numeric methods need the thermal state to fit below the cutoff: a
-    tail weight q^cutoff above deficit_tol, which would bias the fitted
-    temperature, raises states.TruncationError.
+    The thermal state must fit below the cutoff: a tail weight q^cutoff
+    above deficit_tol, which would bias the fitted temperature, raises
+    states.TruncationError.
     """
     # imported here because states imports this module
     from . import channel, states
@@ -260,28 +259,16 @@ def cooling_curve(
         raise ValueError(f"tau0 must be > 0, got {tau0}")
     if kappa <= 0:
         raise ValueError(f"kappa must be > 0, got {kappa}")
-    if method not in ("kraus", "lindblad", "closed_only"):
-        raise ValueError(f"method must be kraus, lindblad or closed_only, got {method!r}")
+    if method not in ("kraus", "lindblad"):
+        raise ValueError(f"method must be kraus or lindblad, got {method!r}")
     times = [float(t) for t in times]
     if any(t < 0 for t in times):
         raise ValueError("times must be >= 0")
 
-    theta = theta_from_tau(tau0)
-    if cutoff is None:
-        cutoff = fock.default_cutoff(theta)
-    layout = fock.ModeLayout(cutoff)
-
-    points: list[CoolingPoint] = []
-    if method == "closed_only":
-        for t in times:
-            kt = kappa * t
-            tau_c = tau_after(tau0, kt)
-            points.append(
-                CoolingPoint(kt, tau_c, float("nan"), nbar_from_tau(tau_c), float("nan"))
-            )
-        return points
-
     params = states.ThermoParams.from_tau(tau0)
+    if cutoff is None:
+        cutoff = fock.default_cutoff(params.theta)
+    layout = fock.ModeLayout(cutoff)
     tail = params.tail_weight(cutoff)
     if tail > deficit_tol:
         raise states.TruncationError(
@@ -289,11 +276,12 @@ def cooling_curve(
         )
     rho0 = states.chaotic_state(params, layout)
     num_op = fock.number(layout)
+    points: list[CoolingPoint] = []
     for t in times:
         kt = kappa * t
         try:
             if method == "kraus":
-                evolved = channel.apply_kraus(rho0, channel.ChannelSpec(kappa_t=kt))
+                evolved = channel.apply_kraus(rho0, kt)
             else:
                 evolved = channel.lindblad_integrate(rho0, kappa, t, dt=dt)
             tau_n = effective_temperature(evolved)

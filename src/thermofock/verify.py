@@ -4,9 +4,9 @@ Each check computes a single observed number and passes when it is below
 (or, for signed-margin checks, at most) its tolerance.  Check functions
 take an optional cutoff override, which no check caps: two-mode states,
 the squeeze unitary and E = exp(lambda a+ b+) are all built by pair-number
-sector, never as dense cutoff^2 x cutoff^2 matrices.  A check that raises one of the package's numerical errors at
-some cutoff is reported as failed, with observed value inf, and the rest of
-the suite still runs.
+sector, never as dense cutoff^2 x cutoff^2 matrices.  A check that raises
+one of the package's numerical errors at some cutoff is reported as
+failed, with observed value inf, and the rest of the suite still runs.
 """
 
 from __future__ import annotations
@@ -124,7 +124,7 @@ def _tfd_identity(cutoff: int | None) -> float:
 def _evolved_series_vs_expm(cutoff: int | None) -> float:
     n = _cutoff(cutoff, default=33)
     layout = fock.ModeLayout(n).doubled()
-    spec = states.EvolvedTwoModeSpec.from_theta(thermo.theta_from_tau(1.0), 0.7)
+    spec = states.EvolvedTwoModeSpec(thermo.theta_from_tau(1.0), 0.7)
     via_series = states.evolved_two_mode_state(spec, layout)
     # E|0, m~> from the operator itself: |0, m~> is index 0 of sector m, where
     # lam a+ b+ is the nilpotent block lam S_m, so the Taylor series of
@@ -148,7 +148,7 @@ def _evolved_tilde_reduction_thermal(cutoff: int | None) -> float:
     n = _cutoff(cutoff, default=33)
     layout = fock.ModeLayout(n).doubled()
     params = states.ThermoParams.from_tau(1.0)
-    spec = states.EvolvedTwoModeSpec.from_theta(params.theta, 0.9)
+    spec = states.EvolvedTwoModeSpec(params.theta, 0.9)
     evolved = states.evolved_two_mode_state(spec, layout)
     tilde_side = fock.partial_trace(evolved, over=fock.SYSTEM)
     reference = states.chaotic_state(params, layout.single())
@@ -162,7 +162,7 @@ def _evolved_tilde_reduction_thermal(cutoff: int | None) -> float:
 
 def _kraus_completeness(cutoff: int | None) -> float:
     layout = fock.ModeLayout(_cutoff(cutoff))
-    ops = channel.kraus_operators(channel.ChannelSpec(kappa_t=0.5), layout)
+    ops = channel.kraus_operators(0.5, layout)
     acc = np.zeros((layout.dim, layout.dim), dtype=np.complex128)
     for op in ops:
         acc += op.mat.conj().T @ op.mat
@@ -172,7 +172,7 @@ def _kraus_completeness(cutoff: int | None) -> float:
 def _trace_preservation(cutoff: int | None) -> float:
     layout = fock.ModeLayout(_cutoff(cutoff))
     rho = states.chaotic_state(states.ThermoParams.from_tau(1.0), layout)
-    out = channel.apply_kraus(rho, channel.ChannelSpec(kappa_t=0.37))
+    out = channel.apply_kraus(rho, 0.37)
     return abs(fock.trace(out) - fock.trace(rho))
 
 
@@ -180,7 +180,7 @@ def _mean_photon_decay(cutoff: int | None) -> float:
     layout = fock.ModeLayout(_cutoff(cutoff))
     kappa_t = 0.5
     rho = states.chaotic_state(states.ThermoParams.from_tau(1.0), layout)
-    out = channel.apply_kraus(rho, channel.ChannelSpec(kappa_t=kappa_t))
+    out = channel.apply_kraus(rho, kappa_t)
     num = fock.number(layout)
     before = fock.expectation(rho, num).real
     after = fock.expectation(out, num).real
@@ -190,7 +190,7 @@ def _mean_photon_decay(cutoff: int | None) -> float:
 def _kraus_vs_lindblad(cutoff: int | None) -> float:
     layout = fock.ModeLayout(_cutoff(cutoff))
     rho = states.chaotic_state(states.ThermoParams.from_tau(1.0), layout)
-    via_kraus = channel.apply_kraus(rho, channel.ChannelSpec(kappa_t=0.5))
+    via_kraus = channel.apply_kraus(rho, 0.5)
     via_ode = channel.lindblad_integrate(rho, kappa=1.0, t_final=0.5)
     return fock.trace_distance(via_kraus, via_ode)
 
@@ -198,17 +198,17 @@ def _kraus_vs_lindblad(cutoff: int | None) -> float:
 def _damped_state_positive(cutoff: int | None) -> float:
     layout = fock.ModeLayout(_cutoff(cutoff))
     rho = states.chaotic_state(states.ThermoParams.from_tau(1.0), layout)
-    out = channel.apply_kraus(rho, channel.ChannelSpec(kappa_t=0.5))
+    out = channel.apply_kraus(rho, 0.5)
     return max(0.0, -out.min_eigenvalue())
 
 
 def _structured_vs_explicit(cutoff: int | None) -> float:
     layout = fock.ModeLayout(_cutoff(cutoff, default=24))
-    spec = channel.ChannelSpec(kappa_t=0.8)
+    kappa_t = 0.8
     rho = states.chaotic_state(states.ThermoParams.from_tau(1.0), layout)
-    fast = channel.apply_kraus(rho, spec).mat
+    fast = channel.apply_kraus(rho, kappa_t).mat
     slow = np.zeros_like(fast)
-    for op in channel.kraus_operators(spec, layout):
+    for op in channel.kraus_operators(kappa_t, layout):
         slow += op.mat @ rho.mat @ op.mat.conj().T
     return float(np.abs(fast - slow).max())
 

@@ -59,7 +59,7 @@ def test_lindblad_integration_agrees_with_operator_sum():
     layout = fock.ModeLayout(32)
     rho = states.chaotic_state(states.ThermoParams.from_tau(1.0), layout)
     via_ode = channel.lindblad_integrate(rho, kappa=1.0, t_final=0.5, dt=1e-3)
-    via_kraus = channel.apply_kraus(rho, channel.ChannelSpec(kappa_t=0.5))
+    via_kraus = channel.apply_kraus(rho, 0.5)
     observed = fock.trace_distance(via_ode, via_kraus)
     report("fixed-step integration matches operator sum", observed, 1e-6)
     assert observed < 1e-6
@@ -70,7 +70,7 @@ def test_damping_operator_family_is_complete():
     worst = 0.0
     for kappa_t in (0.1, 0.5, 2.0):
         acc = np.zeros((32, 32), dtype=complex)
-        for op in channel.kraus_operators(channel.ChannelSpec(kappa_t=kappa_t), layout):
+        for op in channel.kraus_operators(kappa_t, layout):
             acc += op.mat.conj().T @ op.mat
         worst = max(worst, float(np.abs(acc - np.eye(32)).max()))
     report("damping operator family resolves the identity", worst, 1e-10)
@@ -98,7 +98,7 @@ def test_closed_form_temperature_matches_simulation():
     for tau0 in (0.5, 1.0, 2.0):
         rho = states.chaotic_state(states.ThermoParams.from_tau(tau0), layout)
         for kappa_t in (0.1, 0.5, 1.0, 2.0):
-            evolved = channel.apply_kraus(rho, channel.ChannelSpec(kappa_t=kappa_t))
+            evolved = channel.apply_kraus(rho, kappa_t)
             fitted = thermo.effective_temperature(evolved)
             worst = max(worst, abs(fitted - thermo.tau_after(tau0, kappa_t)))
     report("fitted temperature tracks the closed form", worst, 1e-7)
@@ -112,9 +112,9 @@ def test_compact_evolved_state_matches_channel():
     worst = 0.0
     for kappa_t in (0.2, 1.0):
         analytic = states.evolved_two_mode_state(
-            states.EvolvedTwoModeSpec.from_theta(params.theta, kappa_t), layout
+            states.EvolvedTwoModeSpec(params.theta, kappa_t), layout
         )
-        evolved = channel.apply_kraus(rho0, channel.ChannelSpec(kappa_t=kappa_t))
+        evolved = channel.apply_kraus(rho0, kappa_t)
         worst = max(worst, fock.trace_distance(analytic, evolved))
     report("compact two-mode form matches channel evolution", worst, 1e-8)
     assert worst < 1e-8
@@ -138,7 +138,7 @@ def test_undamped_partner_state_is_time_invariant():
     baseline = fock.partial_trace(rho0, over=fock.SYSTEM).mat
     worst = 0.0
     for kappa_t in (0.4, 1.0, 2.5):
-        evolved = channel.apply_kraus(rho0, channel.ChannelSpec(kappa_t=kappa_t))
+        evolved = channel.apply_kraus(rho0, kappa_t)
         tilde_side = fock.partial_trace(evolved, over=fock.SYSTEM).mat
         worst = max(worst, float(np.abs(tilde_side - baseline).max()))
     report("partner mode ignores damping of the other", worst, 1e-8)
@@ -156,7 +156,7 @@ def test_mean_occupation_decays_exponentially():
     for rho in initial_states:
         before = fock.expectation(rho, num).real
         for kappa_t in (0.3, 1.0):
-            evolved = channel.apply_kraus(rho, channel.ChannelSpec(kappa_t=kappa_t))
+            evolved = channel.apply_kraus(rho, kappa_t)
             after = fock.expectation(evolved, num).real
             worst = max(worst, abs(after - math.exp(-2.0 * kappa_t) * before))
     report("mean occupation decays at twice the rate", worst, 1e-8)

@@ -15,32 +15,51 @@ def explicit_kraus_sum(rho_mat, ops):
     return out
 
 
-def two_mode_kraus(spec, layout):
-    # the single-mode family embedded on the damped mode, system-major
+def two_mode_kraus(kappa_t, layout):
+    # the single-mode family embedded on the system mode, system-major
     eye = np.eye(layout.cutoff)
-    ops = channel.kraus_operators(spec, layout.single())
-    if spec.target_mode == fock.SYSTEM:
-        return [fock.Operator(layout, np.kron(op.mat, eye)) for op in ops]
-    return [fock.Operator(layout, np.kron(eye, op.mat)) for op in ops]
+    ops = channel.kraus_operators(kappa_t, layout.single())
+    return [fock.Operator(layout, np.kron(op.mat, eye)) for op in ops]
+
+
+def unit_trace_chaotic(tau, layout):
+    # the thermal populations rescaled so the truncated state has trace 1
+    rho = states.chaotic_state(states.ThermoParams.from_tau(tau), layout)
+    return fock.DensityMatrix(layout, rho.mat / fock.trace(rho).real)
 
 
 def test_channel_spec_validation():
-    spec = channel.ChannelSpec(kappa_t=0.5)
-    assert spec.v == pytest.approx(1 - math.exp(-1.0), abs=1e-15)
-    assert channel.ChannelSpec(kappa_t=0.0).v == 0.0
-    with pytest.raises(ValueError):
-        channel.ChannelSpec(kappa_t=-0.1)
-    with pytest.raises(ValueError):
-        channel.ChannelSpec(kappa_t=0.5, max_kraus=0)
-    with pytest.raises(ValueError):
-        channel.ChannelSpec(kappa_t=0.5, target_mode="both")
+    # the channel is fixed by kappa_t alone; W[1, 0]^2 is the jump weight V
+    assert channel.damping_weights(4, 0.5)[1, 0] ** 2 == pytest.approx(1 - math.exp(-1.0), abs=1e-15)
+    # at kappa t = 0 only K_0 = 1 survives
+    identity_only = np.zeros((4, 4))
+    identity_only[0] = 1.0
+    np.testing.assert_array_equal(channel.damping_weights(4, 0.0), identity_only)
+    layout = fock.ModeLayout(4)
+    rho = states.chaotic_state(states.ThermoParams.from_tau(1.0), layout)
+    with pytest.raises(ValueError, match="kappa_t"):
+        channel.apply_kraus(rho, -0.1)
+    with pytest.raises(ValueError, match="kappa_t"):
+        channel.kraus_operators(-0.1, layout)
+
+
+@pytest.mark.parametrize("kappa_t", [750.0, 1e307, math.inf])
+def test_damping_weights_saturate_at_large_kappa_t(kappa_t):
+    # from kappa t = 750 on every jump lands in the vacuum, and an
+    # overflowing kappa t must not produce nan or warnings (entries that
+    # underflow to 0 are expected)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        table = channel.damping_weights(16, kappa_t)
+    expected = np.zeros((16, 16))
+    expected[:, 0] = 1.0
+    np.testing.assert_array_equal(table, expected)
 
 
 def test_weight_table_matches_literal_kraus_entries():
     n = 14
     kappa_t = 0.45
-    weights = channel.damping_weights(n, kappa_t, n)
-    ops = channel.kraus_operators(channel.ChannelSpec(kappa_t=kappa_t), fock.ModeLayout(n))
+    weights = channel.damping_weights(n, kappa_t)
+    ops = channel.kraus_operators(kappa_t, fock.ModeLayout(n))
     for order, op in enumerate(ops):
         # K_order maps |j + order> down to |j>; that entry is W[order, j]
         for j in range(n - order):
@@ -51,7 +70,7 @@ def test_weight_table_matches_literal_kraus_entries():
 @pytest.mark.parametrize("kappa_t", [0.1, 0.5, 2.0])
 def test_kraus_completeness(kappa_t):
     layout = fock.ModeLayout(32)
-    ops = channel.kraus_operators(channel.ChannelSpec(kappa_t=kappa_t), layout)
+    ops = channel.kraus_operators(kappa_t, layout)
     acc = np.zeros((32, 32), dtype=complex)
     for op in ops:
         acc += op.mat.conj().T @ op.mat
@@ -64,56 +83,57 @@ def test_apply_kraus_matches_explicit_operator_sum():
     m = rng.normal(size=(18, 18)) + 1j * rng.normal(size=(18, 18))
     m = m @ m.conj().T
     rho = fock.DensityMatrix(layout, m / m.trace())
-    spec = channel.ChannelSpec(kappa_t=0.6)
-    fast = channel.apply_kraus(rho, spec)
-    slow = explicit_kraus_sum(rho.mat, channel.kraus_operators(spec, layout))
+    fast = channel.apply_kraus(rho, 0.6)
+    slow = explicit_kraus_sum(rho.mat, channel.kraus_operators(0.6, layout))
     np.testing.assert_allclose(fast.mat, slow, atol=1e-14)
 
 
-@pytest.mark.parametrize("target", [fock.SYSTEM, fock.TILDE])
-def test_apply_kraus_two_mode_targets(target):
+def test_apply_kraus_two_mode_matches_explicit_operator_sum():
     layout = fock.ModeLayout(10).doubled()
     params = states.ThermoParams.from_tau(0.8)
     rho = fock.outer(states.thermal_vacuum(params, layout), trace_tol=1e-3)
-    spec = channel.ChannelSpec(kappa_t=0.7, target_mode=target)
-    fast = channel.apply_kraus(rho, spec)
-    slow = explicit_kraus_sum(rho.mat, two_mode_kraus(spec, layout))
+    fast = channel.apply_kraus(rho, 0.7)
+    slow = explicit_kraus_sum(rho.mat, two_mode_kraus(0.7, layout))
     np.testing.assert_allclose(fast.mat, slow, atol=1e-14)
 
 
 def test_kraus_operators_refuse_two_mode_layouts():
     # two-mode states are damped by sector; the dense family is a test oracle
     with pytest.raises(fock.LayoutError, match="single-mode"):
-        channel.kraus_operators(channel.ChannelSpec(kappa_t=0.5), fock.ModeLayout(4).doubled())
+        channel.kraus_operators(0.5, fock.ModeLayout(4).doubled())
 
 
 def test_damping_by_symmetry_of_tfd():
-    # the thermal vacuum is symmetric under swapping the two modes, so
-    # damping the tilde mode mirrors damping the system mode
+    # the thermal vacuum is symmetric under swapping the two modes, and
+    # damping the system mode leaves the tilde mode alone: the tilde
+    # reduction of the damped state is the system reduction of the undamped one
     layout = fock.ModeLayout(16).doubled()
     params = states.ThermoParams.from_tau(1.0)
     rho = fock.outer(states.thermal_vacuum(params, layout), trace_tol=1e-4)
-    sys_hit = channel.apply_kraus(rho, channel.ChannelSpec(kappa_t=0.5)).mat
-    til_hit = channel.apply_kraus(
-        rho, channel.ChannelSpec(kappa_t=0.5, target_mode=fock.TILDE)
-    ).mat
-    swapped = til_hit.reshape(16, 16, 16, 16).transpose(1, 0, 3, 2).reshape(256, 256)
-    np.testing.assert_allclose(sys_hit, swapped, atol=1e-15)
+    swapped = fock.swap_modes(rho.blocks)
+    assert swapped.keys() == rho.blocks.keys()
+    for key, block in rho.blocks.items():
+        np.testing.assert_array_equal(swapped[key], block)
+    damped = channel.apply_kraus(rho, 0.5)
+    np.testing.assert_allclose(
+        fock.partial_trace(damped, over=fock.SYSTEM).mat,
+        fock.partial_trace(rho, over=fock.TILDE).mat,
+        atol=1e-15,
+    )
 
 
 def test_apply_kraus_identity_at_zero_time():
     layout = fock.ModeLayout(12)
     params = states.ThermoParams.from_tau(1.0)
     rho = states.chaotic_state(params, layout)
-    out = channel.apply_kraus(rho, channel.ChannelSpec(kappa_t=0.0))
+    out = channel.apply_kraus(rho, 0.0)
     np.testing.assert_allclose(out.mat, rho.mat, atol=1e-15)
 
 
 def test_apply_kraus_asymptote_is_vacuum():
     layout = fock.ModeLayout(12)
-    params = states.ThermoParams.from_tau(1.0)
-    rho = states.chaotic_state(params, layout, renormalize=True)
-    out = channel.apply_kraus(rho, channel.ChannelSpec(kappa_t=40.0))
+    rho = unit_trace_chaotic(1.0, layout)
+    out = channel.apply_kraus(rho, 40.0)
     vacuum = np.zeros((12, 12), dtype=complex)
     vacuum[0, 0] = 1.0
     np.testing.assert_allclose(out.mat, vacuum, atol=1e-12)
@@ -141,64 +161,24 @@ def test_mean_photon_number_decays_exactly(build, kappa_t):
     rho = build(layout)
     num = fock.number(layout)
     before = fock.expectation(rho, num).real
-    out = channel.apply_kraus(rho, channel.ChannelSpec(kappa_t=kappa_t))
+    out = channel.apply_kraus(rho, kappa_t)
     after = fock.expectation(out, num).real
     assert after == pytest.approx(math.exp(-2 * kappa_t) * before, abs=1e-13)
 
 
 def test_damped_state_stays_positive():
     layout = fock.ModeLayout(20)
-    rho = states.chaotic_state(states.ThermoParams.from_tau(1.5), layout, renormalize=True)
-    out = channel.apply_kraus(rho, channel.ChannelSpec(kappa_t=0.35))
+    rho = unit_trace_chaotic(1.5, layout)
+    out = channel.apply_kraus(rho, 0.35)
     assert out.check_positive() > -1e-12
     assert fock.trace(out).real == pytest.approx(1.0, abs=1e-13)
-
-
-def test_truncated_kraus_family_loses_trace():
-    layout = fock.ModeLayout(16)
-    rho = states.chaotic_state(states.ThermoParams.from_tau(1.0), layout, renormalize=True)
-    out = channel.apply_kraus(rho, channel.ChannelSpec(kappa_t=1.0, max_kraus=2))
-    kept = fock.trace(out).real
-    # only the explicitly capped family may be lossy; the full one may not
-    assert kept < 0.99
-    assert out.trace_tol >= (1.0 - kept)
-
-
-def test_single_mode_has_no_tilde_target():
-    layout = fock.ModeLayout(8)
-    rho = states.chaotic_state(states.ThermoParams.from_tau(1.0), layout)
-    with pytest.raises(fock.LayoutError):
-        channel.apply_kraus(rho, channel.ChannelSpec(kappa_t=0.5, target_mode=fock.TILDE))
-    with pytest.raises(fock.LayoutError):
-        channel.lindblad_integrate(rho, kappa=1.0, t_final=0.1, target_mode=fock.TILDE)
-
-
-def test_lindblad_rhs_matches_bracket_construction():
-    layout = fock.ModeLayout(14)
-    rng = np.random.default_rng(31)
-    m = rng.normal(size=(14, 14)) + 1j * rng.normal(size=(14, 14))
-    m = 0.5 * (m + m.conj().T)
-    rho = fock.Operator(layout, m)
-    kappa = 0.8
-    a = fock.annihilation(layout).mat
-    num = a.conj().T @ a
-    expected = kappa * (2 * a @ m @ a.conj().T - num @ m - m @ num)
-    got = channel.lindblad_rhs(rho, kappa)
-    np.testing.assert_allclose(got.mat, expected, atol=1e-13)
-
-
-def test_lindblad_rhs_is_trace_free():
-    layout = fock.ModeLayout(16)
-    rho = states.chaotic_state(states.ThermoParams.from_tau(1.0), layout)
-    rhs = channel.lindblad_rhs(rho, kappa=1.3)
-    assert abs(fock.trace(rhs)) < 1e-14
 
 
 def test_lindblad_integration_converges_to_kraus():
     layout = fock.ModeLayout(32)
     rho = states.chaotic_state(states.ThermoParams.from_tau(1.0), layout)
     via_ode = channel.lindblad_integrate(rho, kappa=1.0, t_final=0.5, dt=1e-3)
-    via_kraus = channel.apply_kraus(rho, channel.ChannelSpec(kappa_t=0.5))
+    via_kraus = channel.apply_kraus(rho, 0.5)
     assert fock.trace_distance(via_ode, via_kraus) < 1e-10
 
 
@@ -207,7 +187,7 @@ def test_lindblad_remainder_step_covers_uneven_grid():
     rho = states.chaotic_state(states.ThermoParams.from_tau(1.0), layout)
     # a grid that does not divide t_final evenly must still land on t_final
     out = channel.lindblad_integrate(rho, kappa=1.0, t_final=0.333, dt=2e-3)
-    ref = channel.apply_kraus(rho, channel.ChannelSpec(kappa_t=0.333))
+    ref = channel.apply_kraus(rho, 0.333)
     assert fock.trace_distance(out, ref) < 1e-10
 
 
@@ -222,32 +202,28 @@ def test_lindblad_two_mode_matches_kraus():
     layout = fock.ModeLayout(12).doubled()
     params = states.ThermoParams.from_tau(0.6)
     rho = fock.outer(states.thermal_vacuum(params, layout), trace_tol=1e-4)
-    for target in (fock.SYSTEM, fock.TILDE):
-        via_ode = channel.lindblad_integrate(rho, kappa=2.0, t_final=0.25, target_mode=target)
-        via_kraus = channel.apply_kraus(rho, channel.ChannelSpec(kappa_t=0.5, target_mode=target))
-        assert fock.trace_distance(via_ode, via_kraus) < 1e-10
+    via_ode = channel.lindblad_integrate(rho, kappa=2.0, t_final=0.25)
+    via_kraus = channel.apply_kraus(rho, 0.5)
+    assert fock.trace_distance(via_ode, via_kraus) < 1e-10
 
 
 @settings(max_examples=30, deadline=None)
 @given(
     cutoff=st.integers(2, 6),
     two_mode=st.booleans(),
-    target=st.sampled_from([fock.SYSTEM, fock.TILDE]),
     kappa=st.floats(0.5, 2.0),
     kappa_t=st.floats(0.0, 1.0),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_lindblad_matches_kraus_on_random_states(cutoff, two_mode, target, kappa, kappa_t, seed):
+def test_lindblad_matches_kraus_on_random_states(cutoff, two_mode, kappa, kappa_t, seed):
     # a random mixed state of rank 2 fills every sector pair of its layout
     layout = fock.ModeLayout(cutoff, 2 if two_mode else 1)
-    if not two_mode:
-        target = fock.SYSTEM
     rng = np.random.default_rng(seed)
     m = rng.normal(size=(layout.dim, 2)) + 1j * rng.normal(size=(layout.dim, 2))
     m = m @ m.conj().T
     rho = fock.DensityMatrix(layout, m / m.trace())
-    via_ode = channel.lindblad_integrate(rho, kappa=kappa, t_final=kappa_t / kappa, target_mode=target)
-    via_kraus = channel.apply_kraus(rho, channel.ChannelSpec(kappa_t=kappa_t, target_mode=target))
+    via_ode = channel.lindblad_integrate(rho, kappa=kappa, t_final=kappa_t / kappa)
+    via_kraus = channel.apply_kraus(rho, kappa_t)
     assert fock.trace_distance(via_ode, via_kraus) < 1e-10
 
 
@@ -281,11 +257,10 @@ def assert_relative(got, want):
     cutoff=st.integers(2, 16),
     tau0=st.floats(0.05, 5.0),
     kappa_t=st.floats(0.0, 4.0),
-    target=st.sampled_from([fock.SYSTEM, fock.TILDE]),
     thermal=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_sector_storage_matches_dense_oracle(cutoff, tau0, kappa_t, target, thermal, seed):
+def test_sector_storage_matches_dense_oracle(cutoff, tau0, kappa_t, thermal, seed):
     # the thermal vacuum fills one sector block; a random pure state fills
     # every block, including the ones between sectors
     layout = fock.ModeLayout(cutoff).doubled()
@@ -295,9 +270,8 @@ def test_sector_storage_matches_dense_oracle(cutoff, tau0, kappa_t, target, ther
         vec = np.array([1.0, 1j]) @ np.random.default_rng(seed).normal(size=(2, layout.dim))
         psi = fock.PureState(layout, vec / np.linalg.norm(vec))
     rho = fock.outer(psi)
-    spec = channel.ChannelSpec(kappa_t=kappa_t, target_mode=target)
-    damped = channel.apply_kraus(rho, spec)
-    oracle = explicit_kraus_sum(rho.mat, two_mode_kraus(spec, layout))
+    damped = channel.apply_kraus(rho, kappa_t)
+    oracle = explicit_kraus_sum(rho.mat, two_mode_kraus(kappa_t, layout))
     np.testing.assert_allclose(damped.mat, oracle, rtol=0, atol=1e-14)
     again = fock.DensityMatrix(layout, damped.mat, trace_tol=damped.trace_tol)
     assert again.blocks.keys() == damped.blocks.keys()
@@ -328,8 +302,8 @@ def off_sector_states(n):
 
 
 @pytest.mark.parametrize("kind", ["dense", "sparse"])
-@pytest.mark.parametrize("target", [fock.SYSTEM, fock.TILDE])
-def test_off_sector_input_round_trips(kind, target):
+@pytest.mark.parametrize("over", [fock.SYSTEM, fock.TILDE])
+def test_off_sector_input_round_trips(kind, over):
     n = 6
     layout = fock.ModeLayout(n).doubled()
     m = off_sector_states(n)[kind]
@@ -341,13 +315,11 @@ def test_off_sector_input_round_trips(kind, target):
     again = fock.DensityMatrix.from_blocks(layout, rho.blocks, trace_tol=1e-2)
     np.testing.assert_array_equal(again.mat, m)
 
-    spec = channel.ChannelSpec(kappa_t=0.4, target_mode=target)
-    damped = channel.apply_kraus(rho, spec)
-    oracle = explicit_kraus_sum(m, two_mode_kraus(spec, layout))
+    damped = channel.apply_kraus(rho, 0.4)
+    oracle = explicit_kraus_sum(m, two_mode_kraus(0.4, layout))
     np.testing.assert_allclose(damped.mat, oracle, rtol=0, atol=1e-14)
     assert_relative(fock.trace_distance(rho, damped), dense_trace_distance(m, oracle))
     assert_relative(damped.min_eigenvalue(), np.linalg.eigvalsh(oracle)[0])
     assert_relative(fock.purity(damped), np.einsum("ij,ji->", oracle, oracle).real)
-    for over in (fock.SYSTEM, fock.TILDE):
-        got = fock.partial_trace(damped, over=over).mat
-        np.testing.assert_allclose(got, dense_partial_trace(oracle, n, over), rtol=0, atol=1e-14)
+    got = fock.partial_trace(damped, over=over).mat
+    np.testing.assert_allclose(got, dense_partial_trace(oracle, n, over), rtol=0, atol=1e-14)

@@ -263,6 +263,9 @@ def test_invalid_numbers_are_config_errors(capsys):
         ["cool", "--kappa", "inf"],
         ["cool", "--t-max", "inf"],
         ["two-mode", "--tau0", "nan"],
+        # finite flags whose time grid or kappa * t-max overflows
+        ["cool", "--t-max", "1e308", "--kappa", "10"],
+        ["two-mode", "--t-max", "1e308"],
     ],
 )
 def test_non_finite_flags_are_config_errors(argv, capsys):
@@ -368,6 +371,15 @@ def test_cool_deficit_tolerance_admits_a_truncated_tail(capsys):
     rows = [[float(x) for x in line.split(",")] for line in capsys.readouterr().out.strip().split("\n")[1:]]
     assert len(rows) == 9
     assert all(math.isfinite(x) for row in rows for x in row)
+
+
+def test_cool_at_an_overflowing_kappa_t_writes_no_warnings():
+    # kappa t = 1e307 would overflow e^(-kappa t j) in the weight table; a
+    # fresh interpreter shows numpy's RuntimeWarnings, which pytest hides
+    done = run_python("-m", "thermofock", "cool", "--t-max", "1e307", "--steps", "1")
+    assert done.returncode == 0
+    assert done.stderr == ""
+    assert done.stdout.strip().split("\n")[-1].startswith("1e+307,")
 
 
 def test_cool_lindblad_at_subnormal_times_exits_cleanly(capsys):

@@ -14,7 +14,7 @@ NBAR_TAU1 = 0.581976706869326424
 
 def test_thermo_params_constructors_agree():
     via_tau = states.ThermoParams.from_tau(1.0)
-    via_theta = states.ThermoParams.from_theta(THETA_TAU1)
+    via_theta = states.ThermoParams.from_tau(thermo.tau_from_theta(THETA_TAU1))
     via_nbar = states.ThermoParams.from_nbar(NBAR_TAU1)
     for params in (via_tau, via_theta, via_nbar):
         assert params.theta == pytest.approx(THETA_TAU1, abs=1e-12)
@@ -49,15 +49,6 @@ def test_chaotic_state_populations():
     assert np.abs(rho.mat - np.diag(np.diag(rho.mat))).max() == 0.0
     # trace falls short of 1 by exactly the truncated tail
     assert fock.trace(rho).real == pytest.approx(1 - q**20, abs=1e-15)
-
-
-def test_chaotic_state_renormalized():
-    layout = fock.ModeLayout(12)
-    params = states.ThermoParams.from_tau(2.0)
-    rho = states.chaotic_state(params, layout, renormalize=True)
-    assert fock.trace(rho).real == pytest.approx(1.0, abs=1e-14)
-    ratios = np.diag(rho.mat).real[1:] / np.diag(rho.mat).real[:-1]
-    np.testing.assert_allclose(ratios, params.q, rtol=1e-13)
 
 
 def test_chaotic_state_vacuum():
@@ -148,16 +139,17 @@ def test_tfd_identity_rejects_two_mode_observable():
 
 
 def test_evolved_spec_consistency_checks():
-    spec = states.EvolvedTwoModeSpec.from_theta(THETA_TAU1, 0.5)
+    spec = states.EvolvedTwoModeSpec(THETA_TAU1, 0.5)
     th = math.tanh(THETA_TAU1)
     assert spec.lam == pytest.approx(math.exp(-0.5) * th, abs=1e-15)
     assert spec.mu == pytest.approx((1 - math.exp(-1.0)) * th * th, abs=1e-15)
     # the surviving correlation and the leaked mixture exhaust tanh^2(theta)
     assert spec.mu + spec.lam**2 == pytest.approx(th * th, abs=1e-15)
-    with pytest.raises(ValueError, match="lam"):
-        states.EvolvedTwoModeSpec(theta=THETA_TAU1, kappa_t=0.5, lam=0.9, mu=spec.mu)
-    with pytest.raises(ValueError, match="mu"):
-        states.EvolvedTwoModeSpec(theta=THETA_TAU1, kappa_t=0.5, lam=spec.lam, mu=0.5)
+    # lam and mu are derived from theta and kappa t, so they cannot disagree
+    with pytest.raises(ValueError):
+        states.EvolvedTwoModeSpec(theta=-0.1, kappa_t=0.5)
+    with pytest.raises(ValueError):
+        states.EvolvedTwoModeSpec(theta=THETA_TAU1, kappa_t=-0.5)
 
 
 def dense_pair_creation(layout):
@@ -179,7 +171,7 @@ def dense_evolved_state(spec, layout):
 
 def test_evolved_state_series_equals_expm():
     layout = fock.ModeLayout(24).doubled()
-    spec = states.EvolvedTwoModeSpec.from_theta(THETA_TAU1, 0.8)
+    spec = states.EvolvedTwoModeSpec(THETA_TAU1, 0.8)
     via_series = states.evolved_two_mode_state(spec, layout)
     via_expm = fock.DensityMatrix(layout, dense_evolved_state(spec, layout), trace_tol=via_series.trace_tol)
     assert fock.trace_distance(via_series, via_expm) < 1e-12
@@ -200,7 +192,7 @@ def test_block_exponentials_match_dense_oracle():
     got = sector_operator(layout, states.thermo_squeeze_operator(theta, layout))
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
-    spec = states.EvolvedTwoModeSpec.from_theta(theta, 0.5)
+    spec = states.EvolvedTwoModeSpec(theta, 0.5)
     # a small cutoff holds less of the thermal tail than the default bound
     got = states.evolved_two_mode_state(spec, layout, deficit_tol=1.0).mat
     np.testing.assert_allclose(got, dense_evolved_state(spec, layout), rtol=0, atol=1e-13)
@@ -209,7 +201,7 @@ def test_block_exponentials_match_dense_oracle():
 def test_evolved_state_at_zero_time_is_thermal_vacuum_projector():
     layout = fock.ModeLayout(28).doubled()
     params = states.ThermoParams.from_tau(1.0)
-    spec = states.EvolvedTwoModeSpec.from_theta(params.theta, 0.0)
+    spec = states.EvolvedTwoModeSpec(params.theta, 0.0)
     evolved = states.evolved_two_mode_state(spec, layout)
     rho0 = fock.outer(states.thermal_vacuum(params, layout))
     np.testing.assert_allclose(evolved.mat, rho0.mat, atol=1e-14)
@@ -220,9 +212,9 @@ def test_evolved_state_matches_kraus_evolution():
     params = states.ThermoParams.from_tau(1.0)
     rho0 = fock.outer(states.thermal_vacuum(params, layout))
     for kappa_t in (0.2, 1.0, 3.0):
-        spec = states.EvolvedTwoModeSpec.from_theta(params.theta, kappa_t)
+        spec = states.EvolvedTwoModeSpec(params.theta, kappa_t)
         analytic = states.evolved_two_mode_state(spec, layout)
-        evolved = channel.apply_kraus(rho0, channel.ChannelSpec(kappa_t=kappa_t))
+        evolved = channel.apply_kraus(rho0, kappa_t)
         assert fock.trace_distance(analytic, evolved) < 1e-12
 
 
@@ -230,7 +222,7 @@ def test_evolved_state_reductions():
     layout = fock.ModeLayout(33).doubled()
     params = states.ThermoParams.from_tau(1.0)
     kappa_t = 0.9
-    spec = states.EvolvedTwoModeSpec.from_theta(params.theta, kappa_t)
+    spec = states.EvolvedTwoModeSpec(params.theta, kappa_t)
     evolved = states.evolved_two_mode_state(spec, layout)
     # tilde side never feels the damping
     tilde_side = fock.partial_trace(evolved, over=fock.SYSTEM)
@@ -248,7 +240,7 @@ def test_evolved_state_reductions():
 def test_evolved_state_trace_deficit_guard():
     # tanh^2(theta)^8 ~ 3e-4 at tau0 = 1: an 8-level space leaks visibly
     layout = fock.ModeLayout(8).doubled()
-    spec = states.EvolvedTwoModeSpec.from_theta(THETA_TAU1, 0.3)
+    spec = states.EvolvedTwoModeSpec(THETA_TAU1, 0.3)
     with pytest.raises(states.TruncationError, match="deficit"):
         states.evolved_two_mode_state(spec, layout)
     # widening the bound admits the same construction
@@ -264,7 +256,7 @@ def test_layout_mode_count_is_enforced():
         states.thermo_squeeze_operator(0.5, single)
     with pytest.raises(fock.LayoutError):
         states.evolved_two_mode_state(
-            states.EvolvedTwoModeSpec.from_theta(0.5, 0.1), single
+            states.EvolvedTwoModeSpec(0.5, 0.1), single
         )
     with pytest.raises(fock.LayoutError):
         states.chaotic_state(params, single.doubled())

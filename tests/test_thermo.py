@@ -172,7 +172,7 @@ def test_effective_temperature_of_damped_thermal_state():
     layout = fock.ModeLayout(33)
     params = states.ThermoParams.from_tau(1.0)
     rho = states.chaotic_state(params, layout)
-    out = channel.apply_kraus(rho, channel.ChannelSpec(kappa_t=0.5))
+    out = channel.apply_kraus(rho, 0.5)
     assert thermo.effective_temperature(out) == pytest.approx(TAU_AFTER_1_HALF, abs=1e-12)
 
 
@@ -187,12 +187,8 @@ def test_cooling_curve_kraus_and_closed():
     assert points[0].tau_closed == pytest.approx(1.0, rel=1e-14)
     assert points[1].tau_closed == pytest.approx(TAU_AFTER_1_HALF, abs=1e-14)
 
-    closed = thermo.cooling_curve(1.0, 2.0, times, method="closed_only")
-    for p, ref in zip(closed, points):
-        assert p.tau_closed == ref.tau_closed
-        assert math.isnan(p.tau_numeric)
-        assert math.isnan(p.trace_error)
-        assert p.nbar == pytest.approx(thermo.nbar_from_tau(p.tau_closed), rel=1e-13)
+    for p in points:
+        assert p.tau_closed == thermo.tau_after(1.0, p.kappa_t)
 
 
 def test_cooling_curve_lindblad_route():
@@ -209,6 +205,8 @@ def test_cooling_curve_validation():
         thermo.cooling_curve(1.0, 1.0, [-0.1])
     with pytest.raises(ValueError):
         thermo.cooling_curve(1.0, 1.0, [0.1], method="magic")
+    with pytest.raises(ValueError):
+        thermo.cooling_curve(1.0, 1.0, [0.1], method="closed_only")
 
 
 def test_cooling_curve_error_names_failing_time():
