@@ -12,9 +12,11 @@ distance, the partial trace, the purity and the construction of a
 DensityMatrix from blocks.  thermo_squeeze_operator builds the squeeze
 unitary at tau0 = 1 with one eigh per sector.  The Lindblad rows build the
 packed generator table and run 200 RK4 steps with rk4_evolve, on the
-two-mode thermal vacuum and on a single mode at cutoff 4N; the single-mode
-operator sum (apply_damping, all 4N orders) and hermiticity check run at
-cutoff 4N as well.
+two-mode thermal vacuum and on a chaotic single mode at cutoff 4N, whose
+table packs only its 4N populations; lindblad_integrate steps that single
+mode through a 16-interval grid to kappa t = 2.  The single-mode operator
+sum (apply_damping, all 4N orders) and hermiticity check run at cutoff 4N
+as well.
 """
 from __future__ import annotations
 
@@ -73,6 +75,7 @@ def main() -> int:
     table = channel._generator(rho.layout, rho.blocks, 1.0)
     table_small = channel._generator(small.layout, small.blocks, 1.0)
     stored = sum(block.size for block in damped.blocks.values())
+    grid = [2.0 * i / 16 for i in range(17)]
 
     cases = [
         ("damp_sectors", kernels.damp_sectors, (rho.blocks, weights)),
@@ -85,6 +88,7 @@ def main() -> int:
         ("lindblad_table", channel._generator, (rho.layout, rho.blocks, 1.0)),
         ("rk4_evolve", kernels.rk4_evolve, (table.pack(rho.blocks), table, 1e-3, 200)),
         ("rk4_evolve (1 mode)", kernels.rk4_evolve, (table_small.pack(small.blocks), table_small, 1e-3, 200)),
+        ("lindblad_integrate (grid)", channel.lindblad_integrate, (small, 1.0, grid)),
         ("apply_damping", kernels.apply_damping, (rho4_small, weights_small, 4 * n)),
         ("hermiticity_defect", kernels.hermiticity_defect, (small.mat,)),
     ]
@@ -93,7 +97,8 @@ def main() -> int:
         f"two-mode cutoff {n}: damped state stores {stored} entries in "
         f"{len(damped.blocks)} blocks ({16 * stored / 1e6:.2f} MB; dense would be "
         f"{16 * n**4 / 1e6:.1f} MB); packed RK4 state {table.offsets[-1]} entries; "
-        f"single mode dim {4 * n}; best of {args.repeats}"
+        f"single mode dim {4 * n}, packed RK4 state {table_small.offsets[-1]} of "
+        f"{(4 * n) ** 2} entries; best of {args.repeats}"
     )
     for name, fn, payload in cases:
         print(f"{name:<24}{best_of(fn, payload, args.repeats) * 1e3:>9.2f} ms")

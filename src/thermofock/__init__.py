@@ -50,7 +50,6 @@ from .thermo import (
     effective_temperature,
     fit_geometric,
     nbar_from_tau,
-    nbar_from_theta,
     tau_after,
     tau_from_nbar,
     tau_from_theta,

@@ -18,8 +18,11 @@ products: per offset j - k for a single mode, per pair-number sector block
 for two modes (see kernels).
 
 The Lindblad route integrates d rho / dt = kappa (2 a rho a+ - {a+a, rho})
-with fixed-step RK4 and checks trace drift afterwards; both routes converge
-to the same state.
+with fixed-step RK4 and checks trace drift at every requested time; both
+routes converge to the same state.  lindblad_integrate takes a list of
+times and steps one packed vector from each time to the next, so a grid
+costs about one integration to its last time; rk4_step_count gives that
+cost before any step is taken.
 """
 
 from __future__ import annotations
@@ -36,7 +39,11 @@ TRACE_DRIFT_TOL = 1e-6
 
 
 class IntegrationError(RuntimeError):
-    """The Lindblad integration left its validity envelope."""
+    """The Lindblad integration left its validity envelope, at time when known."""
+
+    def __init__(self, message: str, time: float | None = None):
+        super().__init__(message)
+        self.time = time
 
 
 # From kappa t = 750 on, e^(-kappa t) underflows to 0 and V rounds to 1, so the
@@ -122,43 +129,78 @@ def apply_kraus(rho: DensityMatrix, kappa_t: float) -> DensityMatrix:
     return DensityMatrix.from_blocks(rho.layout, out, trace_tol=rho.trace_tol + TRACE_PRESERVATION_TOL)
 
 
-def lindblad_integrate(
-    rho: DensityMatrix, kappa: float, t_final: float, dt: float | None = None
-) -> DensityMatrix:
-    """Integrate the damping generator from 0 to t_final with fixed-step RK4.
+def _rk4_plan(interval: float, kappa: float, dt: float | None = None) -> tuple[float, int | float, float]:
+    """Step length, number of full steps and remainder step covering one interval.
 
-    The default step is min(1e-3 / kappa, t_final / 100); a remainder step
-    covers grids that do not divide t_final evenly.  The state is
-    re-hermitized every step, and a final trace drift beyond 1e-6 raises
-    IntegrationError (the generator is exactly trace-free, so drift measures
-    accumulated integration error).
+    The default step is min(1e-3 / kappa, interval / 100); a remainder step
+    covers an interval the step does not divide evenly.  The full-step count
+    is inf when interval / step overflows.
+    """
+    if interval == 0:
+        return 0.0, 0, 0.0
+    if dt is None:
+        # interval / 100 underflows to 0 below about 5e-322; one step covers that
+        dt = min(1e-3 / kappa, interval / 100.0) or interval
+    ratio = interval / dt
+    if ratio == math.inf:
+        return dt, math.inf, 0.0
+    n_full = int(ratio)
+    remainder = interval - n_full * dt
+    if remainder < 1e-12 * dt:
+        remainder = 0.0
+    return dt, n_full, remainder
+
+
+def rk4_step_count(times, kappa: float, dt: float | None = None) -> int | float:
+    """Total RK4 steps lindblad_integrate takes to reach every time in times."""
+    total, now = 0, 0.0
+    for t in sorted(times):
+        _, n_full, remainder = _rk4_plan(t - now, kappa, dt)
+        total += n_full + (remainder > 0.0)
+        now = t
+    return total
+
+
+def lindblad_integrate(
+    rho: DensityMatrix, kappa: float, times, dt: float | None = None
+) -> list[DensityMatrix]:
+    """Integrate the damping generator with fixed-step RK4; one state per time.
+
+    One packed vector is stepped from 0 through the times in increasing
+    order, each interval between consecutive times planned by _rk4_plan, so
+    a time grid costs about one integration to its last time.  The state is
+    re-hermitized every step, and a trace drift beyond 1e-6 at any time
+    raises IntegrationError naming that time (the generator is exactly
+    trace-free, so drift measures accumulated integration error).
     """
     if kappa <= 0:
         raise ValueError(f"kappa must be > 0, got {kappa}")
-    if t_final < 0:
-        raise ValueError(f"t_final must be >= 0, got {t_final}")
-    layout = rho.layout
-    if t_final == 0:
-        blocks = {key: block.copy() for key, block in rho.blocks.items()}
-        return DensityMatrix.from_blocks(layout, blocks, trace_tol=rho.trace_tol)
-    if dt is None:
-        # t_final / 100 underflows to 0 below about 5e-322; one step covers that
-        dt = min(1e-3 / kappa, t_final / 100.0) or t_final
-    if dt <= 0:
+    times = [float(t) for t in times]
+    if any(not t >= 0 for t in times):
+        raise ValueError(f"times must be >= 0, got {times}")
+    if dt is not None and dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")
-    n_full = int(t_final / dt)
-    remainder = t_final - n_full * dt
-    if remainder < 1e-12 * dt:
-        remainder = 0.0
-    n_tail = int(remainder > 0.0)
-
+    layout = rho.layout
     table = _generator(layout, rho.blocks, kappa)
-    vec = kernels.rk4_evolve(table.pack(rho.blocks), table, dt, n_full)
-    vec = kernels.rk4_evolve(vec, table, remainder, n_tail)
-    out = table.unpack(vec)
-    drift = abs(fock.sector_trace(out) - fock.trace(rho))
-    if drift > TRACE_DRIFT_TOL:
-        raise IntegrationError(
-            f"trace drifted by {drift:.3e} over {n_full + n_tail} RK4 steps"
-        )
-    return DensityMatrix.from_blocks(layout, out, trace_tol=rho.trace_tol + drift + 1e-12)
+    vec = table.pack(rho.blocks)
+    now, n_steps = 0.0, 0
+    out: list = [None] * len(times)
+    for i in sorted(range(len(times)), key=times.__getitem__):
+        t = times[i]
+        if t == 0:
+            blocks = {key: block.copy() for key, block in rho.blocks.items()}
+            out[i] = DensityMatrix.from_blocks(layout, blocks, trace_tol=rho.trace_tol)
+            continue
+        step, n_full, remainder = _rk4_plan(t - now, kappa, dt)
+        if n_full == math.inf:
+            raise IntegrationError(f"a step of {step:.3e} cannot cover {t - now:.3e}", time=t)
+        n_tail = int(remainder > 0.0)
+        vec = kernels.rk4_evolve(vec, table, step, n_full)
+        vec = kernels.rk4_evolve(vec, table, remainder, n_tail)
+        now, n_steps = t, n_steps + n_full + n_tail
+        blocks = table.unpack(vec)
+        drift = abs(fock.sector_trace(blocks) - fock.trace(rho))
+        if not drift <= TRACE_DRIFT_TOL:
+            raise IntegrationError(f"trace drifted by {drift:.3e} over {n_steps} RK4 steps", time=t)
+        out[i] = DensityMatrix.from_blocks(layout, blocks, trace_tol=rho.trace_tol + drift + 1e-12)
+    return out

@@ -14,7 +14,8 @@ runs with the same configuration produce byte-identical files.  A config
 file (`--config`) holds `key = value` lines with keys matching flag names;
 explicit flags win over file values, unknown keys are rejected.  Exit codes:
 0 success, 2 configuration error (including a time grid or damping exponent
-kappa * t-max that overflows), 3 numerical failure.
+kappa * t-max that overflows, and a Lindblad grid above LINDBLAD_STEP_BUDGET
+RK4 steps), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -38,6 +39,11 @@ TWO_MODE_HEADER = [
 
 CROSS_METHOD_TOL = 1e-5
 DEFICIT_TOL = 1e-6
+# Most RK4 steps a `cool --method lindblad|both` grid may take; a larger
+# kappa * t-max is refused with exit 2.  At cutoff 128, the largest, a step
+# takes about 35 us, and about twice that once the decayed populations are
+# subnormal floats, so a run at the budget takes about 2.5 to 4 seconds.
+LINDBLAD_STEP_BUDGET = 50_000
 
 _CURVE_TOL_NAMES = {"cross_method", "deficit"}
 
@@ -192,6 +198,16 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     if command == "two-mode":
         if cfg.method != "kraus":
             raise ConfigError("two-mode evolves by the operator sum; only method=kraus is supported")
+    elif cfg.method != "kraus":
+        # every interval takes at least one step, so a longer grid is refused before it is built
+        n_steps = cfg.steps
+        if n_steps <= LINDBLAD_STEP_BUDGET:
+            n_steps = channel.rk4_step_count(_time_grid(cfg), cfg.kappa)
+        if n_steps > LINDBLAD_STEP_BUDGET:
+            raise ConfigError(
+                f"method {cfg.method} needs at least {n_steps:.3g} RK4 steps on this grid, above the "
+                f"budget of {LINDBLAD_STEP_BUDGET}; lower kappa * t-max or steps"
+            )
     unknown_tols = sorted(set(tolerances) - _CURVE_TOL_NAMES)
     if unknown_tols:
         raise ConfigError(
@@ -199,6 +215,11 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             f"(known: {', '.join(sorted(_CURVE_TOL_NAMES))})"
         )
     return cfg
+
+
+def _time_grid(cfg: RunConfig) -> list[float]:
+    """The grid times t-max * i / steps, i = 0..steps."""
+    return [cfg.t_max * i / cfg.steps for i in range(cfg.steps + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +312,7 @@ def svg_line_plot(
 
 
 def cmd_cool(cfg: RunConfig) -> int:
-    times = [cfg.t_max * i / cfg.steps for i in range(cfg.steps + 1)]
+    times = _time_grid(cfg)
     primary = "kraus" if cfg.method == "both" else cfg.method
     limits = {"cutoff": cfg.cutoff, "deficit_tol": cfg.tolerances.get("deficit", DEFICIT_TOL)}
     curve = thermo.cooling_curve(cfg.tau0, cfg.kappa, times, method=primary, **limits)
@@ -342,7 +363,7 @@ def cmd_two_mode(cfg: RunConfig) -> int:
 
     rows = []
     svg_x, svg_line, svg_marks = [], [], []
-    times = [cfg.t_max * i / cfg.steps for i in range(cfg.steps + 1)]
+    times = _time_grid(cfg)
     for t in times:
         kappa_t = cfg.kappa * t
         try:

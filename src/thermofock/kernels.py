@@ -9,8 +9,11 @@ apply_damping and damp_sectors apply the amplitude-damping operator sum, to
 a dense single mode per offset j - k and to two-mode blocks per sector
 shift.  lindblad_table and rk4_evolve integrate the damping generator
 kappa (2 a rho a+ - {a+a, rho}) on either layout with one code path: the
-blocks are packed into one complex vector, and the system occupation of
-basis index i is i // (dim // cutoff) in both layouts.
+system occupation of basis index i is i // (dim // cutoff) in both layouts.
+Only the entries the generator can make nonzero are packed into the complex
+vector: the state's nonzero entries, their transposes, and the entries the
+jump term feeds from them.  A chaotic state of cutoff N packs N entries,
+not N^2; every other entry stays exactly 0.
 """
 
 from __future__ import annotations
@@ -128,36 +131,39 @@ def damp_sectors(blocks: dict, weights: np.ndarray) -> dict:
 
 @dataclass(frozen=True, eq=False)
 class LindbladTable:
-    """The damping generator on one closed set of sector blocks, packed.
+    """The damping generator on the entries a damped state can reach, packed.
 
-    Block keys[i] has shape shapes[i] and occupies vec[offsets[i]:offsets[i+1]]
-    in row-major order.  rhs(vec) is decay * vec + gain * vec[feed]: entry
-    feed[i] is the one whose jump lands on entry i, or i itself with gain 0;
-    partner[i] is the position of the transpose of entry i.
+    The entries of block keys[i] (shape shapes[i]) occupy
+    vec[offsets[i]:offsets[i+1]]; entry k sits at flat position local[k] of
+    its block, in row-major order.  rhs(vec) is decay * vec + gain * vec[feed]:
+    entry feed[k] is the one whose jump lands on entry k, or k itself with
+    gain 0; partner[k] is the position of the transpose of entry k.
     """
 
     keys: tuple
     shapes: tuple
     offsets: tuple
+    local: np.ndarray
     decay: np.ndarray
     feed: np.ndarray
     gain: np.ndarray
     partner: np.ndarray
 
     def pack(self, blocks: dict) -> np.ndarray:
-        """One vector holding the blocks; keys the state lacks are zero."""
+        """One vector holding the table's entries of the blocks; keys the state lacks are zero."""
         vec = np.zeros(self.offsets[-1], dtype=np.complex128)
         for key, lo, hi in zip(self.keys, self.offsets, self.offsets[1:]):
             if key in blocks:
-                vec[lo:hi] = blocks[key].ravel()
+                vec[lo:hi] = blocks[key].ravel()[self.local[lo:hi]]
         return vec
 
     def unpack(self, vec: np.ndarray) -> dict:
-        """The blocks of a packed vector, as views into it."""
-        return {
-            key: vec[lo:hi].reshape(shape)
-            for key, shape, lo, hi in zip(self.keys, self.shapes, self.offsets, self.offsets[1:])
-        }
+        """The blocks of a packed vector, zero outside the table's entries."""
+        out = {}
+        for key, shape, lo, hi in zip(self.keys, self.shapes, self.offsets, self.offsets[1:]):
+            block = out[key] = np.zeros(shape, dtype=np.complex128)
+            np.put(block, self.local[lo:hi], vec[lo:hi])
+        return out
 
     def rhs(self, vec: np.ndarray) -> np.ndarray:
         """kappa (2 a rho a+ - a+a rho - rho a+a) on the system mode."""
@@ -165,16 +171,17 @@ class LindbladTable:
 
 
 def lindblad_table(sectors: dict, blocks: dict, kappa: float) -> LindbladTable:
-    """Pack the blocks a damped state can reach and tabulate the generator.
+    """Pack the entries a damped state can reach and tabulate the generator.
 
     sectors maps every pair-number difference d of the layout to the dense
-    basis indices of sector d (fock.sector_indices); blocks holds the keys
-    of the state.  The jump term lowers n_sys on both sides, so it maps
-    block (d, d') into the block of the lowered sectors; the packed keys are
-    the state's keys closed under that map and under transposition.  Entry
-    (r, c) decays at kappa (n_r + n_c), and for n_r, n_c >= 1 feeds the entry
-    (r, c) lowered by one quantum on each side with weight
-    2 kappa sqrt(n_r) sqrt(n_c).
+    basis indices of sector d (fock.sector_indices); blocks holds the state.
+    Entry (r, c) decays at kappa (n_r + n_c), and for n_r, n_c >= 1 feeds the
+    entry (r, c) lowered by one quantum on each side with weight
+    2 kappa sqrt(n_r) sqrt(n_c).  An entry therefore stays exactly zero
+    unless it or an entry above it on its chain is nonzero: the packed
+    entries are the state's nonzero entries, closed under that feed and
+    under transposition.  A chaotic state of cutoff N packs its N
+    populations.
     """
     top = max(sectors)  # the sectors are d = -top..top
     dim = sum(idx.size for idx in sectors.values())
@@ -184,50 +191,63 @@ def lindblad_table(sectors: dict, blocks: dict, kappa: float) -> LindbladTable:
     for d, idx in sectors.items():
         label[idx] = d + top
         pos[idx] = np.arange(idx.size)
-
-    def lowered(d: int) -> int | None:
-        """The sector that lowering n_sys maps sector d to; None if n_sys = 0 throughout."""
-        idx = sectors[d][sectors[d] >= ride]
-        return int(label[idx[0] - ride]) - top if idx.size else None
-
-    keys = set(blocks) | {(d2, d) for d, d2 in blocks}
-    todo = list(keys)
-    while todo:
-        d, d2 = todo.pop()
-        nxt = (lowered(d), lowered(d2))
-        if None not in nxt and nxt not in keys:
-            keys.add(nxt)
-            todo.append(nxt)
-    keys = sorted(keys)
-
-    shapes = tuple((sectors[d].size, sectors[d2].size) for d, d2 in keys)
-    offsets = tuple(np.cumsum([0] + [a * b for a, b in shapes]).tolist())
     width = np.array([sectors[d].size for d in range(-top, top + 1)])
-    start = np.full((2 * top + 1, 2 * top + 1), -1, dtype=np.intp)
-    for (d, d2), lo in zip(keys, offsets):
-        start[d + top, d2 + top] = lo
 
-    def at(r: np.ndarray, c: np.ndarray) -> np.ndarray:
-        """Packed positions of the basis index pairs (r, c)."""
-        return start[label[r], label[c]] + pos[r] * width[label[c]] + pos[c]
+    # entries as basis index pairs r * dim + c: the nonzero ones and their transposes
+    found = [np.empty(0, dtype=np.intp)]
+    for (d, d2), block in blocks.items():
+        p, q = np.nonzero(block)
+        r, c = sectors[d][p], sectors[d2][q]
+        found += [r * dim + c, c * dim + r]
+    seeds = np.concatenate(found)
+    # Feeding moves an entry down its line by `lower`, to the line's base where
+    # n_r or n_c is 0; the closure is every line entry up to the highest seed.
+    lower = ride * dim + ride  # one quantum off n_sys on both sides
+    levels = dim // ride  # heights on a line are 0..levels-1
+    height = np.minimum(seeds // dim, seeds % dim) // ride
+    base, height = np.divmod(np.sort((seeds - height * lower) * levels + height), levels)
+    top_of_line = np.diff(base, append=-1) != 0
+    counts = height[top_of_line] + 1
+    step = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    reach = np.repeat(base[top_of_line], counts) + step * lower
 
-    rows = np.concatenate([np.repeat(sectors[d], sectors[d2].size) for d, d2 in keys])
-    cols = np.concatenate([np.tile(sectors[d2], sectors[d].size) for d, d2 in keys])
+    # Packed order is by sorted key (block, r, c): block by block, and row-major
+    # within a block, since basis indices increase along every sector.
+    n_labels = width.size
+    square = dim * dim
+
+    def key(pair: np.ndarray) -> np.ndarray:
+        r, c = np.divmod(pair, dim)
+        return (label[r] * n_labels + label[c]) * square + pair
+
+    packed = np.sort(key(reach))
+    block_id, pair = np.divmod(packed, square)
+    rows, cols = np.divmod(pair, dim)
+    starts = np.flatnonzero(np.diff(block_id, prepend=-1))
+    keys = tuple((int(i) // n_labels - top, int(i) % n_labels - top) for i in block_id[starts])
+    shapes = tuple((sectors[d].size, sectors[d2].size) for d, d2 in keys)
+    offsets = tuple(starts.tolist()) + (rows.size,)
+
+    def at(targets: np.ndarray) -> np.ndarray:
+        """Packed positions of the basis index pairs r * dim + c."""
+        return np.searchsorted(packed, key(targets))
+
     n_row, n_col = rows // ride, cols // ride
     src = np.flatnonzero((n_row > 0) & (n_col > 0))
-    dst = at(rows[src] - ride, cols[src] - ride)
+    dst = at(pair[src] - lower)
     feed = np.arange(rows.size)
     feed[dst] = src
     gain = np.zeros(rows.size)
     gain[dst] = 2.0 * kappa * (np.sqrt(n_row[src]) * np.sqrt(n_col[src]))
     return LindbladTable(
-        keys=tuple(keys),
+        keys=keys,
         shapes=shapes,
         offsets=offsets,
+        local=pos[rows] * width[label[cols]] + pos[cols],
         decay=-kappa * (n_row + n_col).astype(np.float64),
         feed=feed,
         gain=gain,
-        partner=at(cols, rows),
+        partner=at(cols * dim + rows),
     )
 
 

@@ -39,7 +39,7 @@ class ThermoParams:
 
     The three parametrizations are redundant; the constructor enforces
     sinh^2(theta) = nbar = 1/(e^(1/tau) - 1) so a mixed-up triple cannot
-    propagate.  Build instances with the from_* classmethods.
+    propagate.  Build instances with from_tau.
     """
 
     theta: float
@@ -58,11 +58,6 @@ class ThermoParams:
     @classmethod
     def from_tau(cls, tau: float) -> "ThermoParams":
         return cls(theta=thermo.theta_from_tau(tau), tau=tau, nbar=thermo.nbar_from_tau(tau))
-
-    @classmethod
-    def from_nbar(cls, nbar: float) -> "ThermoParams":
-        tau = thermo.tau_from_nbar(nbar)
-        return cls(theta=thermo.theta_from_tau(tau), tau=tau, nbar=nbar)
 
     @property
     def q(self) -> float:

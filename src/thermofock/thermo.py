@@ -91,13 +91,6 @@ def tau_from_nbar(nbar: float) -> float:
     return 1.0 / math.log1p(1.0 / nbar)
 
 
-def nbar_from_theta(theta: float) -> float:
-    """sinh^2(theta)."""
-    if theta < 0:
-        raise ValueError(f"theta must be >= 0, got {theta}")
-    return math.sinh(theta) ** 2
-
-
 # ---------------------------------------------------------------------------
 # cooling law
 # ---------------------------------------------------------------------------
@@ -245,8 +238,8 @@ def cooling_curve(
     """Evaluate the cooling law along a time grid and check it numerically.
 
     For each t the closed-form tau_after is paired with the temperature
-    read off the numerically damped state (Kraus operator sum or RK4
-    Lindblad integration).
+    read off the numerically damped state: the Kraus operator sum at each
+    t, or one RK4 Lindblad integration stepped from grid time to grid time.
 
     The thermal state must fit below the cutoff: a tail weight q^cutoff
     above deficit_tol, which would bias the fitted temperature, raises
@@ -275,15 +268,21 @@ def cooling_curve(
             f"thermal tail weight {tail:.3e} at cutoff {cutoff} exceeds {deficit_tol:.3e}; raise the cutoff"
         )
     rho0 = states.chaotic_state(params, layout)
+    if method == "lindblad":
+        # one integration steps through the whole grid
+        try:
+            integrated = channel.lindblad_integrate(rho0, kappa, times, dt=dt)
+        except channel.IntegrationError as exc:
+            raise CoolingCurveError(exc.time, kappa * exc.time, exc) from exc
     num_op = fock.number(layout)
     points: list[CoolingPoint] = []
-    for t in times:
+    for i, t in enumerate(times):
         kt = kappa * t
         try:
             if method == "kraus":
                 evolved = channel.apply_kraus(rho0, kt)
             else:
-                evolved = channel.lindblad_integrate(rho0, kappa, t, dt=dt)
+                evolved = integrated[i]
             tau_n = effective_temperature(evolved)
         except (NotChaoticError, channel.IntegrationError, fock.StateError) as exc:
             raise CoolingCurveError(t, kt, exc) from exc

@@ -191,7 +191,7 @@ def _kraus_vs_lindblad(cutoff: int | None) -> float:
     layout = fock.ModeLayout(_cutoff(cutoff))
     rho = states.chaotic_state(states.ThermoParams.from_tau(1.0), layout)
     via_kraus = channel.apply_kraus(rho, 0.5)
-    via_ode = channel.lindblad_integrate(rho, kappa=1.0, t_final=0.5)
+    via_ode = channel.lindblad_integrate(rho, kappa=1.0, times=[0.5])[0]
     return fock.trace_distance(via_kraus, via_ode)
 
 

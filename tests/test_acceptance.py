@@ -58,7 +58,7 @@ def test_squeeze_route_matches_closed_amplitudes_at_cutoff_32():
 def test_lindblad_integration_agrees_with_operator_sum():
     layout = fock.ModeLayout(32)
     rho = states.chaotic_state(states.ThermoParams.from_tau(1.0), layout)
-    via_ode = channel.lindblad_integrate(rho, kappa=1.0, t_final=0.5, dt=1e-3)
+    via_ode = channel.lindblad_integrate(rho, kappa=1.0, times=[0.5], dt=1e-3)[0]
     via_kraus = channel.apply_kraus(rho, 0.5)
     observed = fock.trace_distance(via_ode, via_kraus)
     report("fixed-step integration matches operator sum", observed, 1e-6)

@@ -177,7 +177,7 @@ def test_damped_state_stays_positive():
 def test_lindblad_integration_converges_to_kraus():
     layout = fock.ModeLayout(32)
     rho = states.chaotic_state(states.ThermoParams.from_tau(1.0), layout)
-    via_ode = channel.lindblad_integrate(rho, kappa=1.0, t_final=0.5, dt=1e-3)
+    via_ode = channel.lindblad_integrate(rho, kappa=1.0, times=[0.5], dt=1e-3)[0]
     via_kraus = channel.apply_kraus(rho, 0.5)
     assert fock.trace_distance(via_ode, via_kraus) < 1e-10
 
@@ -186,15 +186,41 @@ def test_lindblad_remainder_step_covers_uneven_grid():
     layout = fock.ModeLayout(16)
     rho = states.chaotic_state(states.ThermoParams.from_tau(1.0), layout)
     # a grid that does not divide t_final evenly must still land on t_final
-    out = channel.lindblad_integrate(rho, kappa=1.0, t_final=0.333, dt=2e-3)
+    out = channel.lindblad_integrate(rho, kappa=1.0, times=[0.333], dt=2e-3)[0]
     ref = channel.apply_kraus(rho, 0.333)
     assert fock.trace_distance(out, ref) < 1e-10
+
+
+def test_lindblad_grid_returns_each_time_in_order():
+    layout = fock.ModeLayout(16)
+    rho = states.chaotic_state(states.ThermoParams.from_tau(1.0), layout)
+    # unsorted, repeated and zero times: one pass through 0, 0.25, 0.5
+    times = [0.5, 0.0, 0.25, 0.5]
+    out = channel.lindblad_integrate(rho, kappa=1.0, times=times)
+    assert len(out) == len(times)
+    np.testing.assert_array_equal(out[1].mat, rho.mat)
+    for t, state in zip(times, out):
+        assert fock.trace_distance(state, channel.apply_kraus(rho, t)) < 1e-10
+
+
+def test_lindblad_packs_the_partner_of_a_one_sided_entry():
+    # hermitian within tolerance, although the mirror of entry (5, 2) is 0:
+    # the table must still pack that mirror, which re-hermitization pairs it with
+    layout = fock.ModeLayout(8)
+    mat = states.chaotic_state(states.ThermoParams.from_tau(1.0), layout).mat
+    mat[5, 2] = 5e-13
+    rho = fock.DensityMatrix(layout, mat, trace_tol=1e-3)
+    fixed = fock.DensityMatrix(layout, 0.5 * (mat + mat.conj().T), trace_tol=1e-3)
+    got = channel.lindblad_integrate(rho, kappa=1.0, times=[0.1])[0].mat
+    want = channel.lindblad_integrate(fixed, kappa=1.0, times=[0.1])[0].mat
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-16)
+    assert got[2, 5] != 0
 
 
 def test_lindblad_zero_time_is_identity():
     layout = fock.ModeLayout(8)
     rho = states.chaotic_state(states.ThermoParams.from_tau(1.0), layout)
-    out = channel.lindblad_integrate(rho, kappa=1.0, t_final=0.0)
+    out = channel.lindblad_integrate(rho, kappa=1.0, times=[0.0])[0]
     np.testing.assert_array_equal(out.mat, rho.mat)
 
 
@@ -202,7 +228,7 @@ def test_lindblad_two_mode_matches_kraus():
     layout = fock.ModeLayout(12).doubled()
     params = states.ThermoParams.from_tau(0.6)
     rho = fock.outer(states.thermal_vacuum(params, layout), trace_tol=1e-4)
-    via_ode = channel.lindblad_integrate(rho, kappa=2.0, t_final=0.25)
+    via_ode = channel.lindblad_integrate(rho, kappa=2.0, times=[0.25])[0]
     via_kraus = channel.apply_kraus(rho, 0.5)
     assert fock.trace_distance(via_ode, via_kraus) < 1e-10
 
@@ -222,7 +248,7 @@ def test_lindblad_matches_kraus_on_random_states(cutoff, two_mode, kappa, kappa_
     m = rng.normal(size=(layout.dim, 2)) + 1j * rng.normal(size=(layout.dim, 2))
     m = m @ m.conj().T
     rho = fock.DensityMatrix(layout, m / m.trace())
-    via_ode = channel.lindblad_integrate(rho, kappa=kappa, t_final=kappa_t / kappa)
+    via_ode = channel.lindblad_integrate(rho, kappa=kappa, times=[kappa_t / kappa])[0]
     via_kraus = channel.apply_kraus(rho, kappa_t)
     assert fock.trace_distance(via_ode, via_kraus) < 1e-10
 
@@ -231,11 +257,11 @@ def test_lindblad_input_validation():
     layout = fock.ModeLayout(8)
     rho = states.chaotic_state(states.ThermoParams.from_tau(1.0), layout)
     with pytest.raises(ValueError):
-        channel.lindblad_integrate(rho, kappa=0.0, t_final=0.1)
+        channel.lindblad_integrate(rho, kappa=0.0, times=[0.1])
     with pytest.raises(ValueError):
-        channel.lindblad_integrate(rho, kappa=1.0, t_final=-0.1)
+        channel.lindblad_integrate(rho, kappa=1.0, times=[-0.1])
     with pytest.raises(ValueError):
-        channel.lindblad_integrate(rho, kappa=1.0, t_final=0.1, dt=-1e-3)
+        channel.lindblad_integrate(rho, kappa=1.0, times=[0.1], dt=-1e-3)
 
 
 def dense_partial_trace(mat, n, over):

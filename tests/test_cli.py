@@ -17,11 +17,11 @@ def run_cli(argv):
     return cli.main(argv)
 
 
-def run_python(*args):
+def run_python(*args, timeout=120):
     """Run a fresh interpreter that imports this checkout's package."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout)
 
 
 def read_rows(path):
@@ -386,3 +386,30 @@ def test_cool_lindblad_at_subnormal_times_exits_cleanly(capsys):
     # the default RK4 step t / 100 underflows to 0 at the first grid time
     assert run_cli(["cool", "--method", "lindblad", "--t-max", "1e-321"]) == 0
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("kappa", ["1e6", "1e300"])
+def test_cool_lindblad_refuses_a_grid_above_the_step_budget(kappa):
+    # the default step 1e-3 / kappa would ask for 1e9 and 1e303 RK4 steps;
+    # the run must be refused up front, in a fresh interpreter within 2 s
+    argv = ["cool", "--method", "lindblad", "--kappa", kappa, "--t-max", "1", "--steps", "1"]
+    done = run_python("-m", "thermofock", *argv, timeout=2)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "budget" in lines[0]
+
+
+def test_step_budget_admits_a_grid_at_the_budget():
+    # intervals of kappa t = 1 take 1000 steps each at the default step
+    def config(t_max):
+        argv = ["cool", "--method", "both", "--t-max", str(t_max), "--steps", str(t_max)]
+        return cli.build_config(cli.build_parser().parse_args(argv))
+
+    at_budget = cli.LINDBLAD_STEP_BUDGET // 1000
+    assert config(at_budget).method == "both"
+    with pytest.raises(cli.ConfigError, match="budget"):
+        config(at_budget + 1)
+    # a grid of more intervals than the budget is refused before it is built
+    with pytest.raises(cli.ConfigError, match="budget"):
+        cli.build_config(cli.build_parser().parse_args(["cool", "--method", "lindblad", "--steps", "10000000000"]))

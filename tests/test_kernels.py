@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermofock import channel, fock, kernels, states
 
@@ -123,6 +125,47 @@ def test_rk4_backends_agree():
         np.testing.assert_allclose(got, expected, atol=1e-13)
         # the generator is trace-free, so integration must keep the trace
         assert abs(got.trace() - 1.0) < 1e-10
+
+
+def test_pruned_table_packs_the_reachable_entries():
+    params = states.ThermoParams.from_tau(1.0)
+    for n in (2, 9, 32):
+        # a chaotic state and its damped images are diagonal: n entries
+        chaotic = states.chaotic_state(params, fock.ModeLayout(n))
+        table, vec = packed_generator(chaotic.blocks, chaotic.layout, 1.0)
+        assert table.offsets[-1] == n
+        np.testing.assert_array_equal(dense_of(table.unpack(np.ones(n)), chaotic.layout), np.eye(n))
+        # the thermal-vacuum projector is block (0, 0); lowering n_sys maps
+        # it to blocks (d, d), d > 0, and every entry of those is reachable
+        layout = fock.ModeLayout(n).doubled()
+        projector = fock.outer(states.thermal_vacuum(params, layout))
+        table, vec = packed_generator(projector.blocks, layout, 1.0)
+        assert table.keys == tuple((d, d) for d in range(n))
+        assert table.offsets[-1] == sum(rows * cols for rows, cols in table.shapes)
+        np.testing.assert_array_equal(dense_of(table.unpack(vec), layout), projector.mat)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    cutoff=st.integers(2, 6),
+    two_mode=st.booleans(),
+    density=st.floats(0.02, 0.5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pruned_rk4_matches_bracket_form_on_sparse_states(cutoff, two_mode, density, seed):
+    # a random hermitian matrix on a random hermitian mask, so that entries
+    # are unreachable and the table prunes them
+    layout = fock.ModeLayout(cutoff, 2 if two_mode else 1)
+    rng = np.random.default_rng(seed)
+    mask = rng.random((layout.dim, layout.dim)) < density
+    rho = np.where(mask | mask.T, random_hermitian4(layout.dim, 1, seed).reshape(layout.dim, layout.dim), 0)
+    table, vec = packed_generator(fock._split_sectors(layout, rho), layout, kappa=1.0)
+    got = dense_of(table.unpack(kernels.rk4_evolve(vec, table, 1e-3, 50)), layout)
+    expected = reference_rk4(rho, fock.annihilation(layout).mat, 1.0, 1e-3, 50)
+    np.testing.assert_allclose(got, expected, atol=1e-13)
+    # the textbook integration leaves every entry outside the packed set at exactly 0
+    packed = dense_of(table.unpack(np.ones(table.offsets[-1])), layout) != 0
+    assert not expected[~packed].any()
 
 
 def test_rk4_zero_steps_copies():

@@ -15,8 +15,7 @@ NBAR_TAU1 = 0.581976706869326424
 def test_thermo_params_constructors_agree():
     via_tau = states.ThermoParams.from_tau(1.0)
     via_theta = states.ThermoParams.from_tau(thermo.tau_from_theta(THETA_TAU1))
-    via_nbar = states.ThermoParams.from_nbar(NBAR_TAU1)
-    for params in (via_tau, via_theta, via_nbar):
+    for params in (via_tau, via_theta):
         assert params.theta == pytest.approx(THETA_TAU1, abs=1e-12)
         assert params.tau == pytest.approx(1.0, abs=1e-12)
         assert params.nbar == pytest.approx(NBAR_TAU1, abs=1e-12)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermofock import channel, fock, states, thermo
+from thermofock import channel, fock, kernels, states, thermo
 
 # high-precision references, evaluated independently at 30 digits
 THETA_TAU1 = 0.703414556873647626
@@ -21,8 +21,6 @@ THETA_PRIME_TAU1_HALF = 0.447609285403532634
 def test_conversion_roundtrips(tau):
     assert thermo.tau_from_theta(thermo.theta_from_tau(tau)) == pytest.approx(tau, rel=1e-12)
     assert thermo.tau_from_nbar(thermo.nbar_from_tau(tau)) == pytest.approx(tau, rel=1e-12)
-    theta = thermo.theta_from_tau(tau)
-    assert thermo.nbar_from_theta(theta) == pytest.approx(thermo.nbar_from_tau(tau), rel=1e-12)
 
 
 def test_conversion_reference_values():
@@ -194,6 +192,25 @@ def test_cooling_curve_kraus_and_closed():
 def test_cooling_curve_lindblad_route():
     points = thermo.cooling_curve(1.0, 1.0, [0.3], method="lindblad", cutoff=24)
     assert points[0].tau_numeric == pytest.approx(points[0].tau_closed, abs=1e-8)
+
+
+def test_cooling_curve_lindblad_steps_once_through_the_grid(monkeypatch):
+    steps = []
+    evolve = kernels.rk4_evolve
+
+    def counting(vec, table, dt, n_steps):
+        steps.append(n_steps)
+        return evolve(vec, table, dt, n_steps)
+
+    monkeypatch.setattr(kernels, "rk4_evolve", counting)
+    # uneven intervals need remainder steps; a repeated time needs none
+    times = [0.0, 0.05, 0.3, 0.3, 0.7, 1.0]
+    points = thermo.cooling_curve(1.0, 1.3, times, method="lindblad", cutoff=24)
+    assert sum(steps) == channel.rk4_step_count(times, 1.3)
+    # restarting from t = 0 at every time would cost the sum of these
+    assert sum(steps) < sum(channel.rk4_step_count([t], 1.3) for t in times)
+    for p in points:
+        assert p.tau_numeric == pytest.approx(p.tau_closed, abs=1e-8)
 
 
 def test_cooling_curve_validation():
