@@ -151,14 +151,26 @@ def _rk4_plan(interval: float, kappa: float, dt: float | None = None) -> tuple[f
     return dt, n_full, remainder
 
 
-def rk4_step_count(times, kappa: float, dt: float | None = None) -> int | float:
-    """Total RK4 steps lindblad_integrate takes to reach every time in times."""
-    total, now = 0, 0.0
-    for t in sorted(times):
-        _, n_full, remainder = _rk4_plan(t - now, kappa, dt)
-        total += n_full + (remainder > 0.0)
+def _rk4_schedule(times: list[float], kappa: float, dt: float | None):
+    """Yield (index, time, interval, step, n_full, remainder) in increasing time.
+
+    Each interval runs from the previous time (0 at first) and is planned by
+    _rk4_plan.
+    """
+    now = 0.0
+    for i in sorted(range(len(times)), key=times.__getitem__):
+        t = times[i]
+        yield (i, t, t - now, *_rk4_plan(t - now, kappa, dt))
         now = t
-    return total
+
+
+def rk4_step_count(times, kappa: float) -> float:
+    """Total RK4 steps lindblad_integrate takes to reach every time in times.
+
+    The steps are summed as floats, so a count too large to hold reads inf.
+    """
+    plans = _rk4_schedule([float(t) for t in times], kappa, None)
+    return sum(float(n_full) + (remainder > 0.0) for *_, n_full, remainder in plans)
 
 
 def lindblad_integrate(
@@ -183,21 +195,15 @@ def lindblad_integrate(
     layout = rho.layout
     table = _generator(layout, rho.blocks, kappa)
     vec = table.pack(rho.blocks)
-    now, n_steps = 0.0, 0
+    n_steps = 0
     out: list = [None] * len(times)
-    for i in sorted(range(len(times)), key=times.__getitem__):
-        t = times[i]
-        if t == 0:
-            blocks = {key: block.copy() for key, block in rho.blocks.items()}
-            out[i] = DensityMatrix.from_blocks(layout, blocks, trace_tol=rho.trace_tol)
-            continue
-        step, n_full, remainder = _rk4_plan(t - now, kappa, dt)
+    for i, t, interval, step, n_full, remainder in _rk4_schedule(times, kappa, dt):
         if n_full == math.inf:
-            raise IntegrationError(f"a step of {step:.3e} cannot cover {t - now:.3e}", time=t)
+            raise IntegrationError(f"a step of {step:.3e} cannot cover {interval:.3e}", time=t)
         n_tail = int(remainder > 0.0)
         vec = kernels.rk4_evolve(vec, table, step, n_full)
         vec = kernels.rk4_evolve(vec, table, remainder, n_tail)
-        now, n_steps = t, n_steps + n_full + n_tail
+        n_steps += n_full + n_tail
         blocks = table.unpack(vec)
         drift = abs(fock.sector_trace(blocks) - fock.trace(rho))
         if not drift <= TRACE_DRIFT_TOL:

@@ -388,11 +388,20 @@ def test_cool_lindblad_at_subnormal_times_exits_cleanly(capsys):
     assert capsys.readouterr().err == ""
 
 
-@pytest.mark.parametrize("kappa", ["1e6", "1e300"])
-def test_cool_lindblad_refuses_a_grid_above_the_step_budget(kappa):
-    # the default step 1e-3 / kappa would ask for 1e9 and 1e303 RK4 steps;
-    # the run must be refused up front, in a fresh interpreter within 2 s
-    argv = ["cool", "--method", "lindblad", "--kappa", kappa, "--t-max", "1", "--steps", "1"]
+@pytest.mark.parametrize(
+    "grid",
+    [
+        ["--kappa", "1e6", "--t-max", "1", "--steps", "1"],
+        ["--kappa", "1e300", "--t-max", "1", "--steps", "1"],
+        ["--kappa", "1e300", "--t-max", "1e6"],
+    ],
+    ids=["1e6", "1e300", "1e300-overflowing-total"],
+)
+def test_cool_lindblad_refuses_a_grid_above_the_step_budget(grid):
+    # the default step 1e-3 / kappa would ask for 1e9 and 1e303 RK4 steps, and
+    # 1.25e308 in each of 8 intervals, a total past the largest float; the run
+    # must be refused up front, in a fresh interpreter within 2 s
+    argv = ["cool", "--method", "lindblad", *grid]
     done = run_python("-m", "thermofock", *argv, timeout=2)
     assert done.returncode == 2
     assert done.stdout == ""
