@@ -10,12 +10,19 @@ Subcommands:
   verify    run named invariant checks, one PASS/FAIL line each
 
 Values are written with 12 significant digits and `\n` newlines, so repeated
-runs with the same configuration produce byte-identical files.  A config
-file (`--config`) holds `key = value` lines with keys matching flag names;
-explicit flags win over file values, unknown keys are rejected.  Exit codes:
-0 success, 2 configuration error (including a time grid or damping exponent
-kappa * t-max that overflows, and a Lindblad grid above LINDBLAD_STEP_BUDGET
-RK4 steps), 3 numerical failure.
+runs with the same configuration produce byte-identical files.
+
+A config file (`--config`) holds `key = value` lines, `#` starting a comment.
+A key is a flag name without `--`, and `tol` takes a comma-separated list of
+NAME=VALUE items.  The lines are read as flags placed before the command
+line's own, so a flag overrides the file and its `--tol` items follow the
+file's; unknown keys are rejected.
+
+Exit codes: 0 success, 2 configuration error, 3 numerical failure.  Every
+configuration error, from a flag or a file, prints one `error:` line and
+exits 2.  That includes a time grid or damping exponent kappa * t-max that
+overflows, `steps` above LINDBLAD_STEP_BUDGET for every method, and a
+Lindblad grid above LINDBLAD_STEP_BUDGET RK4 steps.
 """
 
 from __future__ import annotations
@@ -23,7 +30,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field
 
 from . import channel, fock, states, thermo, verify
 
@@ -39,185 +45,137 @@ TWO_MODE_HEADER = [
 
 CROSS_METHOD_TOL = 1e-5
 DEFICIT_TOL = 1e-6
-# Most RK4 steps a `cool --method lindblad|both` grid may take; a larger
-# kappa * t-max is refused with exit 2.  At cutoff 128, the largest, a step
-# takes about 35 us, and about twice that once the decayed populations are
-# subnormal floats, so a run at the budget takes about 2.5 to 4 seconds.
+# Most RK4 steps a `cool --method lindblad|both` grid may take, and most grid
+# intervals any grid may have, since each grid point costs at least one kernel
+# call; a larger kappa * t-max or steps is refused with exit 2.  At cutoff
+# 128, the largest, a step takes about 35 us, and about twice that once the
+# decayed populations are subnormal floats, so a run at the budget takes about
+# 2.5 to 4 seconds.
 LINDBLAD_STEP_BUDGET = 50_000
 
-_CURVE_TOL_NAMES = {"cross_method", "deficit"}
+# tolerance names each curve command reads; verify's are its suite's check names
+_CURVE_TOL_NAMES = {"cool": {"cross_method", "deficit"}, "two-mode": {"deficit"}}
 
 
 class ConfigError(ValueError):
     """Invalid flag, config-file entry, or combination thereof."""
 
 
-@dataclass
-class RunConfig:
-    """Merged configuration for one subcommand invocation."""
-
-    command: str
-    tau0: float = 1.0
-    kappa: float = 1.0
-    t_max: float = 2.0
-    steps: int = 8
-    cutoff: int | None = None
-    method: str = "kraus"
-    out: str = "-"
-    svg: str | None = None
-    suite: str = "all"
-    tolerances: dict[str, float] = field(default_factory=dict)
-
-
 # ---------------------------------------------------------------------------
 # configuration plumbing
 # ---------------------------------------------------------------------------
 
-_FLAG_KEYS = {
-    "cool": ("tau0", "kappa", "t-max", "steps", "cutoff", "method", "out", "svg", "tol"),
-    "two-mode": ("tau0", "kappa", "t-max", "steps", "cutoff", "method", "out", "svg", "tol"),
-    "verify": ("suite", "cutoff", "tol"),
-}
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad flag as ConfigError, which `main` turns into exit 2."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
 
 
-def load_config_file(path: str, command: str) -> dict[str, str]:
-    """Parse a line-oriented `key = value` file; `#` starts a comment."""
-    known = _FLAG_KEYS[command]
-    values: dict[str, str] = {}
+def _cutoff(text: str) -> int | None:
+    if text == "auto":
+        return None
+    try:
+        if 2 <= int(text) <= 128:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected `auto` or an integer in [2, 128], got {text!r}")
+
+
+def _tolerance(text: str) -> tuple[str, float]:
+    name, sep, value = text.partition("=")
+    try:
+        if sep:
+            return name.strip(), float(value)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected name=value with a numeric value, got {text!r}")
+
+
+def _config_flags(path: str, keys: set[str]) -> list[str]:
+    """`key = value` lines as `--key=value` flags; `#` starts a comment."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    flags = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
+        key, sep, value = (part.strip() for part in line.partition("="))
+        if not sep:
             raise ConfigError(f"{path}:{lineno}: expected `key = value`, got {raw.strip()!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key not in known:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r} for command {command}")
-        values[key] = value
-    return values
+        if key not in keys:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r} (known: {', '.join(sorted(keys))})")
+        items = [item for item in value.split(",") if item.strip()] if key == "tol" else [value]
+        flags += [f"--{key}={item}" for item in items]
+    return flags
 
 
-def _parse_tol_items(items: list[str]) -> dict[str, float]:
-    out: dict[str, float] = {}
-    for item in items:
-        if "=" not in item:
-            raise ConfigError(f"--tol expects name=value, got {item!r}")
-        name, _, value = item.partition("=")
-        name = name.strip()
-        try:
-            out[name] = float(value)
-        except ValueError as exc:
-            raise ConfigError(f"--tol {name}: {value!r} is not a number") from exc
-    return out
-
-
-def _pick(flag_value, file_values: dict[str, str], key: str, convert, default):
-    if flag_value is not None:
-        return flag_value
-    if key in file_values:
-        try:
-            return convert(file_values[key])
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError(f"config key {key!r}: {exc}") from exc
-    return default
-
-
-def _convert_cutoff(text: str) -> int | None:
-    if text == "auto":
-        return None
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+    """Parse argv; a `--config` file's lines go in as flags before argv's own."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.config is None:
+        return args
+    keys = {dest.replace("_", "-") for dest in vars(args)} - {"command", "config"}
+    at = argv.index(args.command) + 1
+    argv[at:at] = _config_flags(args.config, keys)
     try:
-        value = int(text)
-    except ValueError as exc:
-        raise ConfigError(f"cutoff must be an integer or `auto`, got {text!r}") from exc
-    return value
+        return parser.parse_args(argv)
+    except ConfigError as exc:
+        # argv alone parsed, so the file's flags are at fault
+        raise ConfigError(f"{args.config}: {exc}") from None
 
 
-def build_config(args: argparse.Namespace) -> RunConfig:
-    command = args.command
-    file_values = load_config_file(args.config, command) if args.config else {}
-
-    tol_items: list[str] = list(args.tol or [])
-    if "tol" in file_values:
-        tol_items = [p for p in file_values["tol"].split(",") if p.strip()] + tol_items
-    tolerances = _parse_tol_items(tol_items)
-
-    cfg = RunConfig(command=command, tolerances=tolerances)
-    cfg.cutoff = _pick(
-        _convert_cutoff(args.cutoff) if args.cutoff is not None else None,
-        file_values,
-        "cutoff",
-        _convert_cutoff,
-        cfg.cutoff,
-    )
-    if cfg.cutoff is not None and not 2 <= cfg.cutoff <= 128:
-        raise ConfigError(f"cutoff must lie in [2, 128], got {cfg.cutoff}")
-
-    if command == "verify":
-        cfg.suite = _pick(args.suite, file_values, "suite", str, cfg.suite)
-        if cfg.suite not in ("all",) + verify.SUITES:
-            raise ConfigError(
-                f"suite must be one of all, {', '.join(verify.SUITES)}; got {cfg.suite!r}"
-            )
-        return cfg
-
-    cfg.tau0 = _pick(args.tau0, file_values, "tau0", float, cfg.tau0)
-    cfg.kappa = _pick(args.kappa, file_values, "kappa", float, cfg.kappa)
-    cfg.t_max = _pick(args.t_max, file_values, "t-max", float, cfg.t_max)
-    cfg.steps = _pick(args.steps, file_values, "steps", int, cfg.steps)
-    cfg.method = _pick(args.method, file_values, "method", str, cfg.method)
-    cfg.out = _pick(args.out, file_values, "out", str, cfg.out)
-    cfg.svg = _pick(args.svg, file_values, "svg", str, cfg.svg)
-
-    for name, value in (("tau0", cfg.tau0), ("kappa", cfg.kappa), ("t-max", cfg.t_max)):
-        if not math.isfinite(value):
-            raise ConfigError(f"{name} must be finite, got {value}")
-    if cfg.tau0 <= 0:
-        raise ConfigError(f"tau0 must be > 0, got {cfg.tau0}")
-    if cfg.kappa <= 0:
-        raise ConfigError(f"kappa must be > 0, got {cfg.kappa}")
-    if cfg.t_max <= 0:
-        raise ConfigError(f"t-max must be > 0 so the time grid strictly increases, got {cfg.t_max}")
-    if cfg.steps < 1:
-        raise ConfigError(f"steps must be >= 1, got {cfg.steps}")
-    # the time grid is t_max * i / steps and the damping exponent kappa * t
-    products = (("t-max * steps", cfg.t_max * cfg.steps), ("kappa * t-max", cfg.kappa * cfg.t_max))
-    for name, value in products:
-        if not math.isfinite(value):
-            raise ConfigError(f"{name} must be finite, got {value}")
-    if cfg.method not in ("kraus", "lindblad", "both"):
-        raise ConfigError(f"method must be kraus, lindblad or both, got {cfg.method!r}")
-    if command == "two-mode":
-        if cfg.method != "kraus":
-            raise ConfigError("two-mode evolves by the operator sum; only method=kraus is supported")
-    elif cfg.method != "kraus":
-        # every interval takes at least one step, so a longer grid is refused before it is built
-        n_steps = cfg.steps
-        if n_steps <= LINDBLAD_STEP_BUDGET:
-            n_steps = channel.rk4_step_count(_time_grid(cfg), cfg.kappa)
-        if n_steps > LINDBLAD_STEP_BUDGET:
-            raise ConfigError(
-                f"method {cfg.method} needs at least {n_steps:.3g} RK4 steps on this grid, above the "
-                f"budget of {LINDBLAD_STEP_BUDGET}; lower kappa * t-max or steps"
-            )
-    unknown_tols = sorted(set(tolerances) - _CURVE_TOL_NAMES)
-    if unknown_tols:
+def build_config(args: argparse.Namespace) -> argparse.Namespace:
+    """Check what spans several flags, and add the `tolerances` dict."""
+    if args.command == "verify":
+        known = {check.name for check in verify.select_checks(args.suite)}
+    else:
+        known = _CURVE_TOL_NAMES[args.command]
+        for name, value in (("tau0", args.tau0), ("kappa", args.kappa), ("t-max", args.t_max)):
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
+        if args.tau0 <= 0:
+            raise ConfigError(f"tau0 must be > 0, got {args.tau0}")
+        if args.kappa <= 0:
+            raise ConfigError(f"kappa must be > 0, got {args.kappa}")
+        if args.t_max <= 0:
+            raise ConfigError(f"t-max must be > 0 so the time grid strictly increases, got {args.t_max}")
+        if args.steps < 1:
+            raise ConfigError(f"steps must be >= 1, got {args.steps}")
+        # refused before any product of steps is formed or the grid is built
+        if args.steps > LINDBLAD_STEP_BUDGET:
+            raise ConfigError(f"steps must not exceed the budget of {LINDBLAD_STEP_BUDGET} grid intervals")
+        # the time grid is t_max * i / steps and the damping exponent kappa * t
+        products = (("t-max * steps", args.t_max * args.steps), ("kappa * t-max", args.kappa * args.t_max))
+        for name, value in products:
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
+        if args.command == "cool" and args.method != "kraus":
+            n_steps = channel.rk4_step_count(_time_grid(args), args.kappa)
+            if n_steps > LINDBLAD_STEP_BUDGET:
+                raise ConfigError(
+                    f"method {args.method} needs at least {n_steps:.3g} RK4 steps on this grid, above the "
+                    f"budget of {LINDBLAD_STEP_BUDGET}; lower kappa * t-max or steps"
+                )
+    args.tolerances = dict(args.tol)
+    unknown = sorted(set(args.tolerances) - known)
+    if unknown:
         raise ConfigError(
-            f"unknown tolerance name(s) for {command}: {', '.join(unknown_tols)} "
-            f"(known: {', '.join(sorted(_CURVE_TOL_NAMES))})"
+            f"unknown tolerance name(s) for {args.command}: {', '.join(unknown)} "
+            f"(known: {', '.join(sorted(known))})"
         )
-    return cfg
+    return args
 
 
-def _time_grid(cfg: RunConfig) -> list[float]:
+def _time_grid(cfg: argparse.Namespace) -> list[float]:
     """The grid times t-max * i / steps, i = 0..steps."""
     return [cfg.t_max * i / cfg.steps for i in range(cfg.steps + 1)]
 
@@ -311,7 +269,7 @@ def svg_line_plot(
 # ---------------------------------------------------------------------------
 
 
-def cmd_cool(cfg: RunConfig) -> int:
+def cmd_cool(cfg: argparse.Namespace) -> int:
     times = _time_grid(cfg)
     primary = "kraus" if cfg.method == "both" else cfg.method
     limits = {"cutoff": cfg.cutoff, "deficit_tol": cfg.tolerances.get("deficit", DEFICIT_TOL)}
@@ -349,7 +307,7 @@ def cmd_cool(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_two_mode(cfg: RunConfig) -> int:
+def cmd_two_mode(cfg: argparse.Namespace) -> int:
     params = states.ThermoParams.from_tau(cfg.tau0)
     cutoff = cfg.cutoff
     if cutoff is None:
@@ -403,14 +361,7 @@ def cmd_two_mode(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    checks = verify.select_checks(cfg.suite)
-    known = {c.name for c in checks}
-    unknown = sorted(set(cfg.tolerances) - known)
-    if unknown:
-        raise ConfigError(
-            f"tolerance override for check(s) not in suite {cfg.suite!r}: {', '.join(unknown)}"
-        )
+def cmd_verify(cfg: argparse.Namespace) -> int:
     results = verify.run_checks(cfg.suite, cutoff=cfg.cutoff, tol_overrides=cfg.tolerances)
     for res in results:
         status = "PASS" if res.passed else "FAIL"
@@ -424,51 +375,71 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="thermofock",
         description="Amplitude damping of thermal bosonic states on truncated Fock spaces.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser, curve: bool) -> None:
-        p.add_argument("--cutoff", help="Fock cutoff per mode, integer in [2, 128] or `auto`")
-        p.add_argument("--config", help="line-oriented `key = value` file; flags override it")
+        p.add_argument(
+            "--cutoff",
+            type=_cutoff,
+            default="auto",
+            help="Fock cutoff per mode, `auto` or an integer in [2, 128] (default %(default)s)",
+        )
+        p.add_argument("--config", help="`key = value` file, read as flags before the command line's")
         p.add_argument(
             "--tol",
+            type=_tolerance,
             action="append",
+            default=[],
             metavar="NAME=VALUE",
             help="named tolerance override; repeatable",
         )
         if curve:
-            p.add_argument("--tau0", type=float, help="initial temperature (default 1)")
-            p.add_argument("--kappa", type=float, help="damping rate (default 1)")
-            p.add_argument("--t-max", type=float, help="largest time on the grid (default 2)")
-            p.add_argument("--steps", type=int, help="number of grid intervals (default 8)")
-            p.add_argument("--out", help="CSV output path, `-` for stdout (default)")
+            p.add_argument("--tau0", type=float, default=1.0, help="initial temperature (default %(default)s)")
+            p.add_argument("--kappa", type=float, default=1.0, help="damping rate (default %(default)s)")
+            p.add_argument("--t-max", type=float, default=2.0, help="largest time on the grid (default %(default)s)")
+            p.add_argument(
+                "--steps",
+                type=int,
+                default=8,
+                help=f"number of grid intervals, at most {LINDBLAD_STEP_BUDGET} (default %(default)s)",
+            )
+            p.add_argument("--out", default="-", help="CSV output path, `-` for stdout (default %(default)s)")
             p.add_argument("--svg", help="optional SVG plot path")
 
     cool = sub.add_parser("cool", help="damp a thermal state and tabulate the cooling law")
     add_common(cool, curve=True)
-    cool.add_argument("--method", choices=["kraus", "lindblad", "both"], help="evolution route (default kraus)")
+    cool.add_argument(
+        "--method",
+        choices=("kraus", "lindblad", "both"),
+        default="kraus",
+        help="evolution route (default %(default)s)",
+    )
 
     two = sub.add_parser("two-mode", help="damp the system half of a thermal vacuum")
     add_common(two, curve=True)
-    two.add_argument("--method", help="evolution route (kraus only)")
 
     ver = sub.add_parser("verify", help="run the invariant checks")
     add_common(ver, curve=False)
-    ver.add_argument("--suite", help="all, fock, states, channel or thermo (default all)")
+    ver.add_argument(
+        "--suite",
+        choices=("all",) + verify.SUITES,
+        default="all",
+        help="checks to run (default %(default)s)",
+    )
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        cfg = build_config(args)
-        if args.command == "cool":
+        cfg = build_config(parse_args(argv))
+        if cfg.command == "cool":
             return cmd_cool(cfg)
-        if args.command == "two-mode":
+        if cfg.command == "two-mode":
             return cmd_two_mode(cfg)
         return cmd_verify(cfg)
     except ConfigError as exc:

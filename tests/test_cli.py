@@ -422,3 +422,93 @@ def test_step_budget_admits_a_grid_at_the_budget():
     # a grid of more intervals than the budget is refused before it is built
     with pytest.raises(cli.ConfigError, match="budget"):
         cli.build_config(cli.build_parser().parse_args(["cool", "--method", "lindblad", "--steps", "10000000000"]))
+
+
+def test_steps_above_the_budget_is_refused_for_every_method():
+    # 10^300 intervals pass every product check, and a kraus run would then
+    # build a list of 10^300 grid times; the bound comes before any of it
+    argv = ["cool", "--steps", "1" + "0" * 300]
+    with pytest.raises(cli.ConfigError, match="budget"):
+        cli.build_config(cli.build_parser().parse_args(argv))
+
+
+def test_steps_past_the_largest_float_is_config_error(capsys):
+    # t-max * steps would raise OverflowError converting the int to float
+    assert run_cli(["cool", "--steps", "1" + "0" * 400]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "budget" in err
+    assert err.count("\n") == 1
+
+
+def test_two_mode_rejects_a_tolerance_it_does_not_read(capsys):
+    assert run_cli(["two-mode", "--tol", "cross_method=1"]) == 2
+    assert "cross_method" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, key, value, flags",
+    [
+        ("cool", "tau0", "1.5", ["--tau0", "1.5"]),
+        ("cool", "kappa", "0.7", ["--kappa", "0.7"]),
+        ("cool", "t-max", "1.25", ["--t-max", "1.25"]),
+        ("cool", "steps", "3", ["--steps", "3"]),
+        ("cool", "cutoff", "40", ["--cutoff", "40"]),
+        ("cool", "method", "both", ["--method", "both"]),
+        ("cool", "tol", "deficit=1e-7, cross_method=1e-4", ["--tol", "deficit=1e-7", "--tol", "cross_method=1e-4"]),
+        ("two-mode", "tau0", "1.5", ["--tau0", "1.5"]),
+        ("two-mode", "kappa", "0.7", ["--kappa", "0.7"]),
+        ("two-mode", "t-max", "1.25", ["--t-max", "1.25"]),
+        ("two-mode", "steps", "3", ["--steps", "3"]),
+        ("two-mode", "cutoff", "20", ["--cutoff", "20"]),
+        ("two-mode", "tol", "deficit=1e-7", ["--tol", "deficit=1e-7"]),
+    ],
+)
+def test_config_line_and_flag_write_the_same_csv(tmp_path, command, key, value, flags):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    from_file, from_flag = tmp_path / "file.csv", tmp_path / "flag.csv"
+    base = [command, "--steps", "2", "--cutoff", "24"] if key not in ("steps", "cutoff") else [command]
+    assert run_cli(base + ["--config", str(cfg), "--out", str(from_file)]) == 0
+    assert run_cli(base + flags + ["--out", str(from_flag)]) == 0
+    assert from_file.read_bytes() == from_flag.read_bytes()
+
+
+def test_flag_after_a_config_file_wins_and_tol_items_merge(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tau0 = 2\nmethod = lindblad\ntol = deficit=1, cross_method=1e-30\n")
+    merged, explicit = tmp_path / "merged.csv", tmp_path / "explicit.csv"
+    # the flag's cross_method comes after the file's and replaces it; the
+    # file's 1e-30 would fail the cross-check
+    argv = ["cool", "--config", str(cfg), "--tau0", "1", "--method", "both", "--steps", "2"]
+    assert run_cli(argv + ["--tol", "cross_method=1e-5", "--out", str(merged)]) == 0
+    assert run_cli(
+        ["cool", "--tau0", "1", "--method", "both", "--steps", "2", "--tol", "deficit=1", "--out", str(explicit)]
+    ) == 0
+    assert merged.read_bytes() == explicit.read_bytes()
+    # without the override the file's own tolerance holds
+    assert run_cli(argv) == 3
+    assert capsys.readouterr().err.startswith("numerical failure: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cool", "--tau0", "abc"],
+        ["cool", "--bogus", "1"],
+        [],
+        ["two-mode", "--method", "kraus"],
+        ["verify", "--suite", "everything"],
+        "config",
+    ],
+    ids=["bad-float", "unknown-flag", "no-command", "two-mode-method", "bad-suite", "bad-config-value"],
+)
+def test_parse_errors_return_2_with_one_line(tmp_path, capsys, argv):
+    if argv == "config":
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("tau0 = abc\n")
+        argv = ["cool", "--config", str(cfg)]
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
