@@ -13,17 +13,13 @@ from .fock import (
     DensityMatrix,
     LayoutError,
     ModeLayout,
-    Operator,
     PureState,
     StateError,
     annihilation,
     creation,
-    dagger,
     default_cutoff,
     expectation,
     fock_state,
-    identity,
-    multiply,
     number,
     outer,
     partial_trace,
@@ -32,7 +28,6 @@ from .fock import (
     trace_distance,
 )
 from .states import (
-    EvolvedTwoModeSpec,
     ThermoParams,
     TruncationError,
     chaotic_state,

@@ -32,7 +32,7 @@ import math
 import numpy as np
 
 from . import fock, kernels
-from .fock import DensityMatrix, ModeLayout, Operator
+from .fock import DensityMatrix, ModeLayout
 
 TRACE_PRESERVATION_TOL = 1e-10
 TRACE_DRIFT_TOL = 1e-6
@@ -75,8 +75,8 @@ def damping_weights(cutoff: int, kappa_t: float) -> np.ndarray:
     return w
 
 
-def kraus_operators(kappa_t: float, layout: ModeLayout) -> list[Operator]:
-    """Materialize the single-mode Kraus family as dense operators.
+def kraus_operators(kappa_t: float, layout: ModeLayout) -> list[np.ndarray]:
+    """Materialize the single-mode Kraus family as dense complex128 matrices.
 
     Built literally as sqrt(V^n / n!) e^(-kappa t a+a) a^n, with the diagonal
     e^(-kappa t a+a) taken entrywise; apply_kraus does not call this (it uses
@@ -88,15 +88,15 @@ def kraus_operators(kappa_t: float, layout: ModeLayout) -> list[Operator]:
         raise fock.LayoutError("kraus_operators builds the single-mode family")
     v = _jump_weight(kappa_t)
     decay = np.diag(np.exp(-kappa_t * np.arange(layout.cutoff)))
-    a = fock.annihilation(layout).mat
-    ops: list[Operator] = []
+    a = fock.annihilation(layout)
+    ops = []
     power = np.eye(layout.dim, dtype=np.complex128)
     coef = 1.0
     for n in range(layout.cutoff):
         if n > 0:
             power = power @ a
             coef *= v / n
-        ops.append(Operator(layout, math.sqrt(coef) * (decay @ power)))
+        ops.append(math.sqrt(coef) * (decay @ power))
     return ops
 
 

@@ -20,15 +20,17 @@ file's; unknown keys are rejected.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.  Every
 configuration error, from a flag or a file, prints one `error:` line and
-exits 2.  That includes a time grid or damping exponent kappa * t-max that
-overflows, `steps` above LINDBLAD_STEP_BUDGET for every method, and a
-Lindblad grid above LINDBLAD_STEP_BUDGET RK4 steps.
+exits 2; a user value longer than ECHO_MAX characters is cut in the middle
+there.  That includes a non-finite `--tol` value, a time grid or damping
+exponent kappa * t-max that overflows, `steps` above LINDBLAD_STEP_BUDGET
+for every method, and a Lindblad grid above LINDBLAD_STEP_BUDGET RK4 steps.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 
 from . import channel, fock, states, thermo, verify
@@ -42,6 +44,9 @@ TWO_MODE_HEADER = [
     "tilde_nbar",
     "purity_total",
 ]
+
+# longest stretch of one user value that an `error:` line repeats
+ECHO_MAX = 60
 
 CROSS_METHOD_TOL = 1e-5
 DEFICIT_TOL = 1e-6
@@ -85,13 +90,25 @@ def _cutoff(text: str) -> int | None:
 
 
 def _tolerance(text: str) -> tuple[str, float]:
+    # a nan tolerance would turn its gate off, since every gate compares with >
     name, sep, value = text.partition("=")
     try:
-        if sep:
+        if sep and math.isfinite(float(value)):
             return name.strip(), float(value)
     except ValueError:
         pass
-    raise argparse.ArgumentTypeError(f"expected name=value with a numeric value, got {text!r}")
+    raise argparse.ArgumentTypeError(f"expected name=value with a finite numeric value, got {text!r}")
+
+
+def _shorten(message: str) -> str:
+    """`message` on one line, each quoted span or unbroken run of more than
+    ECHO_MAX characters cut in the middle; name lists stay whole."""
+
+    def cut(match: re.Match) -> str:
+        text = match.group()
+        return text if len(text) <= ECHO_MAX else f"{text[:40]}...{text[-16:]}"
+
+    return " ".join(re.sub(r"'[^']*'|\"[^\"]*\"|\S+", cut, message).splitlines())
 
 
 def _config_flags(path: str, keys: set[str]) -> list[str]:
@@ -308,7 +325,7 @@ def cmd_cool(cfg: argparse.Namespace) -> int:
 
 
 def cmd_two_mode(cfg: argparse.Namespace) -> int:
-    params = states.ThermoParams.from_tau(cfg.tau0)
+    params = states.ThermoParams(cfg.tau0)
     cutoff = cfg.cutoff
     if cutoff is None:
         cutoff = fock.default_cutoff(params.theta)
@@ -325,11 +342,7 @@ def cmd_two_mode(cfg: argparse.Namespace) -> int:
     for t in times:
         kappa_t = cfg.kappa * t
         try:
-            analytic = states.evolved_two_mode_state(
-                states.EvolvedTwoModeSpec(params.theta, kappa_t),
-                layout,
-                deficit_tol=deficit_tol,
-            )
+            analytic = states.evolved_two_mode_state(params, kappa_t, layout, deficit_tol=deficit_tol)
             evolved = channel.apply_kraus(rho0, kappa_t)
             dist = fock.trace_distance(analytic, evolved)
             sys_side = fock.partial_trace(evolved, over=fock.TILDE)
@@ -443,7 +456,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_two_mode(cfg)
         return cmd_verify(cfg)
     except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_shorten(str(exc))}", file=sys.stderr)
         return 2
     except (
         thermo.CoolingCurveError,

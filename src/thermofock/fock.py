@@ -1,11 +1,12 @@
-"""Operator algebra on truncated Fock spaces, with states stored by sector.
+"""Truncated Fock spaces: ladder operators as arrays, states stored by sector.
 
 A single bosonic mode is truncated to occupations 0..cutoff-1.  Two-mode
 objects live on the tensor product of a "system" mode and a "tilde" partner
 of the same cutoff, ordered system-major: basis index = n_sys * cutoff +
-n_tilde.  Operators and pure states are stored dense complex128; the
-two-mode operators the package needs (the squeeze unitary, E = exp(lambda
-a+ b+)) are built sector by sector in `states` instead.
+n_tilde.  Operators are plain complex128 arrays of shape (dim, dim), and
+pure states dense complex128 vectors; the two-mode operators the package
+needs (the squeeze unitary, E = exp(lambda a+ b+)) are built sector by
+sector in `states` instead.
 
 Density matrices are stored as pair-number sectors.  Sector d of a two-mode
 layout holds the basis states with n_tilde - n_sys = d; its index p is the
@@ -77,24 +78,6 @@ class ModeLayout:
 def _check_mode(mode: str) -> None:
     if mode not in (SYSTEM, TILDE):
         raise LayoutError(f"mode must be {SYSTEM!r} or {TILDE!r}, got {mode!r}")
-
-
-@dataclass(eq=False)
-class Operator:
-    """A dense linear operator tied to a ModeLayout."""
-
-    layout: ModeLayout
-    mat: np.ndarray
-
-    def __post_init__(self) -> None:
-        mat = np.ascontiguousarray(self.mat, dtype=np.complex128)
-        if mat.shape != (self.layout.dim, self.layout.dim):
-            raise LayoutError(
-                f"matrix shape {mat.shape} does not match layout dim {self.layout.dim}"
-            )
-        if not np.all(np.isfinite(mat.view(np.float64))):
-            raise StateError("matrix contains non-finite entries")
-        self.mat = mat
 
 
 def _sector_range(layout: ModeLayout) -> range:
@@ -262,33 +245,29 @@ def _embed(core: np.ndarray, layout: ModeLayout, mode: str) -> np.ndarray:
     return np.kron(eye, core)
 
 
-def annihilation(layout: ModeLayout, mode: str = SYSTEM) -> Operator:
+def annihilation(layout: ModeLayout, mode: str = SYSTEM) -> np.ndarray:
     """Lowering operator a on the requested mode: a|n> = sqrt(n)|n-1>."""
     _check_mode(mode)
     n = layout.cutoff
     core = np.zeros((n, n), dtype=np.complex128)
     core[np.arange(n - 1), np.arange(1, n)] = np.sqrt(np.arange(1, n))
-    return Operator(layout, _embed(core, layout, mode))
+    return _embed(core, layout, mode)
 
 
-def creation(layout: ModeLayout, mode: str = SYSTEM) -> Operator:
+def creation(layout: ModeLayout, mode: str = SYSTEM) -> np.ndarray:
     """Raising operator a+ on the requested mode."""
     _check_mode(mode)
     n = layout.cutoff
     core = np.zeros((n, n), dtype=np.complex128)
     core[np.arange(1, n), np.arange(n - 1)] = np.sqrt(np.arange(1, n))
-    return Operator(layout, _embed(core, layout, mode))
+    return _embed(core, layout, mode)
 
 
-def number(layout: ModeLayout, mode: str = SYSTEM) -> Operator:
+def number(layout: ModeLayout, mode: str = SYSTEM) -> np.ndarray:
     """Occupation-number operator a+a on the requested mode."""
     _check_mode(mode)
     core = np.diag(np.arange(layout.cutoff, dtype=np.complex128))
-    return Operator(layout, _embed(core, layout, mode))
-
-
-def identity(layout: ModeLayout) -> Operator:
-    return Operator(layout, np.eye(layout.dim, dtype=np.complex128))
+    return _embed(core, layout, mode)
 
 
 def fock_state(layout: ModeLayout, occupation: int | tuple[int, int]) -> PureState:
@@ -315,40 +294,22 @@ def fock_state(layout: ModeLayout, occupation: int | tuple[int, int]) -> PureSta
 # ---------------------------------------------------------------------------
 
 
-def _same_layout(a: Operator, b: Operator) -> ModeLayout:
-    if a.layout != b.layout:
-        raise LayoutError(f"layout mismatch: {a.layout} vs {b.layout}")
-    return a.layout
+def trace(rho: DensityMatrix) -> complex:
+    return complex(sector_trace(rho.blocks))
 
 
-def dagger(a: Operator) -> Operator:
-    return Operator(a.layout, a.mat.conj().T)
-
-
-def multiply(a: Operator, b: Operator) -> Operator:
-    return Operator(_same_layout(a, b), a.mat @ b.mat)
-
-
-def add(a: Operator, b: Operator) -> Operator:
-    return Operator(_same_layout(a, b), a.mat + b.mat)
-
-
-def trace(a: Operator | DensityMatrix) -> complex:
-    if isinstance(a, DensityMatrix):
-        return complex(sector_trace(a.blocks))
-    return complex(a.mat.trace())
-
-
-def expectation(rho: Operator | DensityMatrix, obs: Operator) -> complex:
-    """Tr(rho A) against a dense observable.
+def expectation(rho: DensityMatrix, obs: np.ndarray) -> complex:
+    """Tr(rho A) against a dense (dim, dim) observable.
 
     A two-mode density matrix is refused: its dense form would hold
     cutoff^4 entries (4.3 GB at cutoff 128).
     """
-    _same_layout(rho, obs)
-    if isinstance(rho, DensityMatrix) and rho.layout.modes == 2:
+    dim = rho.layout.dim
+    if obs.shape != (dim, dim):
+        raise LayoutError(f"observable shape {obs.shape} does not match layout dim {dim}")
+    if rho.layout.modes == 2:
         raise LayoutError("expectation takes a single-mode density matrix")
-    return complex(np.einsum("ij,ji->", rho.mat, obs.mat))
+    return complex(np.einsum("ij,ji->", rho.mat, obs))
 
 
 def purity(rho: DensityMatrix) -> float:
@@ -431,7 +392,8 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     eigvalsh of at most `cutoff` states per sector.  A difference with
     blocks between sectors is exact too; it is solved as one dense matrix.
     """
-    _same_layout(rho, sigma)
+    if rho.layout != sigma.layout:
+        raise LayoutError(f"layout mismatch: {rho.layout} vs {sigma.layout}")
     diff = {}
     for key in sorted(rho.blocks.keys() | sigma.blocks.keys()):
         block = rho.blocks.get(key, 0) - sigma.blocks.get(key, 0)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock, thermo
-from .fock import DensityMatrix, ModeLayout, Operator, PureState, StateError
+from .fock import DensityMatrix, ModeLayout, PureState, StateError
 
 
 class TruncationError(StateError):
@@ -35,29 +35,23 @@ class TruncationError(StateError):
 
 @dataclass(frozen=True)
 class ThermoParams:
-    """Consistent (theta, tau, nbar) triple for one thermal state.
+    """One thermal state, fixed by its dimensionless temperature tau >= 0.
 
-    The three parametrizations are redundant; the constructor enforces
-    sinh^2(theta) = nbar = 1/(e^(1/tau) - 1) so a mixed-up triple cannot
-    propagate.  Build instances with from_tau.
+    The squeeze angle theta and the Boltzmann weight q are derived from tau
+    on each access, so no second copy of the temperature can disagree with
+    it; the mean occupation is thermo.nbar_from_tau(tau).
     """
 
-    theta: float
     tau: float
-    nbar: float
 
     def __post_init__(self) -> None:
-        if self.theta < 0 or self.tau < 0 or self.nbar < 0:
-            raise ValueError("theta, tau, nbar must all be >= 0")
-        scale = 1.0 + self.nbar
-        if abs(math.sinh(self.theta) ** 2 - self.nbar) > 1e-9 * scale:
-            raise ValueError(f"inconsistent pair: sinh^2({self.theta}) != {self.nbar}")
-        if abs(thermo.nbar_from_tau(self.tau) - self.nbar) > 1e-9 * scale:
-            raise ValueError(f"inconsistent pair: nbar({self.tau}) != {self.nbar}")
+        if not self.tau >= 0:
+            raise ValueError(f"tau must be >= 0, got {self.tau}")
 
-    @classmethod
-    def from_tau(cls, tau: float) -> "ThermoParams":
-        return cls(theta=thermo.theta_from_tau(tau), tau=tau, nbar=thermo.nbar_from_tau(tau))
+    @property
+    def theta(self) -> float:
+        """Squeeze angle of the purification: tanh(theta) = e^(-1/(2 tau))."""
+        return thermo.theta_from_tau(self.tau)
 
     @property
     def q(self) -> float:
@@ -133,56 +127,32 @@ def thermo_squeeze_operator(theta: float, layout: ModeLayout) -> dict[int, np.nd
     return unitaries
 
 
-def tfd_expectation_identity(obs: Operator, params: ThermoParams) -> tuple[complex, complex]:
+def tfd_expectation_identity(obs: np.ndarray, params: ThermoParams) -> tuple[complex, complex]:
     """Evaluate <0(beta)| A (x) 1 |0(beta)> and Tr(A rho_thermal) side by side.
 
-    On the untruncated space the two are equal for every system observable;
-    on the truncated space they agree up to the thermal tail weight.
+    A is a (cutoff, cutoff) system observable.  On the untruncated space the
+    two are equal for every system observable; on the truncated space they
+    agree up to the thermal tail weight.
     """
-    if obs.layout.modes != 1:
-        raise fock.LayoutError("the observable acts on the system mode alone")
-    doubled = obs.layout.doubled()
-    psi = thermal_vacuum(params, doubled)
-    grid = psi.vec.reshape(obs.layout.cutoff, obs.layout.cutoff)
-    pure_side = complex(np.vdot(grid, obs.mat @ grid))
-    rho = chaotic_state(params, obs.layout)
-    mixed_side = fock.expectation(rho, obs)
+    layout = ModeLayout(obs.shape[0])
+    # fock.expectation checks the shape of A before A is applied to psi
+    mixed_side = fock.expectation(chaotic_state(params, layout), obs)
+    psi = thermal_vacuum(params, layout.doubled())
+    grid = psi.vec.reshape(layout.cutoff, layout.cutoff)
+    pure_side = complex(np.vdot(grid, obs @ grid))
     return pure_side, mixed_side
 
 
-@dataclass(frozen=True)
-class EvolvedTwoModeSpec:
-    """The damped thermal vacuum in closed form, fixed by theta and kappa t.
-
-    lam = e^(-kappa t) tanh(theta) weights the surviving pair correlations,
-    mu = (1 - e^(-2 kappa t)) tanh^2(theta) weights the tilde-side mixture
-    left behind by quanta lost from the system mode.
-    """
-
-    theta: float
-    kappa_t: float
-
-    def __post_init__(self) -> None:
-        if self.theta < 0 or self.kappa_t < 0:
-            raise ValueError("theta and kappa_t must be >= 0")
-
-    @property
-    def lam(self) -> float:
-        return math.exp(-self.kappa_t) * math.tanh(self.theta)
-
-    @property
-    def mu(self) -> float:
-        th = math.tanh(self.theta)
-        decay = math.exp(-self.kappa_t)
-        return (1.0 - decay * decay) * th * th
-
-
 def evolved_two_mode_state(
-    spec: EvolvedTwoModeSpec,
+    params: ThermoParams,
+    kappa_t: float,
     layout: ModeLayout,
     deficit_tol: float = 1e-6,
 ) -> DensityMatrix:
     """Build the damped thermal vacuum rho(t) on the truncated doubled space.
+
+    lam and mu, fixed by theta and kappa t alone, are the lambda and mu of
+    the module docstring; a negative kappa_t raises ValueError.
 
     E conserves the pair-number difference, so E|0, m~> lies in sector m and
     each term sech^2 mu^m E|0, m~><0, m~|E+ is the block (m, m) of the
@@ -196,9 +166,14 @@ def evolved_two_mode_state(
     """
     if layout.modes != 2:
         raise fock.LayoutError("the evolved state lives on a two-mode layout")
+    if kappa_t < 0:
+        raise ValueError(f"kappa_t must be >= 0, got {kappa_t}")
     n = layout.cutoff
-    sech2 = 1.0 - math.tanh(spec.theta) ** 2
-    lam, mu = spec.lam, spec.mu
+    th = math.tanh(params.theta)
+    decay = math.exp(-kappa_t)
+    sech2 = 1.0 - th**2
+    lam = decay * th
+    mu = (1.0 - decay * decay) * th * th
 
     blocks = {}
     for m in range(n):

@@ -55,14 +55,15 @@ def theta_from_tau(tau: float) -> float:
 
     Evaluated as -log(tanh(1/(4 tau))) / 2, which equals
     atanh(e^(-1/(2 tau))) but stays finite for every finite tau: the atanh
-    form reaches atanh(1) once e^(-1/(2 tau)) rounds to 1.
+    form reaches atanh(1) once e^(-1/(2 tau)) rounds to 1.  1/(4 tau) is
+    taken as 0.25 / tau, which cannot overflow to 1/inf = 0 at huge tau.
     """
     if tau < 0:
         raise ValueError(f"tau must be >= 0, got {tau}")
     if tau == 0:
         return 0.0
     # max() turns the -0.0 of a cold tau into 0.0
-    return max(0.0, -0.5 * math.log(math.tanh(1.0 / (4.0 * tau))))
+    return max(0.0, -0.5 * math.log(math.tanh(0.25 / tau)))
 
 
 def tau_from_theta(theta: float) -> float:
@@ -84,11 +85,17 @@ def nbar_from_tau(tau: float) -> float:
 
 
 def tau_from_nbar(nbar: float) -> float:
+    """Temperature 1 / log(1 + 1/nbar); where 1/nbar overflows (nbar below
+    about 5.6e-309) as 1 / (log1p(nbar) - log(nbar)), the same quantity."""
     if nbar < 0:
         raise ValueError(f"nbar must be >= 0, got {nbar}")
     if nbar == 0:
         return 0.0
-    return 1.0 / math.log1p(1.0 / nbar)
+    # a Python float division overflows to inf without a numpy warning
+    inverse = 1.0 / float(nbar)
+    if inverse == math.inf:
+        return 1.0 / (math.log1p(nbar) - math.log(nbar))
+    return 1.0 / math.log1p(inverse)
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +265,7 @@ def cooling_curve(
     if any(t < 0 for t in times):
         raise ValueError("times must be >= 0")
 
-    params = states.ThermoParams.from_tau(tau0)
+    params = states.ThermoParams(tau0)
     if cutoff is None:
         cutoff = fock.default_cutoff(params.theta)
     layout = fock.ModeLayout(cutoff)

@@ -46,7 +46,7 @@ def _cutoff(cutoff: int | None, default: int = 32) -> int:
 def _ladder_adjoint(cutoff: int | None) -> float:
     layout = fock.ModeLayout(_cutoff(cutoff))
     a = fock.annihilation(layout)
-    return float(np.abs(fock.creation(layout).mat - fock.dagger(a).mat).max())
+    return float(np.abs(fock.creation(layout) - a.conj().T).max())
 
 
 def _commutator_interior(cutoff: int | None) -> float:
@@ -54,22 +54,21 @@ def _commutator_interior(cutoff: int | None) -> float:
     layout = fock.ModeLayout(n)
     a = fock.annihilation(layout)
     ad = fock.creation(layout)
-    comm = fock.multiply(a, ad).mat - fock.multiply(ad, a).mat
+    comm = a @ ad - ad @ a
     return float(np.abs(comm[: n - 1, : n - 1] - np.eye(n - 1)).max())
 
 
 def _number_from_ladders(cutoff: int | None) -> float:
     layout = fock.ModeLayout(_cutoff(cutoff))
     a = fock.annihilation(layout)
-    built = fock.multiply(fock.dagger(a), a).mat
-    return float(np.abs(built - fock.number(layout).mat).max())
+    return float(np.abs(a.conj().T @ a - fock.number(layout)).max())
 
 
 def _partial_trace_tensor(cutoff: int | None) -> float:
     layout = fock.ModeLayout(_cutoff(cutoff))
     doubled = layout.doubled()
-    rho_a = states.chaotic_state(states.ThermoParams.from_tau(1.0), layout)
-    rho_b = states.chaotic_state(states.ThermoParams.from_tau(0.5), layout)
+    rho_a = states.chaotic_state(states.ThermoParams(1.0), layout)
+    rho_b = states.chaotic_state(states.ThermoParams(0.5), layout)
     # both factors are diagonal, so their product is too: it fills only the
     # (d, d) blocks, and its entry n * cutoff + m is rho_a[n, n] rho_b[m, m]
     prod = np.outer(np.diagonal(rho_a.mat), np.diagonal(rho_b.mat)).ravel()
@@ -100,7 +99,7 @@ def _squeeze_unitarity(cutoff: int | None) -> float:
 
 def _squeeze_generates_thermal_vacuum(cutoff: int | None) -> float:
     layout = fock.ModeLayout(_cutoff(cutoff, default=33)).doubled()
-    params = states.ThermoParams.from_tau(1.0)
+    params = states.ThermoParams(1.0)
     unitaries = states.thermo_squeeze_operator(params.theta, layout)
     # |0, 0~> is index 0 of sector 0; its image and the thermal vacuum both
     # lie in sector 0
@@ -111,10 +110,10 @@ def _squeeze_generates_thermal_vacuum(cutoff: int | None) -> float:
 
 def _tfd_identity(cutoff: int | None) -> float:
     layout = fock.ModeLayout(_cutoff(cutoff, default=33))
-    params = states.ThermoParams.from_tau(1.0)
+    params = states.ThermoParams(1.0)
     worst = 0.0
     a = fock.annihilation(layout)
-    quad = fock.add(a, fock.dagger(a))
+    quad = a + a.conj().T
     for obs in (fock.number(layout), quad):
         pure, mixed = states.tfd_expectation_identity(obs, params)
         worst = max(worst, abs(pure - mixed))
@@ -124,22 +123,24 @@ def _tfd_identity(cutoff: int | None) -> float:
 def _evolved_series_vs_expm(cutoff: int | None) -> float:
     n = _cutoff(cutoff, default=33)
     layout = fock.ModeLayout(n).doubled()
-    spec = states.EvolvedTwoModeSpec(thermo.theta_from_tau(1.0), 0.7)
-    via_series = states.evolved_two_mode_state(spec, layout)
+    params, kappa_t = states.ThermoParams(1.0), 0.7
+    via_series = states.evolved_two_mode_state(params, kappa_t, layout)
     # E|0, m~> from the operator itself: |0, m~> is index 0 of sector m, where
     # lam a+ b+ is the nilpotent block lam S_m, so the Taylor series of
     # exp(lam S_m) applied to it ends after n - m terms
-    sech2 = 1.0 - math.tanh(spec.theta) ** 2
+    th = math.tanh(params.theta)
+    lam = math.exp(-kappa_t) * th
+    mu = (1.0 - math.exp(-2.0 * kappa_t)) * th * th
     blocks = {}
     for m in range(n):
-        step = spec.lam * states.pair_creation_block(layout, m)
+        step = lam * states.pair_creation_block(layout, m)
         term = np.zeros(n - m)
         term[0] = 1.0
         column = term.copy()
         for k in range(1, n - m):
             term = step @ term / k
             column += term
-        blocks[(m, m)] = sech2 * spec.mu**m * np.outer(column, column)
+        blocks[(m, m)] = (1.0 - th * th) * mu**m * np.outer(column, column)
     via_expm = fock.DensityMatrix.from_blocks(layout, blocks, trace_tol=via_series.trace_tol)
     return fock.trace_distance(via_series, via_expm)
 
@@ -147,9 +148,8 @@ def _evolved_series_vs_expm(cutoff: int | None) -> float:
 def _evolved_tilde_reduction_thermal(cutoff: int | None) -> float:
     n = _cutoff(cutoff, default=33)
     layout = fock.ModeLayout(n).doubled()
-    params = states.ThermoParams.from_tau(1.0)
-    spec = states.EvolvedTwoModeSpec(params.theta, 0.9)
-    evolved = states.evolved_two_mode_state(spec, layout)
+    params = states.ThermoParams(1.0)
+    evolved = states.evolved_two_mode_state(params, 0.9, layout)
     tilde_side = fock.partial_trace(evolved, over=fock.SYSTEM)
     reference = states.chaotic_state(params, layout.single())
     return float(np.abs(tilde_side.mat - reference.mat).max())
@@ -165,13 +165,13 @@ def _kraus_completeness(cutoff: int | None) -> float:
     ops = channel.kraus_operators(0.5, layout)
     acc = np.zeros((layout.dim, layout.dim), dtype=np.complex128)
     for op in ops:
-        acc += op.mat.conj().T @ op.mat
+        acc += op.conj().T @ op
     return float(np.abs(acc - np.eye(layout.dim)).max())
 
 
 def _trace_preservation(cutoff: int | None) -> float:
     layout = fock.ModeLayout(_cutoff(cutoff))
-    rho = states.chaotic_state(states.ThermoParams.from_tau(1.0), layout)
+    rho = states.chaotic_state(states.ThermoParams(1.0), layout)
     out = channel.apply_kraus(rho, 0.37)
     return abs(fock.trace(out) - fock.trace(rho))
 
@@ -179,7 +179,7 @@ def _trace_preservation(cutoff: int | None) -> float:
 def _mean_photon_decay(cutoff: int | None) -> float:
     layout = fock.ModeLayout(_cutoff(cutoff))
     kappa_t = 0.5
-    rho = states.chaotic_state(states.ThermoParams.from_tau(1.0), layout)
+    rho = states.chaotic_state(states.ThermoParams(1.0), layout)
     out = channel.apply_kraus(rho, kappa_t)
     num = fock.number(layout)
     before = fock.expectation(rho, num).real
@@ -189,7 +189,7 @@ def _mean_photon_decay(cutoff: int | None) -> float:
 
 def _kraus_vs_lindblad(cutoff: int | None) -> float:
     layout = fock.ModeLayout(_cutoff(cutoff))
-    rho = states.chaotic_state(states.ThermoParams.from_tau(1.0), layout)
+    rho = states.chaotic_state(states.ThermoParams(1.0), layout)
     via_kraus = channel.apply_kraus(rho, 0.5)
     via_ode = channel.lindblad_integrate(rho, kappa=1.0, times=[0.5])[0]
     return fock.trace_distance(via_kraus, via_ode)
@@ -197,7 +197,7 @@ def _kraus_vs_lindblad(cutoff: int | None) -> float:
 
 def _damped_state_positive(cutoff: int | None) -> float:
     layout = fock.ModeLayout(_cutoff(cutoff))
-    rho = states.chaotic_state(states.ThermoParams.from_tau(1.0), layout)
+    rho = states.chaotic_state(states.ThermoParams(1.0), layout)
     out = channel.apply_kraus(rho, 0.5)
     return max(0.0, -out.min_eigenvalue())
 
@@ -205,11 +205,11 @@ def _damped_state_positive(cutoff: int | None) -> float:
 def _structured_vs_explicit(cutoff: int | None) -> float:
     layout = fock.ModeLayout(_cutoff(cutoff, default=24))
     kappa_t = 0.8
-    rho = states.chaotic_state(states.ThermoParams.from_tau(1.0), layout)
+    rho = states.chaotic_state(states.ThermoParams(1.0), layout)
     fast = channel.apply_kraus(rho, kappa_t).mat
     slow = np.zeros_like(fast)
     for op in channel.kraus_operators(kappa_t, layout):
-        slow += op.mat @ rho.mat @ op.mat.conj().T
+        slow += op @ rho.mat @ op.conj().T
     return float(np.abs(fast - slow).max())
 
 
@@ -255,14 +255,14 @@ def _cooling_denominator_margin(cutoff: int | None) -> float:
 
 def _fit_geometric_roundtrip(cutoff: int | None) -> float:
     layout = fock.ModeLayout(_cutoff(cutoff, default=40))
-    params = states.ThermoParams.from_tau(1.7)
+    params = states.ThermoParams(1.7)
     fit = thermo.fit_geometric(states.chaotic_state(params, layout))
     return abs(fit.q - params.q)
 
 
 def _effective_temperature_roundtrip(cutoff: int | None) -> float:
     layout = fock.ModeLayout(_cutoff(cutoff, default=33))
-    rho = states.chaotic_state(states.ThermoParams.from_tau(1.0), layout)
+    rho = states.chaotic_state(states.ThermoParams(1.0), layout)
     return abs(thermo.effective_temperature(rho) - 1.0)
 
 

@@ -26,7 +26,7 @@ def report(name: str, observed: float, bound: float, ok: bool | None = None) -> 
 def test_thermal_vacuum_reduction_matches_chaotic_state():
     worst = 0.0
     for tau0 in (0.3, 1.0, 3.0):
-        params = states.ThermoParams.from_tau(tau0)
+        params = states.ThermoParams(tau0)
         layout = fock.ModeLayout(fock.default_cutoff(params.theta))
         rho2 = fock.outer(states.thermal_vacuum(params, layout.doubled()))
         reduced = fock.partial_trace(rho2, over=fock.TILDE)
@@ -44,7 +44,7 @@ def test_thermal_vacuum_reduction_matches_chaotic_state():
 )
 def test_squeeze_route_matches_closed_amplitudes_at_cutoff_32():
     layout = fock.ModeLayout(32).doubled()
-    params = states.ThermoParams.from_tau(1.0)
+    params = states.ThermoParams(1.0)
     u = states.thermo_squeeze_operator(params.theta, layout)
     # |0, 0~> is index 0 of sector 0, so its image is column 0 of that block
     squeezed = np.zeros(layout.dim, dtype=complex)
@@ -57,7 +57,7 @@ def test_squeeze_route_matches_closed_amplitudes_at_cutoff_32():
 
 def test_lindblad_integration_agrees_with_operator_sum():
     layout = fock.ModeLayout(32)
-    rho = states.chaotic_state(states.ThermoParams.from_tau(1.0), layout)
+    rho = states.chaotic_state(states.ThermoParams(1.0), layout)
     via_ode = channel.lindblad_integrate(rho, kappa=1.0, times=[0.5], dt=1e-3)[0]
     via_kraus = channel.apply_kraus(rho, 0.5)
     observed = fock.trace_distance(via_ode, via_kraus)
@@ -71,7 +71,7 @@ def test_damping_operator_family_is_complete():
     for kappa_t in (0.1, 0.5, 2.0):
         acc = np.zeros((32, 32), dtype=complex)
         for op in channel.kraus_operators(kappa_t, layout):
-            acc += op.mat.conj().T @ op.mat
+            acc += op.conj().T @ op
         worst = max(worst, float(np.abs(acc - np.eye(32)).max()))
     report("damping operator family resolves the identity", worst, 1e-10)
     assert worst < 1e-10
@@ -96,7 +96,7 @@ def test_closed_form_temperature_matches_simulation():
     layout = fock.ModeLayout(48)
     worst = 0.0
     for tau0 in (0.5, 1.0, 2.0):
-        rho = states.chaotic_state(states.ThermoParams.from_tau(tau0), layout)
+        rho = states.chaotic_state(states.ThermoParams(tau0), layout)
         for kappa_t in (0.1, 0.5, 1.0, 2.0):
             evolved = channel.apply_kraus(rho, kappa_t)
             fitted = thermo.effective_temperature(evolved)
@@ -107,13 +107,11 @@ def test_closed_form_temperature_matches_simulation():
 
 def test_compact_evolved_state_matches_channel():
     layout = fock.ModeLayout(24).doubled()
-    params = states.ThermoParams.from_tau(1.0)
+    params = states.ThermoParams(1.0)
     rho0 = fock.outer(states.thermal_vacuum(params, layout))
     worst = 0.0
     for kappa_t in (0.2, 1.0):
-        analytic = states.evolved_two_mode_state(
-            states.EvolvedTwoModeSpec(params.theta, kappa_t), layout
-        )
+        analytic = states.evolved_two_mode_state(params, kappa_t, layout)
         evolved = channel.apply_kraus(rho0, kappa_t)
         worst = max(worst, fock.trace_distance(analytic, evolved))
     report("compact two-mode form matches channel evolution", worst, 1e-8)
@@ -133,7 +131,7 @@ def test_cooling_is_positive_and_monotone():
 
 def test_undamped_partner_state_is_time_invariant():
     layout = fock.ModeLayout(24).doubled()
-    params = states.ThermoParams.from_tau(1.0)
+    params = states.ThermoParams(1.0)
     rho0 = fock.outer(states.thermal_vacuum(params, layout))
     baseline = fock.partial_trace(rho0, over=fock.SYSTEM).mat
     worst = 0.0
@@ -149,7 +147,7 @@ def test_mean_occupation_decays_exponentially():
     layout = fock.ModeLayout(32)
     num = fock.number(layout)
     initial_states = [
-        states.chaotic_state(states.ThermoParams.from_tau(1.0), layout),
+        states.chaotic_state(states.ThermoParams(1.0), layout),
         fock.outer(fock.fock_state(layout, 2)),
     ]
     worst = 0.0

@@ -11,7 +11,7 @@ from thermofock import channel, fock, states
 def explicit_kraus_sum(rho_mat, ops):
     out = np.zeros_like(rho_mat)
     for op in ops:
-        out += op.mat @ rho_mat @ op.mat.conj().T
+        out += op @ rho_mat @ op.conj().T
     return out
 
 
@@ -19,12 +19,12 @@ def two_mode_kraus(kappa_t, layout):
     # the single-mode family embedded on the system mode, system-major
     eye = np.eye(layout.cutoff)
     ops = channel.kraus_operators(kappa_t, layout.single())
-    return [fock.Operator(layout, np.kron(op.mat, eye)) for op in ops]
+    return [np.kron(op, eye) for op in ops]
 
 
 def unit_trace_chaotic(tau, layout):
     # the thermal populations rescaled so the truncated state has trace 1
-    rho = states.chaotic_state(states.ThermoParams.from_tau(tau), layout)
+    rho = states.chaotic_state(states.ThermoParams(tau), layout)
     return fock.DensityMatrix(layout, rho.mat / fock.trace(rho).real)
 
 
@@ -36,7 +36,7 @@ def test_channel_spec_validation():
     identity_only[0] = 1.0
     np.testing.assert_array_equal(channel.damping_weights(4, 0.0), identity_only)
     layout = fock.ModeLayout(4)
-    rho = states.chaotic_state(states.ThermoParams.from_tau(1.0), layout)
+    rho = states.chaotic_state(states.ThermoParams(1.0), layout)
     with pytest.raises(ValueError, match="kappa_t"):
         channel.apply_kraus(rho, -0.1)
     with pytest.raises(ValueError, match="kappa_t"):
@@ -63,8 +63,8 @@ def test_weight_table_matches_literal_kraus_entries():
     for order, op in enumerate(ops):
         # K_order maps |j + order> down to |j>; that entry is W[order, j]
         for j in range(n - order):
-            assert op.mat[j, j + order].real == pytest.approx(weights[order, j], abs=1e-13)
-        assert np.count_nonzero(op.mat) == n - order
+            assert op[j, j + order].real == pytest.approx(weights[order, j], abs=1e-13)
+        assert np.count_nonzero(op) == n - order
 
 
 @pytest.mark.parametrize("kappa_t", [0.1, 0.5, 2.0])
@@ -73,7 +73,7 @@ def test_kraus_completeness(kappa_t):
     ops = channel.kraus_operators(kappa_t, layout)
     acc = np.zeros((32, 32), dtype=complex)
     for op in ops:
-        acc += op.mat.conj().T @ op.mat
+        acc += op.conj().T @ op
     np.testing.assert_allclose(acc, np.eye(32), atol=1e-12)
 
 
@@ -90,7 +90,7 @@ def test_apply_kraus_matches_explicit_operator_sum():
 
 def test_apply_kraus_two_mode_matches_explicit_operator_sum():
     layout = fock.ModeLayout(10).doubled()
-    params = states.ThermoParams.from_tau(0.8)
+    params = states.ThermoParams(0.8)
     rho = fock.outer(states.thermal_vacuum(params, layout), trace_tol=1e-3)
     fast = channel.apply_kraus(rho, 0.7)
     slow = explicit_kraus_sum(rho.mat, two_mode_kraus(0.7, layout))
@@ -108,7 +108,7 @@ def test_damping_by_symmetry_of_tfd():
     # damping the system mode leaves the tilde mode alone: the tilde
     # reduction of the damped state is the system reduction of the undamped one
     layout = fock.ModeLayout(16).doubled()
-    params = states.ThermoParams.from_tau(1.0)
+    params = states.ThermoParams(1.0)
     rho = fock.outer(states.thermal_vacuum(params, layout), trace_tol=1e-4)
     swapped = fock.swap_modes(rho.blocks)
     assert swapped.keys() == rho.blocks.keys()
@@ -124,7 +124,7 @@ def test_damping_by_symmetry_of_tfd():
 
 def test_apply_kraus_identity_at_zero_time():
     layout = fock.ModeLayout(12)
-    params = states.ThermoParams.from_tau(1.0)
+    params = states.ThermoParams(1.0)
     rho = states.chaotic_state(params, layout)
     out = channel.apply_kraus(rho, 0.0)
     np.testing.assert_allclose(out.mat, rho.mat, atol=1e-15)
@@ -142,7 +142,7 @@ def test_apply_kraus_asymptote_is_vacuum():
 @pytest.mark.parametrize(
     "build",
     [
-        lambda layout: states.chaotic_state(states.ThermoParams.from_tau(1.0), layout),
+        lambda layout: states.chaotic_state(states.ThermoParams(1.0), layout),
         lambda layout: fock.outer(fock.fock_state(layout, 2)),
         lambda layout: fock.outer(
             fock.PureState(
@@ -176,7 +176,7 @@ def test_damped_state_stays_positive():
 
 def test_lindblad_integration_converges_to_kraus():
     layout = fock.ModeLayout(32)
-    rho = states.chaotic_state(states.ThermoParams.from_tau(1.0), layout)
+    rho = states.chaotic_state(states.ThermoParams(1.0), layout)
     via_ode = channel.lindblad_integrate(rho, kappa=1.0, times=[0.5], dt=1e-3)[0]
     via_kraus = channel.apply_kraus(rho, 0.5)
     assert fock.trace_distance(via_ode, via_kraus) < 1e-10
@@ -184,7 +184,7 @@ def test_lindblad_integration_converges_to_kraus():
 
 def test_lindblad_remainder_step_covers_uneven_grid():
     layout = fock.ModeLayout(16)
-    rho = states.chaotic_state(states.ThermoParams.from_tau(1.0), layout)
+    rho = states.chaotic_state(states.ThermoParams(1.0), layout)
     # a grid that does not divide t_final evenly must still land on t_final
     out = channel.lindblad_integrate(rho, kappa=1.0, times=[0.333], dt=2e-3)[0]
     ref = channel.apply_kraus(rho, 0.333)
@@ -193,7 +193,7 @@ def test_lindblad_remainder_step_covers_uneven_grid():
 
 def test_lindblad_grid_returns_each_time_in_order():
     layout = fock.ModeLayout(16)
-    rho = states.chaotic_state(states.ThermoParams.from_tau(1.0), layout)
+    rho = states.chaotic_state(states.ThermoParams(1.0), layout)
     # unsorted, repeated and zero times: one pass through 0, 0.25, 0.5
     times = [0.5, 0.0, 0.25, 0.5]
     out = channel.lindblad_integrate(rho, kappa=1.0, times=times)
@@ -207,7 +207,7 @@ def test_lindblad_packs_the_partner_of_a_one_sided_entry():
     # hermitian within tolerance, although the mirror of entry (5, 2) is 0:
     # the table must still pack that mirror, which re-hermitization pairs it with
     layout = fock.ModeLayout(8)
-    mat = states.chaotic_state(states.ThermoParams.from_tau(1.0), layout).mat
+    mat = states.chaotic_state(states.ThermoParams(1.0), layout).mat
     mat[5, 2] = 5e-13
     rho = fock.DensityMatrix(layout, mat, trace_tol=1e-3)
     fixed = fock.DensityMatrix(layout, 0.5 * (mat + mat.conj().T), trace_tol=1e-3)
@@ -219,14 +219,14 @@ def test_lindblad_packs_the_partner_of_a_one_sided_entry():
 
 def test_lindblad_zero_time_is_identity():
     layout = fock.ModeLayout(8)
-    rho = states.chaotic_state(states.ThermoParams.from_tau(1.0), layout)
+    rho = states.chaotic_state(states.ThermoParams(1.0), layout)
     out = channel.lindblad_integrate(rho, kappa=1.0, times=[0.0])[0]
     np.testing.assert_array_equal(out.mat, rho.mat)
 
 
 def test_lindblad_two_mode_matches_kraus():
     layout = fock.ModeLayout(12).doubled()
-    params = states.ThermoParams.from_tau(0.6)
+    params = states.ThermoParams(0.6)
     rho = fock.outer(states.thermal_vacuum(params, layout), trace_tol=1e-4)
     via_ode = channel.lindblad_integrate(rho, kappa=2.0, times=[0.25])[0]
     via_kraus = channel.apply_kraus(rho, 0.5)
@@ -255,7 +255,7 @@ def test_lindblad_matches_kraus_on_random_states(cutoff, two_mode, kappa, kappa_
 
 def test_lindblad_input_validation():
     layout = fock.ModeLayout(8)
-    rho = states.chaotic_state(states.ThermoParams.from_tau(1.0), layout)
+    rho = states.chaotic_state(states.ThermoParams(1.0), layout)
     with pytest.raises(ValueError):
         channel.lindblad_integrate(rho, kappa=0.0, times=[0.1])
     with pytest.raises(ValueError):
@@ -291,7 +291,7 @@ def test_sector_storage_matches_dense_oracle(cutoff, tau0, kappa_t, thermal, see
     # every block, including the ones between sectors
     layout = fock.ModeLayout(cutoff).doubled()
     if thermal:
-        psi = states.thermal_vacuum(states.ThermoParams.from_tau(tau0), layout)
+        psi = states.thermal_vacuum(states.ThermoParams(tau0), layout)
     else:
         vec = np.array([1.0, 1j]) @ np.random.default_rng(seed).normal(size=(2, layout.dim))
         psi = fock.PureState(layout, vec / np.linalg.norm(vec))
@@ -319,7 +319,7 @@ def off_sector_states(n):
     m = rng.normal(size=(layout.dim, layout.dim)) + 1j * rng.normal(size=(layout.dim, layout.dim))
     m = m @ m.conj().T
     dense = m / m.trace()
-    sparse = fock.outer(states.thermal_vacuum(states.ThermoParams.from_tau(1.0), layout), trace_tol=1e-2).mat
+    sparse = fock.outer(states.thermal_vacuum(states.ThermoParams(1.0), layout), trace_tol=1e-2).mat
     rows, cols = fock.sector_indices(layout, 1), fock.sector_indices(layout, -2)
     coupling = 0.01 * (rng.normal(size=(rows.size, cols.size)) + 1j * rng.normal(size=(rows.size, cols.size)))
     sparse[np.ix_(rows, cols)] = coupling

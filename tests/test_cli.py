@@ -1,13 +1,19 @@
+import io
 import math
 import os
 import subprocess
 import sys
+import time
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from thermofock import cli, verify
+from thermofock import cli, thermo, verify
 
 TAU_AFTER_1_HALF = 0.576260710432279098
 NBAR_TAU1 = 0.581976706869326424
@@ -313,7 +319,7 @@ def test_cutoff_auto_equals_default_rule(tmp_path):
 def test_two_mode_runs_uncapped_at_automatic_cutoff(tmp_path):
     from thermofock import fock, states
 
-    assert fock.default_cutoff(states.ThermoParams.from_tau(3.0).theta) == 97
+    assert fock.default_cutoff(states.ThermoParams(3.0).theta) == 97
     out = tmp_path / "hot.csv"
     assert run_cli(["two-mode", "--tau0", "3", "--out", str(out)]) == 0
     _, rows = read_rows(out)
@@ -512,3 +518,121 @@ def test_parse_errors_return_2_with_one_line(tmp_path, capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["cool", "two-mode"])
+def test_huge_tau0_is_a_numerical_failure_on_one_line(capsys, command):
+    # 4 * tau0 overflows above about 4.5e307; theta must stay finite there
+    assert run_cli([command, "--tau0", "1e308"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["cool", "two-mode"])
+def test_long_damping_reads_the_temperature_of_a_subnormal_occupation(capsys, command):
+    # at kappa t = 350 the fitted occupation is about 2e-313, whose reciprocal
+    # overflows; the temperature must still be read off it, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli([command, "--tau0", "0.05", "--kappa", "700", "--t-max", "1"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    rows = [[float(x) for x in line.split(",")] for line in captured.out.strip().split("\n")[1:]]
+    # column 2 is the fitted temperature in both commands
+    row = next(r for r in rows if r[0] == 350.0)
+    assert row[2] == pytest.approx(thermo.tau_after(0.05, 350.0), abs=1e-7)
+    assert row[2] > 0.0
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_non_finite_tolerance_is_config_error(tmp_path, capsys, value, source):
+    # with nan every `observed > tol` gate is false, which switches the gate off
+    if source == "flag":
+        argv = ["two-mode", "--tau0", "3", "--cutoff", "8", "--tol", f"deficit={value}"]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"tol = deficit={value}\n")
+        argv = ["two-mode", "--tau0", "3", "--cutoff", "8", "--config", str(cfg)]
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_negative_tolerance_stays_legal():
+    # verify's signed-margin check can use a negative bound
+    assert cli.parse_args(["verify", "--tol", "cooling_denominator_margin=-1e-3"]).tol == [
+        ("cooling_denominator_margin", -1e-3)
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv, kept",
+    [
+        (["cool", "--steps", "1" + "0" * 5000], "invalid int value"),
+        (["cool", "--method", "x" * 5000], "(choose from 'kraus', 'lindblad', 'both')"),
+        (["cool", "--tol", "y" * 5000 + "=1"], "(known: cross_method, deficit)"),
+        (["cool", "--tau0", "1 " * 2500], "invalid float value"),
+    ],
+    ids=["long-int", "long-choice", "long-tol-name", "long-spaced-value"],
+)
+def test_a_long_flag_value_is_cut_in_the_error_line(capsys, argv, kept):
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err) < 200
+    assert kept in err
+
+
+_REALS = st.sampled_from(
+    ["0", "-1", "5e-324", "1e-300", "0.05", "1", "3", "1e308", "nan", "inf", "-inf", "1" + "0" * 400, "abc"]
+)
+# accepted steps stay small: a two-mode grid point at cutoff 128 costs about 75 ms
+_STEPS = st.one_of(st.integers(1, 3).map(str), st.sampled_from(["0", "-2", "50001", "1" + "0" * 5000, "1.5"]))
+_CUTOFFS = st.sampled_from(["auto", "1", "2", "8", "128", "129", "abc"])
+_METHODS = st.sampled_from(["kraus", "lindblad", "both", "euler"])
+_TOLS = st.sampled_from(
+    ["deficit=1e-3", "deficit=nan", "deficit=inf", "deficit=-1", "deficit=5e-324", "cross_method=1e308", "deficit", "bogus=1"]
+)
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(["cool", "two-mode", "verify"]))
+    flags = {"--cutoff": _CUTOFFS, "--tol": _TOLS}
+    if command != "verify":
+        flags.update({"--tau0": _REALS, "--kappa": _REALS, "--t-max": _REALS, "--steps": _STEPS})
+    if command == "cool":
+        flags["--method"] = _METHODS
+    argv = [command]
+    for flag, values in flags.items():
+        value = draw(st.none() | values)
+        if value is not None:
+            argv.append(f"{flag}={value}")
+    return argv
+
+
+RUN_SECONDS_MAX = 3.0
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@example(argv=["cool", "--tau0=1e308"])
+@example(argv=["two-mode", "--tau0=1e308"])
+@example(argv=["two-mode", "--tau0=0.05", "--kappa=700", "--t-max=1"])
+@example(argv=["cool", "--steps=1" + "0" * 5000])
+@given(argv=cli_argv())
+def test_every_input_exits_0_2_or_3_with_at_most_one_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("always")
+        start = time.perf_counter()
+        code = cli.main(argv)
+        elapsed = time.perf_counter() - start
+    assert code in (0, 2, 3)
+    assert err.getvalue().count("\n") <= 1
+    # no long user value is repeated whole; the known-name lists may be long
+    assert all(len(word) <= cli.ECHO_MAX for word in err.getvalue().split())
+    # a warning would be printed as further stderr lines outside the test
+    assert [str(w.message) for w in caught] == []
+    assert elapsed < RUN_SECONDS_MAX

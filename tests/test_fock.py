@@ -21,18 +21,18 @@ def test_layout_validation():
 
 def test_ladder_matrix_elements():
     layout = fock.ModeLayout(6)
-    a = fock.annihilation(layout).mat
+    a = fock.annihilation(layout)
     # a|n> = sqrt(n)|n-1>
     for n in range(1, 6):
         assert a[n - 1, n] == pytest.approx(np.sqrt(n))
     assert np.count_nonzero(a) == 5
-    np.testing.assert_array_equal(fock.creation(layout).mat, a.conj().T)
+    np.testing.assert_array_equal(fock.creation(layout), a.conj().T)
 
 
 def test_number_operator_diagonal():
     layout = fock.ModeLayout(7)
     np.testing.assert_array_equal(
-        fock.number(layout).mat, np.diag(np.arange(7, dtype=complex))
+        fock.number(layout), np.diag(np.arange(7, dtype=complex))
     )
 
 
@@ -40,7 +40,7 @@ def test_commutator_is_identity_on_interior():
     layout = fock.ModeLayout(12)
     a = fock.annihilation(layout)
     ad = fock.creation(layout)
-    comm = fock.multiply(a, ad).mat - fock.multiply(ad, a).mat
+    comm = a @ ad - ad @ a
     np.testing.assert_allclose(comm[:11, :11], np.eye(11), atol=1e-13)
     # the top level absorbs the truncation: [a, a+] there is -(N-1), not 1
     assert comm[11, 11] == pytest.approx(-11.0)
@@ -49,9 +49,7 @@ def test_commutator_is_identity_on_interior():
 def test_number_equals_ladder_product():
     layout = fock.ModeLayout(30)
     a = fock.annihilation(layout)
-    np.testing.assert_allclose(
-        fock.multiply(fock.dagger(a), a).mat, fock.number(layout).mat, atol=1e-12
-    )
+    np.testing.assert_allclose(a.conj().T @ a, fock.number(layout), atol=1e-12)
 
 
 def test_fock_state_indexing():
@@ -74,19 +72,29 @@ def test_fock_state_indexing():
 def test_embedded_single_mode_operators_match_tensor():
     layout = fock.ModeLayout(4)
     two = layout.doubled()
-    a = fock.annihilation(layout).mat
-    eye = fock.identity(layout).mat
+    a = fock.annihilation(layout)
+    eye = np.eye(4)
     # system-major ordering: index = n_sys * cutoff + n_tilde
-    np.testing.assert_array_equal(fock.annihilation(two, fock.SYSTEM).mat, np.kron(a, eye))
-    np.testing.assert_array_equal(fock.annihilation(two, fock.TILDE).mat, np.kron(eye, a))
+    np.testing.assert_array_equal(fock.annihilation(two, fock.SYSTEM), np.kron(a, eye))
+    np.testing.assert_array_equal(fock.annihilation(two, fock.TILDE), np.kron(eye, a))
 
 
-def test_operator_shape_and_finite_checks():
+def test_ladder_operators_are_complex_arrays():
+    two = fock.ModeLayout(4).doubled()
+    for build in (fock.annihilation, fock.creation, fock.number):
+        for mode in (fock.SYSTEM, fock.TILDE):
+            op = build(two, mode)
+            assert type(op) is np.ndarray
+            assert op.dtype == np.complex128 and op.shape == (16, 16)
+
+
+def test_expectation_checks_observable_shape():
     layout = fock.ModeLayout(4)
-    with pytest.raises(fock.LayoutError):
-        fock.Operator(layout, np.eye(3))
-    with pytest.raises(fock.StateError):
-        fock.Operator(layout, np.full((4, 4), np.nan))
+    rho = fock.outer(fock.fock_state(layout, 1))
+    with pytest.raises(fock.LayoutError, match="shape"):
+        fock.expectation(rho, np.eye(3))
+    with pytest.raises(fock.LayoutError, match="shape"):
+        fock.expectation(rho, np.eye(16))
 
 
 def test_density_matrix_validation():

@@ -35,7 +35,7 @@ def random_state4(n, seed):
 
 def thermal_vacuum4(n):
     layout = fock.ModeLayout(n).doubled()
-    rho = fock.outer(states.thermal_vacuum(states.ThermoParams.from_tau(1.0), layout))
+    rho = fock.outer(states.thermal_vacuum(states.ThermoParams(1.0), layout))
     return rho.mat.reshape(n, n, n, n)
 
 
@@ -95,7 +95,7 @@ def test_lindblad_rhs_backends_match_bracket_form(n, ride):
     table, vec = packed_generator(fock._split_sectors(layout, rho), layout, kappa)
     assert len(table.keys) == (1 if ride == 1 else (2 * n - 1) ** 2)
     got = dense_of(table.unpack(table.rhs(vec)), layout)
-    expected = bracket(rho, fock.annihilation(layout).mat, kappa)
+    expected = bracket(rho, fock.annihilation(layout), kappa)
     np.testing.assert_allclose(got, expected, atol=1e-13)
     # the generator is trace-free
     assert abs(got.trace()) < 1e-14
@@ -121,14 +121,14 @@ def test_rk4_backends_agree():
         rho /= rho.trace()
         table, vec = packed_generator(fock._split_sectors(layout, rho), layout, kappa=1.0)
         got = dense_of(table.unpack(kernels.rk4_evolve(vec, table, 1e-3, 200)), layout)
-        expected = reference_rk4(rho, fock.annihilation(layout).mat, 1.0, 1e-3, 200)
+        expected = reference_rk4(rho, fock.annihilation(layout), 1.0, 1e-3, 200)
         np.testing.assert_allclose(got, expected, atol=1e-13)
         # the generator is trace-free, so integration must keep the trace
         assert abs(got.trace() - 1.0) < 1e-10
 
 
 def test_pruned_table_packs_the_reachable_entries():
-    params = states.ThermoParams.from_tau(1.0)
+    params = states.ThermoParams(1.0)
     for n in (2, 9, 32):
         # a chaotic state and its damped images are diagonal: n entries
         chaotic = states.chaotic_state(params, fock.ModeLayout(n))
@@ -161,7 +161,7 @@ def test_pruned_rk4_matches_bracket_form_on_sparse_states(cutoff, two_mode, dens
     rho = np.where(mask | mask.T, random_hermitian4(layout.dim, 1, seed).reshape(layout.dim, layout.dim), 0)
     table, vec = packed_generator(fock._split_sectors(layout, rho), layout, kappa=1.0)
     got = dense_of(table.unpack(kernels.rk4_evolve(vec, table, 1e-3, 50)), layout)
-    expected = reference_rk4(rho, fock.annihilation(layout).mat, 1.0, 1e-3, 50)
+    expected = reference_rk4(rho, fock.annihilation(layout), 1.0, 1e-3, 50)
     np.testing.assert_allclose(got, expected, atol=1e-13)
     # the textbook integration leaves every entry outside the packed set at exactly 0
     packed = dense_of(table.unpack(np.ones(table.offsets[-1])), layout) != 0
@@ -210,5 +210,5 @@ def test_sector_generator_matches_bracket_form():
     kappa = 0.7
     table, vec = packed_generator(fock.swap_modes(fock._split_sectors(layout, rho)), layout, kappa)
     got = dense_of(fock.swap_modes(table.unpack(table.rhs(vec))), layout)
-    expected = bracket(rho, fock.annihilation(layout, fock.TILDE).mat, kappa)
+    expected = bracket(rho, fock.annihilation(layout, fock.TILDE), kappa)
     np.testing.assert_allclose(got, expected, atol=1e-13)

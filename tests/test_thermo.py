@@ -40,6 +40,18 @@ def test_conversions_at_zero_and_errors():
             fn(-0.5)
 
 
+def test_conversions_are_total_at_the_float_extremes():
+    # 4 tau overflows above about 4.5e307, where 1 / (4 tau) would read 0 and log(0) raise
+    theta = thermo.theta_from_tau(1e308)
+    assert math.isfinite(theta) and theta > 355.0
+    assert thermo.theta_from_tau(1e307) == -0.5 * math.log(math.tanh(1.0 / (4.0 * 1e307)))
+    # 1 / nbar overflows on a subnormal occupation; tau is still 1 / log(1 / nbar)
+    with np.errstate(all="raise"):
+        tau = thermo.tau_from_nbar(np.float64(2.03223080662e-313))
+    assert tau == pytest.approx(1.0 / (313 * math.log(10.0) - math.log(2.03223080662)), rel=1e-12)
+    assert thermo.tau_from_nbar(5e-324) == pytest.approx(1.0 / 744.44007192138127, rel=1e-12)
+
+
 @pytest.mark.parametrize(
     "tau0, kappa_t, expected",
     [
@@ -107,10 +119,10 @@ def test_cooling_is_monotone_in_time_and_temperature():
 
 def test_fit_geometric_recovers_exact_thermal_state():
     layout = fock.ModeLayout(40)
-    params = states.ThermoParams.from_tau(1.7)
+    params = states.ThermoParams(1.7)
     fit = thermo.fit_geometric(states.chaotic_state(params, layout))
     assert fit.q == pytest.approx(params.q, abs=1e-14)
-    assert fit.nbar == pytest.approx(params.nbar, rel=1e-12)
+    assert fit.nbar == pytest.approx(thermo.nbar_from_tau(params.tau), rel=1e-12)
     assert fit.max_offdiag == 0.0
     assert fit.max_ratio_residual < 1e-13
 
@@ -160,7 +172,7 @@ def test_fit_geometric_rejects_growing_populations():
 
 def test_fit_geometric_requires_single_mode():
     layout = fock.ModeLayout(6).doubled()
-    params = states.ThermoParams.from_tau(1.0)
+    params = states.ThermoParams(1.0)
     rho = fock.outer(states.thermal_vacuum(params, layout), trace_tol=1e-2)
     with pytest.raises(fock.LayoutError):
         thermo.fit_geometric(rho)
@@ -168,7 +180,7 @@ def test_fit_geometric_requires_single_mode():
 
 def test_effective_temperature_of_damped_thermal_state():
     layout = fock.ModeLayout(33)
-    params = states.ThermoParams.from_tau(1.0)
+    params = states.ThermoParams(1.0)
     rho = states.chaotic_state(params, layout)
     out = channel.apply_kraus(rho, 0.5)
     assert thermo.effective_temperature(out) == pytest.approx(TAU_AFTER_1_HALF, abs=1e-12)
