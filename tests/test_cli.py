@@ -588,7 +588,7 @@ def test_a_long_flag_value_is_cut_in_the_error_line(capsys, argv, kept):
 _REALS = st.sampled_from(
     ["0", "-1", "5e-324", "1e-300", "0.05", "1", "3", "1e308", "nan", "inf", "-inf", "1" + "0" * 400, "abc"]
 )
-# accepted steps stay small: a two-mode grid point at cutoff 128 costs about 75 ms
+# accepted steps stay small: a two-mode grid point at cutoff 128 costs about 90 ms
 _STEPS = st.one_of(st.integers(1, 3).map(str), st.sampled_from(["0", "-2", "50001", "1" + "0" * 5000, "1.5"]))
 _CUTOFFS = st.sampled_from(["auto", "1", "2", "8", "128", "129", "abc"])
 _METHODS = st.sampled_from(["kraus", "lindblad", "both", "euler"])
@@ -613,6 +613,7 @@ def cli_argv(draw):
     return argv
 
 
+# the slowest accepted draw (two-mode or verify at cutoff 128) takes under a second
 RUN_SECONDS_MAX = 3.0
 
 
