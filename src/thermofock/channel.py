@@ -15,7 +15,7 @@ element of K_n taking occupation j+n to j is
 every factor of which is <= 1, so the table is built by a stable recurrence
 and the operator sum is applied from the table instead of explicit matrix
 products: per offset j - k for a single mode, per pair-number sector block
-for two modes (see kernels).
+for two modes (see kernels), block d feeding block d + n through K_n.
 
 The Lindblad route integrates d rho / dt = kappa (2 a rho a+ - {a+a, rho})
 with fixed-step RK4 and checks trace drift at every requested time; both
@@ -111,8 +111,8 @@ def apply_kraus(rho: DensityMatrix, kappa_t: float) -> DensityMatrix:
 
     The Kraus matrices are never formed.  A single-mode state is mapped per
     offset j - k by one banded product over its nonzero entries; a two-mode
-    state is mapped block by block, input block (d, d') feeding output
-    blocks (d + n, d' + n).  The family is complete, so the trace is
+    state is mapped block by block, input block d feeding output block
+    d + n.  The family is complete, so the trace is
     preserved exactly (to round-off) even at the truncation boundary; a
     violation indicates a real defect and raises IntegrationError.
     """
@@ -120,7 +120,7 @@ def apply_kraus(rho: DensityMatrix, kappa_t: float) -> DensityMatrix:
     weights = damping_weights(cutoff, kappa_t)
     if rho.layout.modes == 1:
         rho4 = rho.mat.reshape(cutoff, 1, cutoff, 1)
-        out = {(0, 0): kernels.apply_damping(rho4, weights, cutoff).reshape(cutoff, cutoff)}
+        out = {0: kernels.apply_damping(rho4, weights, cutoff).reshape(cutoff, cutoff)}
     else:
         out = kernels.damp_sectors(rho.blocks, weights)
     drift = abs(fock.sector_trace(out) - fock.trace(rho))

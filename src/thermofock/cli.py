@@ -23,7 +23,8 @@ configuration error, from a flag or a file, prints one `error:` line and
 exits 2; a user value longer than ECHO_MAX characters is cut in the middle
 there.  That includes a non-finite `--tol` value, a time grid or damping
 exponent kappa * t-max that overflows, `steps` above LINDBLAD_STEP_BUDGET
-for every method, and a Lindblad grid above LINDBLAD_STEP_BUDGET RK4 steps.
+for every method, a Lindblad grid above LINDBLAD_STEP_BUDGET RK4 steps, and
+a two-mode grid whose work exceeds TWO_MODE_WORK_BUDGET.
 """
 
 from __future__ import annotations
@@ -57,6 +58,10 @@ DEFICIT_TOL = 1e-6
 # decayed populations are subnormal floats, so a run at the budget takes about
 # 2.5 to 4 seconds.
 LINDBLAD_STEP_BUDGET = 50_000
+# Most work a `two-mode` grid may take, in units of (steps + 1) grid points
+# times max(cutoff, 24)^2; a larger grid is refused with exit 2.  A unit takes
+# at most about 6.5 us on 2 vCPUs, so the largest grid runs in about 4 s.
+TWO_MODE_WORK_BUDGET = 600_000
 
 # tolerance names each curve command reads; verify's are its suite's check names
 _CURVE_TOL_NAMES = {"cool": {"cross_method", "deficit"}, "two-mode": {"deficit"}}
@@ -82,11 +87,11 @@ def _cutoff(text: str) -> int | None:
     if text == "auto":
         return None
     try:
-        if 2 <= int(text) <= 128:
+        if 2 <= int(text) <= fock.CUTOFF_MAX:
             return int(text)
     except ValueError:
         pass
-    raise argparse.ArgumentTypeError(f"expected `auto` or an integer in [2, 128], got {text!r}")
+    raise argparse.ArgumentTypeError(f"expected `auto` or an integer in [2, {fock.CUTOFF_MAX}], got {text!r}")
 
 
 def _tolerance(text: str) -> tuple[str, float]:
@@ -151,7 +156,8 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
 
 
 def build_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Check what spans several flags, and add the `tolerances` dict."""
+    """Check what spans several flags, add the `tolerances` dict, and
+    resolve the automatic cutoff of `two-mode`."""
     if args.command == "verify":
         known = {check.name for check in verify.select_checks(args.suite)}
     else:
@@ -189,6 +195,14 @@ def build_config(args: argparse.Namespace) -> argparse.Namespace:
             f"unknown tolerance name(s) for {args.command}: {', '.join(unknown)} "
             f"(known: {', '.join(sorted(known))})"
         )
+    if args.command == "two-mode":
+        args.cutoff = args.cutoff or fock.default_cutoff(thermo.theta_from_tau(args.tau0))
+        work = (args.steps + 1) * max(args.cutoff, 24) ** 2
+        if work > TWO_MODE_WORK_BUDGET:
+            raise ConfigError(
+                f"two-mode needs {work} units of work on this grid, (steps + 1) * max(cutoff, 24)^2, "
+                f"above the budget of {TWO_MODE_WORK_BUDGET}; lower steps or the cutoff"
+            )
     return args
 
 
@@ -326,10 +340,7 @@ def cmd_cool(cfg: argparse.Namespace) -> int:
 
 def cmd_two_mode(cfg: argparse.Namespace) -> int:
     params = states.ThermoParams(cfg.tau0)
-    cutoff = cfg.cutoff
-    if cutoff is None:
-        cutoff = fock.default_cutoff(params.theta)
-    layout = fock.ModeLayout(cutoff).doubled()
+    layout = fock.ModeLayout(cfg.cutoff).doubled()
     deficit_tol = cfg.tolerances.get("deficit", DEFICIT_TOL)
 
     psi = states.thermal_vacuum(params, layout)
@@ -399,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--cutoff",
             type=_cutoff,
             default="auto",
-            help="Fock cutoff per mode, `auto` or an integer in [2, 128] (default %(default)s)",
+            help=f"Fock cutoff per mode, `auto` or an integer in [2, {fock.CUTOFF_MAX}] (default %(default)s)",
         )
         p.add_argument("--config", help="`key = value` file, read as flags before the command line's")
         p.add_argument(

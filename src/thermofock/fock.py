@@ -11,12 +11,14 @@ sector in `states` instead.
 Density matrices are stored as pair-number sectors.  Sector d of a two-mode
 layout holds the basis states with n_tilde - n_sys = d; its index p is the
 state (n_sys, n_tilde) = (p + max(-d, 0), p + max(d, 0)), so it has
-cutoff - |d| states.  A single-mode layout is one sector, d = 0.  Block
-(d, d') holds the entries whose row lies in sector d and whose column lies
-in sector d'; blocks that are exactly zero are not stored.  The squeeze
-generator a+ b+ and every damping operator conserve d, so the states built
-here fill only blocks with d = d': at most 2 cutoff^3 / 3 entries, 22 MB at
-cutoff 128, where the dense matrix would hold cutoff^4 (4.3 GB).
+cutoff - |d| states.  A single-mode layout is one sector, d = 0.  A state
+is block diagonal in d: `blocks[d]` holds the entries whose row and column
+both lie in sector d, and blocks that are exactly zero are not stored.  The
+squeeze generator a+ b+ keeps d, and each damping operator lowers n_sys by
+the same n on the row and on the column, shifting d by n on both sides, so
+every state built here is block diagonal; an input with entries between
+sectors is refused.  The blocks hold at most 2 cutoff^3 / 3 entries, 22 MB
+at cutoff 128, where the dense matrix would hold cutoff^4 (4.3 GB).
 Validation, partial trace, purity and trace distance work block by block;
 the dense matrix (DensityMatrix.mat) is assembled only on request, as a
 test oracle.
@@ -95,57 +97,36 @@ def sector_indices(layout: ModeLayout, d: int) -> np.ndarray:
     return (p + max(-d, 0)) * n + (p + max(d, 0))
 
 
-def swap_modes(blocks: dict) -> dict:
-    """Sector blocks of the same state with system and tilde exchanged.
-
-    Exchanging the modes maps sector d to sector -d and keeps the index p,
-    so every block keeps its entries and only its key changes.
-    """
-    return {(-d, -d2): block for (d, d2), block in blocks.items()}
+def _coupled(d: int, d2: int) -> StateError:
+    return StateError(f"entries couple pair-number sectors {d} and {d2}; a state must be block diagonal in d")
 
 
 def sector_trace(blocks: dict) -> complex:
-    """Trace of a matrix given by its sector blocks: the d = d' blocks."""
-    return sum((np.trace(block) for (d, d2), block in blocks.items() if d == d2), np.complex128(0))
+    """Trace of a matrix given by its sector blocks."""
+    return sum((np.trace(block) for block in blocks.values()), np.complex128(0))
 
 
 def _split_sectors(layout: ModeLayout, mat: np.ndarray) -> dict:
-    """The nonzero sector blocks of a dense matrix."""
+    """The nonzero sector blocks of a dense matrix; an entry between sectors raises StateError."""
     if layout.modes == 1:
-        return {(0, 0): mat} if mat.any() else {}
-    index = {d: sector_indices(layout, d) for d in _sector_range(layout)}
-    label = np.empty(layout.dim, dtype=np.intp)
-    for d, idx in index.items():
-        label[idx] = d
+        return {0: mat} if mat.any() else {}
+    n_sys, n_tilde = np.divmod(np.arange(layout.dim), layout.cutoff)
+    label = n_tilde - n_sys
     rows, cols = np.nonzero(mat)
-    pairs = sorted(set(zip(label[rows].tolist(), label[cols].tolist())))
-    return {(d, d2): mat[np.ix_(index[d], index[d2])] for d, d2 in pairs}
-
-
-def _hermiticity_defect(blocks: dict) -> float:
-    """max |rho - rho^dagger| entrywise, block (d, d') against block (d', d)."""
-    worst = 0.0
-    for (d, d2), block in blocks.items():
-        partner = blocks.get((d2, d))
-        if d == d2:
-            defect = kernels.hermiticity_defect(block)
-        elif partner is None:
-            defect = float(np.abs(block).max())
-        elif d < d2:
-            defect = kernels.hermiticity_defect(block, partner)
-        else:
-            continue
-        worst = max(worst, defect)
-    return worst
+    across = np.flatnonzero(label[rows] != label[cols])
+    if across.size:
+        raise _coupled(int(label[rows[across[0]]]), int(label[cols[across[0]]]))
+    index = {d: sector_indices(layout, d) for d in sorted(set(label[rows].tolist()))}
+    return {d: mat[np.ix_(idx, idx)] for d, idx in index.items()}
 
 
 class DensityMatrix:
     """Hermitian, unit-trace (within trace_tol) state, stored as sector blocks.
 
     `DensityMatrix(layout, mat)` splits a dense matrix into its nonzero
-    blocks, so any input is stored exactly; `from_blocks` takes the blocks
-    themselves, keyed by (d, d').  Both check finiteness, hermiticity and the
-    trace.  `blocks` must not be modified afterwards.
+    sector blocks; `from_blocks` takes the blocks themselves, keyed by the
+    sector d.  Both refuse entries between sectors and check finiteness,
+    hermiticity and the trace.  `blocks` must not be modified afterwards.
 
     trace_tol is carried with the instance because deliberately truncated
     states (thermal tails cut at the top of the space) have a known trace
@@ -171,17 +152,19 @@ class DensityMatrix:
         self.layout = layout
         self.trace_tol = trace_tol
         self.blocks = {}
-        for (d, d2), block in blocks.items():
+        for d, block in blocks.items():
+            if isinstance(d, tuple):  # a (row sector, column sector) key
+                raise _coupled(*d)
             block = np.ascontiguousarray(block, dtype=np.complex128)
-            if d not in sectors or d2 not in sectors:
-                raise LayoutError(f"sector pair {(d, d2)} outside the layout {layout}")
-            if block.shape != (layout.cutoff - abs(d), layout.cutoff - abs(d2)):
-                raise LayoutError(f"block {(d, d2)} has shape {block.shape}")
+            if d not in sectors:
+                raise LayoutError(f"sector {d} outside the layout {layout}")
+            if block.shape != (layout.cutoff - abs(d),) * 2:
+                raise LayoutError(f"block {d} has shape {block.shape}")
             if not np.all(np.isfinite(block.view(np.float64))):
                 raise StateError("matrix contains non-finite entries")
             if block.any():
-                self.blocks[(d, d2)] = block
-        defect = _hermiticity_defect(self.blocks)
+                self.blocks[d] = block
+        defect = max(map(kernels.hermiticity_defect, self.blocks.values()), default=0.0)
         if defect > HERMITICITY_TOL:
             raise StateError(f"not hermitian: max |rho - rho^dagger| = {defect:.3e}")
         tr = sector_trace(self.blocks)
@@ -192,11 +175,12 @@ class DensityMatrix:
     @property
     def mat(self) -> np.ndarray:
         """The dense matrix; a single-mode state returns its one block."""
-        if self.layout.modes == 1 and (0, 0) in self.blocks:
-            return self.blocks[(0, 0)]
+        if self.layout.modes == 1 and 0 in self.blocks:
+            return self.blocks[0]
         out = np.zeros((self.layout.dim, self.layout.dim), dtype=np.complex128)
-        for (d, d2), block in self.blocks.items():
-            out[np.ix_(sector_indices(self.layout, d), sector_indices(self.layout, d2))] = block
+        for d, block in self.blocks.items():
+            idx = sector_indices(self.layout, d)
+            out[np.ix_(idx, idx)] = block
         return out
 
     def min_eigenvalue(self) -> float:
@@ -319,78 +303,60 @@ def purity(rho: DensityMatrix) -> float:
 
 
 def outer(psi: PureState, trace_tol: float | None = None) -> DensityMatrix:
-    """Projector |psi><psi| as a density matrix: block (d, d') is v_d v_d'^+
-    for the parts v_d of psi in each sector."""
+    """Projector |psi><psi| as a density matrix, block v v^+ for the part v
+    of psi in its one sector; a psi with parts in two sectors raises
+    StateError, since its projector couples them."""
     tol = DEFAULT_TRACE_TOL if trace_tol is None else trace_tol
     parts = {}
     for d in _sector_range(psi.layout):
         part = psi.vec[sector_indices(psi.layout, d)]
         if part.any():
             parts[d] = part
-    blocks = {(d, d2): np.outer(v, v2.conj()) for d, v in parts.items() for d2, v2 in parts.items()}
+    if len(parts) > 1:
+        raise _coupled(*list(parts)[:2])
+    blocks = {d: np.outer(v, v.conj()) for d, v in parts.items()}
     return DensityMatrix.from_blocks(psi.layout, blocks, trace_tol=max(tol, 2 * psi.norm_tol))
 
 
 def partial_trace(rho: DensityMatrix, over: str) -> DensityMatrix:
     """Trace out one mode of a two-mode density matrix.
 
-    over=TILDE keeps the system mode; over=SYSTEM keeps the tilde mode.
+    over=TILDE keeps the system mode; over=SYSTEM keeps the tilde mode.  A
+    block-diagonal state has a diagonal reduction: index p of sector d adds
+    its population to the kept occupation p + max(-d, 0) of the system mode,
+    or p + max(d, 0) of the tilde mode.
     """
     _check_mode(over)
     if rho.layout.modes != 2:
         raise LayoutError("partial_trace needs a two-mode state")
-    n = rho.layout.cutoff
-    blocks = rho.blocks if over == TILDE else swap_modes(rho.blocks)
-    red = np.zeros((n, n), dtype=np.complex128)
-    # in increasing d, so each entry sums in increasing traced occupation
-    for (d, d2), block in sorted(blocks.items()):
-        # the traced occupations agree on diagonal max(d, 0) - max(d2, 0) of
-        # the block, where the kept occupations differ by d - d2
-        k = max(d, 0) - max(d2, 0)
-        diag = np.diagonal(block, k)
-        start = max(-k, 0) + max(-d, 0)
-        rows = np.arange(start, start + diag.size)
-        red[rows, rows + d - d2] += diag
-    red = 0.5 * (red + red.conj().T)
-    return DensityMatrix(rho.layout.single(), red, trace_tol=rho.trace_tol)
+    pops = np.zeros(rho.layout.cutoff)
+    # the traced occupation is the kept one plus d (tilde) or minus d (system),
+    # so each population sums in increasing traced occupation
+    for d in sorted(rho.blocks, reverse=over == SYSTEM):
+        diag = np.diagonal(rho.blocks[d]).real
+        start = max(-d if over == TILDE else d, 0)
+        pops[start:start + diag.size] += diag
+    return DensityMatrix(rho.layout.single(), np.diag(pops), trace_tol=rho.trace_tol)
 
 
 def _spectrum(layout: ModeLayout, blocks: dict) -> Iterator[np.ndarray]:
-    """Eigenvalues of a hermitian matrix given by its sector blocks.
-
-    Without blocks between sectors, as for every state built here, each
-    sector is eigensolved on its own: one eigvalsh per block, zeros for a
-    sector with nothing stored.  Stored blocks with d != d' couple sectors;
-    then all sectors are eigensolved together as one dense matrix.
-    """
-    sectors = list(_sector_range(layout))
-    if all(d == d2 for d, d2 in blocks):
-        groups = [[d] for d in sectors]
-    else:
-        groups = [sectors]
-    for group in groups:
-        sizes = [layout.cutoff - abs(d) for d in group]
-        starts = dict(zip(group, np.cumsum([0] + sizes[:-1]).tolist()))
-        present = [(d, d2) for d in group for d2 in group if (d, d2) in blocks]
-        if not present:
-            yield np.zeros(sum(sizes))
-            continue
-        mat = np.zeros((sum(sizes), sum(sizes)), dtype=np.complex128)
-        for d, d2 in present:
-            block = blocks[(d, d2)]
-            mat[starts[d]:starts[d] + block.shape[0], starts[d2]:starts[d2] + block.shape[1]] = block
-        # the states built here are real; the real symmetric solver has the
-        # same eigenvalues and is about three times faster
-        yield np.linalg.eigvalsh(mat if mat.imag.any() else mat.real)
+    """Eigenvalues of a hermitian matrix given by its sector blocks: one
+    eigvalsh per block, zeros for a sector with nothing stored."""
+    for d in _sector_range(layout):
+        block = blocks.get(d)
+        if block is None:
+            yield np.zeros(layout.cutoff - abs(d))
+        else:
+            # the states built here are real; the real symmetric solver has
+            # the same eigenvalues and is about three times faster
+            yield np.linalg.eigvalsh(block if block.imag.any() else block.real)
 
 
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """(1/2) sum of singular values of rho - sigma (hermitian, so |eigenvalues|).
 
     rho - sigma is formed block by block and eigensolved sector by sector
-    (see _spectrum), so a difference of states built here costs one
-    eigvalsh of at most `cutoff` states per sector.  A difference with
-    blocks between sectors is exact too; it is solved as one dense matrix.
+    (see _spectrum): one eigvalsh of at most `cutoff` states per sector.
     """
     if rho.layout != sigma.layout:
         raise LayoutError(f"layout mismatch: {rho.layout} vs {sigma.layout}")

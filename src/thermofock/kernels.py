@@ -1,9 +1,9 @@
 """Hot numerical kernels, in numpy.
 
 States reach these kernels as dicts of pair-number sector blocks keyed by
-(d, d'), d = n_tilde - n_sys, as fock.DensityMatrix stores them; a
-single-mode state is the one block (0, 0).  Every kernel damps the system
-mode.
+d = n_tilde - n_sys, as fock.DensityMatrix stores them: a state is block
+diagonal in d, and a single-mode state is the one block 0.  Every kernel
+damps the system mode.
 
 apply_damping and damp_sectors apply the amplitude-damping operator sum, to
 a dense single mode per offset j - k and to two-mode blocks per sector
@@ -65,14 +65,10 @@ def apply_damping(rho4: np.ndarray, weights: np.ndarray, n_kraus: int) -> np.nda
     return out
 
 
-def hermiticity_defect(mat: np.ndarray, partner: np.ndarray | None = None) -> float:
-    """max |mat - partner^dagger| entrywise; partner defaults to mat itself.
-
-    Density matrices call this per sector block (at most cutoff x cutoff),
-    comparing block (d, d') with block (d', d).
-    """
-    partner = mat if partner is None else partner
-    return float(np.abs(mat - partner.conj().T).max())
+def hermiticity_defect(mat: np.ndarray) -> float:
+    """max |mat - mat^dagger| entrywise; density matrices call this per
+    sector block (at most cutoff x cutoff)."""
+    return float(np.abs(mat - mat.conj().T).max())
 
 
 # ---------------------------------------------------------------------------
@@ -80,29 +76,27 @@ def hermiticity_defect(mat: np.ndarray, partner: np.ndarray | None = None) -> fl
 # ---------------------------------------------------------------------------
 
 
-def _add_lowered(out: dict, key: tuple[int, int], block: np.ndarray, n: int, table: np.ndarray, cutoff: int) -> bool:
+def _add_lowered(out: dict, d: int, block: np.ndarray, n: int, table: np.ndarray, cutoff: int) -> bool:
     """Add the image of one block with n_sys lowered by n on both sides.
 
     The entry with system occupations (j + n, k + n) lands at the entry
-    with (j, k) in block (d + n, d' + n), times table[j] table[k]; the tilde
-    occupations stay.  The surviving rows start at row r0 of the block,
-    whose n_tilde is the lowest the output sector holds, so the image fills
-    the top-left corner of the output block (likewise for columns).
-    Returns False when no row or column survives, which then holds for
-    every larger n as well.
+    with (j, k) in block d + n, times table[j] table[k]; the tilde
+    occupations stay.  The surviving rows and columns start at index r0 of
+    the block, whose n_tilde is the lowest the output sector holds, so the
+    image fills the top-left corner of the output block.  Returns False
+    when nothing survives, which then holds for every larger n as well.
     """
-    d, d2 = key
-    f, f2 = d + n, d2 + n
-    r0, c0 = max(f, 0) - max(d, 0), max(f2, 0) - max(d2, 0)
-    rows, cols = block.shape[0] - r0, block.shape[1] - c0
-    if rows <= 0 or cols <= 0:
+    f = d + n
+    r0 = max(f, 0) - max(d, 0)
+    size = block.shape[0] - r0
+    if size <= 0:
         return False
-    j0, k0 = max(-f, 0), max(-f2, 0)
-    weight = table[j0:j0 + rows, None] * table[k0:k0 + cols]
-    dst = out.get((f, f2))
+    j0 = max(-f, 0)
+    weight = table[j0:j0 + size, None] * table[j0:j0 + size]
+    dst = out.get(f)
     if dst is None:
-        dst = out[(f, f2)] = np.zeros((cutoff - abs(f), cutoff - abs(f2)), dtype=np.complex128)
-    dst[:rows, :cols] += weight * block[r0:, c0:]
+        dst = out[f] = np.zeros((cutoff - abs(f),) * 2, dtype=np.complex128)
+    dst[:size, :size] += weight * block[r0:, r0:]
     return True
 
 
@@ -110,16 +104,16 @@ def damp_sectors(blocks: dict, weights: np.ndarray) -> dict:
     """Apply the amplitude-damping operator sum to the system mode.
 
     out[(j, .), (k, .)] = sum_n W[n, j] W[n, k] rho[(j + n, .), (k + n, .)]
-    with the tilde occupations unchanged: input block (d, d') feeds output
-    blocks (d + n, d' + n), n < cutoff, with weight row W[n] on each side;
-    weights is the full cutoff x cutoff table.  The thermal-vacuum projector
-    has the single block (0, 0), so it costs cutoff such terms.
+    with the tilde occupations unchanged: input block d feeds output block
+    d + n, n < cutoff, with weight row W[n] on each side; weights is the
+    full cutoff x cutoff table.  The thermal-vacuum projector has the
+    single block 0, so it costs cutoff such terms.
     """
     cutoff = weights.shape[1]
     out: dict = {}
-    for key, block in blocks.items():
+    for d, block in blocks.items():
         for n, row in enumerate(weights):
-            if not _add_lowered(out, key, block, n, row, cutoff):
+            if not _add_lowered(out, d, block, n, row, cutoff):
                 break
     return out
 
@@ -133,7 +127,7 @@ def damp_sectors(blocks: dict, weights: np.ndarray) -> dict:
 class LindbladTable:
     """The damping generator on the entries a damped state can reach, packed.
 
-    The entries of block keys[i] (shape shapes[i]) occupy
+    The entries of sector block keys[i] (shape shapes[i]) occupy
     vec[offsets[i]:offsets[i+1]]; entry k sits at flat position local[k] of
     its block, in row-major order.  rhs(vec) is decay * vec + gain * vec[feed]:
     entry feed[k] is the one whose jump lands on entry k, or k itself with
@@ -180,7 +174,8 @@ def lindblad_table(sectors: dict, blocks: dict, kappa: float) -> LindbladTable:
     2 kappa sqrt(n_r) sqrt(n_c).  An entry therefore stays exactly zero
     unless it or an entry above it on its chain is nonzero: the packed
     entries are the state's nonzero entries, closed under that feed and
-    under transposition.  A chaotic state of cutoff N packs its N
+    under transposition; feeding maps block d to block d + 1, so they all
+    lie in sector blocks.  A chaotic state of cutoff N packs its N
     populations.
     """
     top = max(sectors)  # the sectors are d = -top..top
@@ -195,9 +190,9 @@ def lindblad_table(sectors: dict, blocks: dict, kappa: float) -> LindbladTable:
 
     # entries as basis index pairs r * dim + c: the nonzero ones and their transposes
     found = [np.empty(0, dtype=np.intp)]
-    for (d, d2), block in blocks.items():
+    for d, block in blocks.items():
         p, q = np.nonzero(block)
-        r, c = sectors[d][p], sectors[d2][q]
+        r, c = sectors[d][p], sectors[d][q]
         found += [r * dim + c, c * dim + r]
     seeds = np.concatenate(found)
     # Feeding moves an entry down its line by `lower`, to the line's base where
@@ -211,21 +206,19 @@ def lindblad_table(sectors: dict, blocks: dict, kappa: float) -> LindbladTable:
     step = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
     reach = np.repeat(base[top_of_line], counts) + step * lower
 
-    # Packed order is by sorted key (block, r, c): block by block, and row-major
-    # within a block, since basis indices increase along every sector.
-    n_labels = width.size
+    # Packed order is by sorted key (sector, r, c): block by block, and
+    # row-major within a block, since basis indices increase along every sector.
     square = dim * dim
 
     def key(pair: np.ndarray) -> np.ndarray:
-        r, c = np.divmod(pair, dim)
-        return (label[r] * n_labels + label[c]) * square + pair
+        return label[pair // dim] * square + pair
 
     packed = np.sort(key(reach))
     block_id, pair = np.divmod(packed, square)
     rows, cols = np.divmod(pair, dim)
     starts = np.flatnonzero(np.diff(block_id, prepend=-1))
-    keys = tuple((int(i) // n_labels - top, int(i) % n_labels - top) for i in block_id[starts])
-    shapes = tuple((sectors[d].size, sectors[d2].size) for d, d2 in keys)
+    keys = tuple(int(i) - top for i in block_id[starts])
+    shapes = tuple((sectors[d].size,) * 2 for d in keys)
     offsets = tuple(starts.tolist()) + (rows.size,)
 
     def at(targets: np.ndarray) -> np.ndarray:
@@ -243,7 +236,7 @@ def lindblad_table(sectors: dict, blocks: dict, kappa: float) -> LindbladTable:
         keys=keys,
         shapes=shapes,
         offsets=offsets,
-        local=pos[rows] * width[label[cols]] + pos[cols],
+        local=pos[rows] * width[label[rows]] + pos[cols],
         decay=-kappa * (n_row + n_col).astype(np.float64),
         feed=feed,
         gain=gain,

@@ -155,10 +155,10 @@ def evolved_two_mode_state(
     the module docstring; a negative kappa_t raises ValueError.
 
     E conserves the pair-number difference, so E|0, m~> lies in sector m and
-    each term sech^2 mu^m E|0, m~><0, m~|E+ is the block (m, m) of the
-    result.  In sector m, lam a+ b+ is nilpotent, so E|0, m~> is the finite
-    series sum_n lam^n sqrt(C(m+n, n)) |n, (m+n)~>, whose amplitude at index
-    n of sector m is the n-th term; only blocks with d = d' are stored.
+    each term sech^2 mu^m E|0, m~><0, m~|E+ is the block m of the result.
+    In sector m, lam a+ b+ is nilpotent, so E|0, m~> is the finite series
+    sum_n lam^n sqrt(C(m+n, n)) |n, (m+n)~>, whose amplitude at index n of
+    sector m is the n-th term.
 
     The exact state keeps a fraction tanh^2(theta)^cutoff of its weight above
     the truncation; a measured trace deficit beyond deficit_tol raises
@@ -185,7 +185,7 @@ def evolved_two_mode_state(
         amps[0] = 1.0
         for k in range(1, span):
             amps[k] = amps[k - 1] * lam * math.sqrt((m + k) / k)
-        blocks[(m, m)] = weight * np.outer(amps, amps)
+        blocks[m] = weight * np.outer(amps, amps)
 
     deficit = 1.0 - fock.sector_trace(blocks).real
     if deficit > deficit_tol:

@@ -239,7 +239,6 @@ def cooling_curve(
     times,
     cutoff: int | None = None,
     method: str = "kraus",
-    dt: float | None = None,
     deficit_tol: float = 1e-6,
 ) -> list[CoolingPoint]:
     """Evaluate the cooling law along a time grid and check it numerically.
@@ -278,7 +277,7 @@ def cooling_curve(
     if method == "lindblad":
         # one integration steps through the whole grid
         try:
-            integrated = channel.lindblad_integrate(rho0, kappa, times, dt=dt)
+            integrated = channel.lindblad_integrate(rho0, kappa, times)
         except channel.IntegrationError as exc:
             raise CoolingCurveError(exc.time, kappa * exc.time, exc) from exc
     num_op = fock.number(layout)

@@ -69,11 +69,11 @@ def _partial_trace_tensor(cutoff: int | None) -> float:
     doubled = layout.doubled()
     rho_a = states.chaotic_state(states.ThermoParams(1.0), layout)
     rho_b = states.chaotic_state(states.ThermoParams(0.5), layout)
-    # both factors are diagonal, so their product is too: it fills only the
-    # (d, d) blocks, and its entry n * cutoff + m is rho_a[n, n] rho_b[m, m]
+    # both factors are diagonal, so their product is too: its entry
+    # n * cutoff + m is rho_a[n, n] rho_b[m, m], and each sector block is diagonal
     prod = np.outer(np.diagonal(rho_a.mat), np.diagonal(rho_b.mat)).ravel()
     sectors = range(1 - layout.cutoff, layout.cutoff)
-    blocks = {(d, d): np.diag(prod[fock.sector_indices(doubled, d)]) for d in sectors}
+    blocks = {d: np.diag(prod[fock.sector_indices(doubled, d)]) for d in sectors}
     joint = fock.DensityMatrix.from_blocks(doubled, blocks, trace_tol=1e-9)
     kept_sys = fock.partial_trace(joint, over=fock.TILDE)
     kept_til = fock.partial_trace(joint, over=fock.SYSTEM)
@@ -140,7 +140,7 @@ def _evolved_series_vs_expm(cutoff: int | None) -> float:
         for k in range(1, n - m):
             term = step @ term / k
             column += term
-        blocks[(m, m)] = (1.0 - th * th) * mu**m * np.outer(column, column)
+        blocks[m] = (1.0 - th * th) * mu**m * np.outer(column, column)
     via_expm = fock.DensityMatrix.from_blocks(layout, blocks, trace_tol=via_series.trace_tol)
     return fock.trace_distance(via_series, via_expm)
 

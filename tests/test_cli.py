@@ -438,6 +438,25 @@ def test_steps_above_the_budget_is_refused_for_every_method():
         cli.build_config(cli.build_parser().parse_args(argv))
 
 
+def test_two_mode_work_budget_admits_the_largest_grid_and_no_larger():
+    def config(*flags):
+        return cli.build_config(cli.build_parser().parse_args(["two-mode", *flags]))
+
+    # a cutoff below 24 counts as 24; tau0 = 3 has the automatic cutoff 97
+    for cutoff_flags, size in ((["--cutoff", "128"], 128), (["--cutoff", "8"], 24), ([], 97)):
+        largest = cli.TWO_MODE_WORK_BUDGET // size**2 - 1
+        assert config(*cutoff_flags, "--tau0", "3", "--steps", str(largest)).steps == largest
+        with pytest.raises(cli.ConfigError, match="budget"):
+            config(*cutoff_flags, "--tau0", "3", "--steps", str(largest + 1))
+    # 50001 points at cutoff 128 would run for over an hour
+    with pytest.raises(cli.ConfigError, match="budget"):
+        config("--cutoff", "128", "--tau0", "3", "--steps", "50000")
+    # the documented and smoke-tested commands stay admitted
+    for flags in ([], ["--tau0", "1", "--steps", "6"], ["--tau0", "3", "--steps", "8"],
+                  ["--cutoff", "128", "--tau0", "3", "--steps", "16"]):
+        config(*flags)
+
+
 def test_steps_past_the_largest_float_is_config_error(capsys):
     # t-max * steps would raise OverflowError converting the int to float
     assert run_cli(["cool", "--steps", "1" + "0" * 400]) == 2
@@ -621,6 +640,8 @@ RUN_SECONDS_MAX = 3.0
 @example(argv=["cool", "--tau0=1e308"])
 @example(argv=["two-mode", "--tau0=1e308"])
 @example(argv=["two-mode", "--tau0=0.05", "--kappa=700", "--t-max=1"])
+@example(argv=["two-mode", "--cutoff=128", "--tau0=3", "--steps=50000"])
+@example(argv=["two-mode", "--tau0=1e308", "--steps=50000"])
 @example(argv=["cool", "--steps=1" + "0" * 5000])
 @given(argv=cli_argv())
 def test_every_input_exits_0_2_or_3_with_at_most_one_line(argv):

@@ -118,21 +118,35 @@ def test_density_matrix_validation():
 def test_sector_blocks_are_validated():
     layout = fock.ModeLayout(4).doubled()
     proj = fock.outer(fock.fock_state(layout, (1, 1)))
-    assert set(proj.blocks) == {(0, 0)}
+    assert set(proj.blocks) == {0}
     blocks = dict(proj.blocks)
-    # sector 1 holds 3 states, sector -2 holds 2
-    blocks[(1, -2)] = np.full((3, 2), 0.1j)
+    # sector 1 holds 3 states
+    blocks[1] = np.full((3, 3), 0.1j)
     with pytest.raises(fock.StateError, match="hermitian"):
         fock.DensityMatrix.from_blocks(layout, blocks)
-    blocks[(-2, 1)] = blocks[(1, -2)].conj().T
+    blocks[1] = 0.1j * (np.eye(3, k=1) - np.eye(3, k=-1))
     rho = fock.DensityMatrix.from_blocks(layout, blocks)
     np.testing.assert_array_equal(fock.DensityMatrix(layout, rho.mat).mat, rho.mat)
     with pytest.raises(fock.LayoutError):
-        fock.DensityMatrix.from_blocks(layout, {(0, 0): np.eye(3)})
+        fock.DensityMatrix.from_blocks(layout, {0: np.eye(3)})
     with pytest.raises(fock.LayoutError):
-        fock.DensityMatrix.from_blocks(layout, {(4, 4): np.eye(1)})
+        fock.DensityMatrix.from_blocks(layout, {4: np.eye(1)})
     with pytest.raises(fock.StateError, match="non-finite"):
-        fock.DensityMatrix.from_blocks(layout, {(0, 0): np.full((4, 4), np.nan)})
+        fock.DensityMatrix.from_blocks(layout, {0: np.full((4, 4), np.nan)})
+
+
+def test_entries_between_sectors_are_refused():
+    # basis state 3 = (0, 3~) lies in sector 3 and 4 = (1, 0~) in sector -1
+    layout = fock.ModeLayout(4).doubled()
+    coupled = np.zeros((16, 16), dtype=complex)
+    coupled[3, 3] = coupled[4, 4] = coupled[3, 4] = coupled[4, 3] = 0.5
+    with pytest.raises(fock.StateError, match="couple pair-number sectors 3 and -1"):
+        fock.DensityMatrix(layout, coupled)
+    with pytest.raises(fock.StateError, match="couple pair-number sectors 3 and -1"):
+        fock.DensityMatrix.from_blocks(layout, {3: np.eye(1) / 2, -1: np.diag([0.5, 0, 0]), (3, -1): np.eye(1, 3) / 2})
+    psi = fock.PureState(layout, coupled[3] * np.sqrt(2))
+    with pytest.raises(fock.StateError, match="couple pair-number sectors -1 and 3"):
+        fock.outer(psi)
 
 
 def test_density_matrix_positivity_check():
@@ -166,9 +180,9 @@ def test_partial_trace_of_product_state():
     rng = np.random.default_rng(11)
 
     def random_density(n):
-        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        m = m @ m.conj().T
-        return m / m.trace()
+        # diagonal, so that the product is block diagonal in the pair-number sectors
+        pops = rng.random(n)
+        return np.diag(pops / pops.sum()).astype(complex)
 
     rho_a = random_density(6)
     rho_b = random_density(6)

@@ -26,11 +26,22 @@ def reference_damping(rho4, weights, n_kraus):
     return out
 
 
+def random_sector_state(layout, rng):
+    """Dense matrix of a random state with one random positive semidefinite
+    block per pair-number sector, the structure of every state built here."""
+    top = layout.cutoff - 1 if layout.modes == 2 else 0
+    out = np.zeros((layout.dim, layout.dim), dtype=complex)
+    for d in range(-top, top + 1):
+        idx = fock.sector_indices(layout, d)
+        m = rng.normal(size=(idx.size, idx.size)) + 1j * rng.normal(size=(idx.size, idx.size))
+        out[np.ix_(idx, idx)] = m @ m.conj().T
+    return out / out.trace()
+
+
 def random_state4(n, seed):
-    # dense two-mode density matrix, so every offset and column is populated
-    m = random_hermitian4(n, n, seed).reshape(n * n, n * n)
-    m = m @ m.conj().T
-    return (m / m.trace()).reshape(n, n, n, n)
+    # every sector block is filled, so every offset and column is populated
+    rho = random_sector_state(fock.ModeLayout(n).doubled(), np.random.default_rng(seed))
+    return rho.reshape(n, n, n, n)
 
 
 def thermal_vacuum4(n):
@@ -56,8 +67,8 @@ def test_damping_backends_match_reference(rho4, n_kraus, by_sector):
         weights = np.exp(-0.3 * np.arange(n))[None, :] * np.linspace(1.0, 0.2, n)[:, None]
         got = kernels.apply_damping(rho4, weights, n_kraus)
     else:
-        # a dense two-mode state fills every sector pair, so apply_kraus runs
-        # damp_sectors on blocks of every shape and offset
+        # a random state fills every sector block, so apply_kraus runs
+        # damp_sectors on blocks of every size and shift
         rho = fock.DensityMatrix(fock.ModeLayout(n).doubled(), rho4.reshape(n * n, n * n))
         got = channel.apply_kraus(rho, 0.6).mat.reshape(n, n, n, n)
         weights = channel.damping_weights(n, 0.6)
@@ -75,8 +86,9 @@ def packed_generator(blocks, layout, kappa):
 
 def dense_of(blocks, layout):
     out = np.zeros((layout.dim, layout.dim), dtype=complex)
-    for (d, d2), block in blocks.items():
-        out[np.ix_(fock.sector_indices(layout, d), fock.sector_indices(layout, d2))] = block
+    for d, block in blocks.items():
+        idx = fock.sector_indices(layout, d)
+        out[np.ix_(idx, idx)] = block
     return out
 
 
@@ -87,13 +99,13 @@ def bracket(rho, a, kappa):
 
 @pytest.mark.parametrize("n, ride", [(9, 1), (6, 6)])
 def test_lindblad_rhs_backends_match_bracket_form(n, ride):
-    # ride 1 is a single mode, ride n the two-mode layout, where the dense
-    # random matrix fills every sector pair
+    # ride 1 is a single mode, ride n the two-mode layout, where the random
+    # state fills every sector block
     layout = fock.ModeLayout(n, 1 if ride == 1 else 2)
-    rho = random_hermitian4(n, ride, seed=5).reshape(layout.dim, layout.dim)
+    rho = random_sector_state(layout, np.random.default_rng(5))
     kappa = 0.7
     table, vec = packed_generator(fock._split_sectors(layout, rho), layout, kappa)
-    assert len(table.keys) == (1 if ride == 1 else (2 * n - 1) ** 2)
+    assert table.keys == (tuple(range(1 - n, n)) if ride > 1 else (0,))
     got = dense_of(table.unpack(table.rhs(vec)), layout)
     expected = bracket(rho, fock.annihilation(layout), kappa)
     np.testing.assert_allclose(got, expected, atol=1e-13)
@@ -115,10 +127,8 @@ def reference_rk4(rho, a, kappa, dt, n_steps):
 
 def test_rk4_backends_agree():
     for layout in (fock.ModeLayout(8), fock.ModeLayout(4, 2)):
-        m = random_hermitian4(layout.dim, 1, seed=7).reshape(layout.dim, layout.dim)
         # a valid density matrix, so the trajectory stays bounded
-        rho = m @ m.conj().T
-        rho /= rho.trace()
+        rho = random_sector_state(layout, np.random.default_rng(7))
         table, vec = packed_generator(fock._split_sectors(layout, rho), layout, kappa=1.0)
         got = dense_of(table.unpack(kernels.rk4_evolve(vec, table, 1e-3, 200)), layout)
         expected = reference_rk4(rho, fock.annihilation(layout), 1.0, 1e-3, 200)
@@ -135,12 +145,12 @@ def test_pruned_table_packs_the_reachable_entries():
         table, vec = packed_generator(chaotic.blocks, chaotic.layout, 1.0)
         assert table.offsets[-1] == n
         np.testing.assert_array_equal(dense_of(table.unpack(np.ones(n)), chaotic.layout), np.eye(n))
-        # the thermal-vacuum projector is block (0, 0); lowering n_sys maps
-        # it to blocks (d, d), d > 0, and every entry of those is reachable
+        # the thermal-vacuum projector is block 0; lowering n_sys maps it to
+        # blocks d > 0, and every entry of those is reachable
         layout = fock.ModeLayout(n).doubled()
         projector = fock.outer(states.thermal_vacuum(params, layout))
         table, vec = packed_generator(projector.blocks, layout, 1.0)
-        assert table.keys == tuple((d, d) for d in range(n))
+        assert table.keys == tuple(range(n))
         assert table.offsets[-1] == sum(rows * cols for rows, cols in table.shapes)
         np.testing.assert_array_equal(dense_of(table.unpack(vec), layout), projector.mat)
 
@@ -153,12 +163,13 @@ def test_pruned_table_packs_the_reachable_entries():
     seed=st.integers(0, 2**32 - 1),
 )
 def test_pruned_rk4_matches_bracket_form_on_sparse_states(cutoff, two_mode, density, seed):
-    # a random hermitian matrix on a random hermitian mask, so that entries
-    # are unreachable and the table prunes them
+    # a random sector-diagonal state on a random hermitian mask, so that
+    # entries are unreachable and the table prunes them
     layout = fock.ModeLayout(cutoff, 2 if two_mode else 1)
     rng = np.random.default_rng(seed)
+    rho = random_sector_state(layout, rng)
     mask = rng.random((layout.dim, layout.dim)) < density
-    rho = np.where(mask | mask.T, random_hermitian4(layout.dim, 1, seed).reshape(layout.dim, layout.dim), 0)
+    rho = np.where(mask | mask.T, rho, 0)
     table, vec = packed_generator(fock._split_sectors(layout, rho), layout, kappa=1.0)
     got = dense_of(table.unpack(kernels.rk4_evolve(vec, table, 1e-3, 50)), layout)
     expected = reference_rk4(rho, fock.annihilation(layout), 1.0, 1e-3, 50)
@@ -170,7 +181,7 @@ def test_pruned_rk4_matches_bracket_form_on_sparse_states(cutoff, two_mode, dens
 
 def test_rk4_zero_steps_copies():
     layout = fock.ModeLayout(5)
-    table, vec = packed_generator({(0, 0): random_hermitian4(5, 1, seed=9).reshape(5, 5)}, layout, 1.0)
+    table, vec = packed_generator({0: random_hermitian4(5, 1, seed=9).reshape(5, 5)}, layout, 1.0)
     out = kernels.rk4_evolve(vec, table, 1e-3, 0)
     np.testing.assert_array_equal(out, vec)
     assert out is not vec
@@ -183,15 +194,13 @@ def test_hermiticity_defect_backends():
     m[3, 17] += 2.5e-7j
     expected = float(np.abs(m - m.conj().T).max())
     assert kernels.hermiticity_defect(m) == pytest.approx(expected, rel=1e-12)
-    # against a partner block: block (d, d') is compared with block (d', d)
-    upper, lower = m[:15, 15:], m[15:, :15]
-    assert kernels.hermiticity_defect(upper, lower) == pytest.approx(expected, rel=1e-12)
 
 
 def test_hermitize_numpy_symmetrizes():
     layout = fock.ModeLayout(4, 2)
-    rho = random_hermitian4(4, 4, seed=15).reshape(16, 16)
-    rho[2, 9] += 1e-3j
+    rho = random_sector_state(layout, np.random.default_rng(15))
+    # basis states 5 = (1, 1~) and 10 = (2, 2~) both lie in sector 0
+    rho[5, 10] += 1e-3j
     table, vec = packed_generator(fock._split_sectors(layout, rho), layout, 1.0)
     # every entry's partner is its transpose
     np.testing.assert_array_equal(dense_of(table.unpack(vec[table.partner]), layout), rho.T)
@@ -199,16 +208,3 @@ def test_hermitize_numpy_symmetrizes():
     fixed = dense_of(table.unpack(kernels.rk4_evolve(vec, table, 0.0, 1)), layout)
     assert kernels.hermiticity_defect(fixed) < 1e-16
     np.testing.assert_allclose(fixed, 0.5 * (rho + rho.conj().T), rtol=0, atol=1e-16)
-
-
-def test_sector_generator_matches_bracket_form():
-    # exchanging the modes around the system-mode generator gives the
-    # tilde-mode bracket, which checks fock.swap_modes on every sector pair
-    n = 5
-    layout = fock.ModeLayout(n).doubled()
-    rho = random_state4(n, seed=17).reshape(n * n, n * n)
-    kappa = 0.7
-    table, vec = packed_generator(fock.swap_modes(fock._split_sectors(layout, rho)), layout, kappa)
-    got = dense_of(fock.swap_modes(table.unpack(table.rhs(vec))), layout)
-    expected = bracket(rho, fock.annihilation(layout, fock.TILDE), kappa)
-    np.testing.assert_allclose(got, expected, atol=1e-13)

@@ -143,12 +143,12 @@ def test_evolved_state_weights_are_lambda_and_mu():
     th = math.tanh(THETA_TAU1)
     lam = math.exp(-0.5) * th
     mu = (1 - math.exp(-1.0)) * th * th
-    # block (m, m) starts with sech^2 mu^m |0, m~><0, m~|, and its next
+    # block m starts with sech^2 mu^m |0, m~><0, m~|, and its next
     # diagonal entry carries lam^2 (m + 1) for the pair |1, (m+1)~>
     sech2 = 1 - th * th
     for m in (0, 1, 2):
-        assert blocks[(m, m)][0, 0] == pytest.approx(sech2 * mu**m, rel=1e-14)
-        assert blocks[(m, m)][1, 1] == pytest.approx(sech2 * mu**m * lam**2 * (m + 1), rel=1e-14)
+        assert blocks[m][0, 0] == pytest.approx(sech2 * mu**m, rel=1e-14)
+        assert blocks[m][1, 1] == pytest.approx(sech2 * mu**m * lam**2 * (m + 1), rel=1e-14)
     # the surviving correlation and the leaked mixture exhaust tanh^2(theta)
     assert mu + lam**2 == pytest.approx(th * th, abs=1e-15)
     with pytest.raises(ValueError, match="kappa_t"):

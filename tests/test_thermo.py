@@ -239,10 +239,12 @@ def test_cooling_curve_validation():
 
 
 def test_cooling_curve_error_names_failing_time():
-    # an oversized integrator step blows the trace-drift bound; the error
-    # must surface the offending time point
-    with pytest.raises(thermo.CoolingCurveError, match="t=2"):
-        thermo.cooling_curve(1.0, 1.0, [2.0], method="lindblad", cutoff=16, dt=1.9)
+    # the default step 1e-3 / kappa = 1e-303 cannot cover t = 1e10 in a
+    # finite number of steps; the integrator's error must surface that time
+    with pytest.raises(thermo.CoolingCurveError, match="t=1e\\+10") as info:
+        thermo.cooling_curve(1.0, 1e300, [1e10], method="lindblad", cutoff=16)
+    assert info.value.time == 1e10
+    assert isinstance(info.value.__cause__, channel.IntegrationError)
 
 
 @settings(max_examples=300, deadline=None)
