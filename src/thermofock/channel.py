@@ -14,15 +14,15 @@ element of K_n taking occupation j+n to j is
 
 every factor of which is <= 1, so the table is built by a stable recurrence
 and the operator sum is applied from the table instead of explicit matrix
-products: per offset j - k for a single mode, per pair-number sector block
-for two modes (see kernels), block d feeding block d + n through K_n.
+products: per offset j - k for a single mode (see kernels), and on the
+sector factors for two modes, where K_n takes sector d to sector d + n.
 
 The Lindblad route integrates d rho / dt = kappa (2 a rho a+ - {a+a, rho})
-with fixed-step RK4 and checks trace drift at every requested time; both
-routes converge to the same state.  lindblad_integrate takes a list of
-times and steps one packed vector from each time to the next, so a grid
-costs about one integration to its last time; rk4_step_count gives that
-cost before any step is taken.
+for a single mode with fixed-step RK4, and checks the trace drift and the
+populations at every requested time; both routes converge to the same
+state.  lindblad_integrate takes a list of times and steps one packed
+vector from each time to the next, so a grid costs about one integration
+to its last time; rk4_step_count gives that cost before any step is taken.
 """
 
 from __future__ import annotations
@@ -63,16 +63,15 @@ def damping_weights(cutoff: int, kappa_t: float) -> np.ndarray:
     """Table W[n, j] = e^(-kappa t j) sqrt(V^n C(j+n, n)) for n, j < cutoff.
 
     Built by the recurrence W[n, j] = W[n-1, j] sqrt(V (j + n) / n) from
-    W[0, j] = e^(-kappa t j); every entry stays in [0, 1].
+    W[0, j] = e^(-kappa t j), as one running product down the columns;
+    every entry stays in [0, 1].
     """
     kappa_t = min(kappa_t, KAPPA_T_SATURATION)
     v = _jump_weight(kappa_t)
-    w = np.zeros((cutoff, cutoff))
-    w[0] = np.exp(-kappa_t * np.arange(cutoff))
     cols = np.arange(cutoff, dtype=np.float64)
-    for n in range(1, cutoff):
-        w[n] = w[n - 1] * np.sqrt(v * (cols + n) / n)
-    return w
+    n = np.arange(1, cutoff, dtype=np.float64)[:, None]
+    steps = np.vstack([np.exp(-kappa_t * cols), np.sqrt(v * (cols + n) / n)])
+    return np.cumprod(steps, axis=0)
 
 
 def kraus_operators(kappa_t: float, layout: ModeLayout) -> list[np.ndarray]:
@@ -100,33 +99,47 @@ def kraus_operators(kappa_t: float, layout: ModeLayout) -> list[np.ndarray]:
     return ops
 
 
-def _generator(layout: ModeLayout, blocks: dict, kappa: float) -> kernels.LindbladTable:
-    """The packed damping generator for a state with these blocks."""
-    sectors = {d: fock.sector_indices(layout, d) for d in fock._sector_range(layout)}
-    return kernels.lindblad_table(sectors, blocks, kappa)
-
-
 def apply_kraus(rho: DensityMatrix, kappa_t: float) -> DensityMatrix:
     """Push rho through the damping channel via the structured operator sum.
 
     The Kraus matrices are never formed.  A single-mode state is mapped per
-    offset j - k by one banded product over its nonzero entries; a two-mode
-    state is mapped block by block, input block d feeding output block
-    d + n.  The family is complete, so the trace is
+    offset j - k by one banded product over its nonzero entries.  On a
+    two-mode state K_n takes system occupation j + n of sector d to j of
+    sector d + n with weight W[n, j], so the images of one input sector are
+    the weight table times shifted copies of its factor, stacked over n;
+    each input sector's images take their own columns.  The thermal vacuum
+    is one sector of one column, whose images are one triangular
+    cutoff x cutoff array.  The family is complete, so the trace is
     preserved exactly (to round-off) even at the truncation boundary; a
     violation indicates a real defect and raises IntegrationError.
     """
     cutoff = rho.layout.cutoff
     weights = damping_weights(cutoff, kappa_t)
-    if rho.layout.modes == 1:
+    trace_tol = rho.trace_tol + TRACE_PRESERVATION_TOL
+    if rho.factors is None:
         rho4 = rho.mat.reshape(cutoff, 1, cutoff, 1)
-        out = {0: kernels.apply_damping(rho4, weights, cutoff).reshape(cutoff, cutoff)}
-    else:
-        out = kernels.damp_sectors(rho.blocks, weights)
-    drift = abs(fock.sector_trace(out) - fock.trace(rho))
+        out = kernels.apply_damping(rho4, weights, cutoff).reshape(cutoff, cutoff)
+        _check_preserved(np.trace(out), rho)
+        return DensityMatrix(rho.layout, out, trace_tol=trace_tol)
+    count, _, rank = rho.factors.shape
+    # row j + n of the factor for every (n, j); rows past the cutoff read 0
+    lowered = np.add.outer(np.arange(cutoff), np.arange(cutoff))
+    padded = np.concatenate([rho.factors, np.zeros_like(rho.factors)], axis=1)
+    # output sector d + n sits n rows below input sector d; none reaches d >= cutoff
+    start = rho.sectors.start
+    stop = min(rho.sectors.stop + cutoff - 1, cutoff)
+    out = np.zeros((stop - start, cutoff, count * rank), dtype=rho.factors.dtype)
+    for i in range(count):
+        images = weights[:, :, None] * padded[i, lowered]
+        out[i:i + cutoff, :, i * rank:(i + 1) * rank] = images[:stop - start - i]
+    _check_preserved(np.vdot(out, out).real, rho)
+    return DensityMatrix._stacked(rho.layout, range(start, stop), out, trace_tol)
+
+
+def _check_preserved(trace_out: complex, rho: DensityMatrix) -> None:
+    drift = abs(trace_out - fock.trace(rho))
     if drift > TRACE_PRESERVATION_TOL:
         raise IntegrationError(f"operator sum changed the trace by {drift:.3e}")
-    return DensityMatrix.from_blocks(rho.layout, out, trace_tol=rho.trace_tol + TRACE_PRESERVATION_TOL)
 
 
 def _rk4_plan(interval: float, kappa: float, dt: float | None = None) -> tuple[float, int | float, float]:
@@ -178,12 +191,17 @@ def lindblad_integrate(
 ) -> list[DensityMatrix]:
     """Integrate the damping generator with fixed-step RK4; one state per time.
 
-    One packed vector is stepped from 0 through the times in increasing
-    order, each interval between consecutive times planned by _rk4_plan, so
-    a time grid costs about one integration to its last time.  The state is
-    re-hermitized every step, and a trace drift beyond 1e-6 at any time
-    raises IntegrationError naming that time (the generator is exactly
-    trace-free, so drift measures accumulated integration error).
+    rho is a single-mode state: a two-mode one raises LayoutError, since the
+    operator sum damps it exactly.  One packed vector is stepped from 0
+    through the times in increasing order, each interval between
+    consecutive times planned by _rk4_plan, so a time grid costs about one
+    integration to its last time.  The state is re-hermitized every step.
+    At each time, a trace drift beyond TRACE_DRIFT_TOL raises
+    IntegrationError naming that time (the generator is exactly trace-free,
+    so drift measures accumulated integration error), and so does a
+    population outside [-TRACE_DRIFT_TOL, 1 + TRACE_DRIFT_TOL]: RK4 keeps
+    the trace of a trace-free map exactly, so an unstable step shows only
+    in the populations.
     """
     if kappa <= 0:
         raise ValueError(f"kappa must be > 0, got {kappa}")
@@ -192,9 +210,10 @@ def lindblad_integrate(
         raise ValueError(f"times must be >= 0, got {times}")
     if dt is not None and dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")
-    layout = rho.layout
-    table = _generator(layout, rho.blocks, kappa)
-    vec = table.pack(rho.blocks)
+    if rho.layout.modes != 1:
+        raise fock.LayoutError("lindblad_integrate damps a single-mode state; apply_kraus damps two modes exactly")
+    table = kernels.lindblad_table(rho.mat, kappa)
+    vec = table.pack(rho.mat)
     n_steps = 0
     out: list = [None] * len(times)
     for i, t, interval, step, n_full, remainder in _rk4_schedule(times, kappa, dt):
@@ -204,9 +223,14 @@ def lindblad_integrate(
         vec = kernels.rk4_evolve(vec, table, step, n_full)
         vec = kernels.rk4_evolve(vec, table, remainder, n_tail)
         n_steps += n_full + n_tail
-        blocks = table.unpack(vec)
-        drift = abs(fock.sector_trace(blocks) - fock.trace(rho))
+        mat = table.unpack(vec)
+        drift = abs(np.trace(mat) - fock.trace(rho))
         if not drift <= TRACE_DRIFT_TOL:
             raise IntegrationError(f"trace drifted by {drift:.3e} over {n_steps} RK4 steps", time=t)
-        out[i] = DensityMatrix.from_blocks(layout, blocks, trace_tol=rho.trace_tol + drift + 1e-12)
+        pops = np.diagonal(mat).real
+        outside = np.maximum(-pops, pops - 1.0)
+        if not outside.max() <= TRACE_DRIFT_TOL:
+            worst = pops[np.argmax(outside)]
+            raise IntegrationError(f"population {worst:.6g} left [0, 1] over {n_steps} RK4 steps", time=t)
+        out[i] = DensityMatrix(rho.layout, mat, trace_tol=rho.trace_tol + drift + 1e-12)
     return out

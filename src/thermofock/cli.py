@@ -24,7 +24,7 @@ exits 2; a user value longer than ECHO_MAX characters is cut in the middle
 there.  That includes a non-finite `--tol` value, a time grid or damping
 exponent kappa * t-max that overflows, `steps` above LINDBLAD_STEP_BUDGET
 for every method, a Lindblad grid above LINDBLAD_STEP_BUDGET RK4 steps, and
-a two-mode grid whose work exceeds TWO_MODE_WORK_BUDGET.
+a `cool` or `two-mode` grid whose work exceeds WORK_BUDGET.
 """
 
 from __future__ import annotations
@@ -58,10 +58,13 @@ DEFICIT_TOL = 1e-6
 # decayed populations are subnormal floats, so a run at the budget takes about
 # 2.5 to 4 seconds.
 LINDBLAD_STEP_BUDGET = 50_000
-# Most work a `two-mode` grid may take, in units of (steps + 1) grid points
-# times max(cutoff, 24)^2; a larger grid is refused with exit 2.  A unit takes
-# at most about 6.5 us on 2 vCPUs, so the largest grid runs in about 4 s.
-TWO_MODE_WORK_BUDGET = 600_000
+# Most work a `cool` or `two-mode` grid may take, in units of (steps + 1) grid
+# points times max(cutoff, WORK_CUTOFF_FLOOR)^2; a larger grid is refused with
+# exit 2.  On 2 vCPUs a grid point of either command costs 0.2 to 0.4 ms at
+# cutoff 8 and 2.4 to 3 ms at 128, and a unit at most about 0.27 us (`cool`
+# at cutoff 64), so the largest admitted grid runs in about 4 s.
+WORK_BUDGET = 16_000_000
+WORK_CUTOFF_FLOOR = 64
 
 # tolerance names each curve command reads; verify's are its suite's check names
 _CURVE_TOL_NAMES = {"cool": {"cross_method", "deficit"}, "two-mode": {"deficit"}}
@@ -157,7 +160,7 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
 
 def build_config(args: argparse.Namespace) -> argparse.Namespace:
     """Check what spans several flags, add the `tolerances` dict, and
-    resolve the automatic cutoff of `two-mode`."""
+    resolve the automatic cutoff of `cool` and `two-mode`."""
     if args.command == "verify":
         known = {check.name for check in verify.select_checks(args.suite)}
     else:
@@ -195,13 +198,13 @@ def build_config(args: argparse.Namespace) -> argparse.Namespace:
             f"unknown tolerance name(s) for {args.command}: {', '.join(unknown)} "
             f"(known: {', '.join(sorted(known))})"
         )
-    if args.command == "two-mode":
+    if args.command != "verify":
         args.cutoff = args.cutoff or fock.default_cutoff(thermo.theta_from_tau(args.tau0))
-        work = (args.steps + 1) * max(args.cutoff, 24) ** 2
-        if work > TWO_MODE_WORK_BUDGET:
+        work = (args.steps + 1) * max(args.cutoff, WORK_CUTOFF_FLOOR) ** 2
+        if work > WORK_BUDGET:
             raise ConfigError(
-                f"two-mode needs {work} units of work on this grid, (steps + 1) * max(cutoff, 24)^2, "
-                f"above the budget of {TWO_MODE_WORK_BUDGET}; lower steps or the cutoff"
+                f"{args.command} needs {work} units of work on this grid, (steps + 1) * "
+                f"max(cutoff, {WORK_CUTOFF_FLOOR})^2, above the budget of {WORK_BUDGET}; lower steps or the cutoff"
             )
     return args
 

@@ -8,25 +8,31 @@ pure states dense complex128 vectors; the two-mode operators the package
 needs (the squeeze unitary, E = exp(lambda a+ b+)) are built sector by
 sector in `states` instead.
 
-Density matrices are stored as pair-number sectors.  Sector d of a two-mode
-layout holds the basis states with n_tilde - n_sys = d; its index p is the
-state (n_sys, n_tilde) = (p + max(-d, 0), p + max(d, 0)), so it has
-cutoff - |d| states.  A single-mode layout is one sector, d = 0.  A state
-is block diagonal in d: `blocks[d]` holds the entries whose row and column
-both lie in sector d, and blocks that are exactly zero are not stored.  The
-squeeze generator a+ b+ keeps d, and each damping operator lowers n_sys by
-the same n on the row and on the column, shifting d by n on both sides, so
-every state built here is block diagonal; an input with entries between
-sectors is refused.  The blocks hold at most 2 cutoff^3 / 3 entries, 22 MB
-at cutoff 128, where the dense matrix would hold cutoff^4 (4.3 GB).
-Validation, partial trace, purity and trace distance work block by block;
-the dense matrix (DensityMatrix.mat) is assembled only on request, as a
-test oracle.
+A single-mode density matrix is stored dense.  A two-mode one is stored by
+pair-number sector.  Sector d holds the basis states with n_tilde - n_sys =
+d; its index p is the state (n_sys, n_tilde) = (p + max(-d, 0), p +
+max(d, 0)), so it has cutoff - |d| states.  The squeeze generator a+ b+
+keeps d, and each damping operator lowers n_sys by the same n on the row
+and on the column, so every state built here is block diagonal in d with a
+positive block per sector.  That block is stored as one factor F_d, of
+shape (cutoff - |d|, r_d), whose block is F_d F_d^+.  The thermal vacuum,
+its damped closed form and its operator-sum image have r_d = 1: about
+cutoff^2 / 2 entries in all, where the blocks would hold cutoff^3 / 3 and
+the dense matrix cutoff^4 (4.3 GB at cutoff 128).
+
+The factors sit in one array, `factors[i, s, r]`: column r of the factor of
+sector `sectors[i]` at system occupation s, zero where the sector has no
+state with that n_sys, and zero in the columns beyond a sector's r_d; it
+is real when the state is.  Hermiticity and positivity hold by
+construction, so validation checks only finiteness and the trace.
+Partial traces and the purity are sums of squared entries, and
+trace_distance is one batched QR and one batched eigvalsh over all
+sectors.  The dense matrix (DensityMatrix.mat) is
+assembled only on request, as a test oracle.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,92 +107,113 @@ def _coupled(d: int, d2: int) -> StateError:
     return StateError(f"entries couple pair-number sectors {d} and {d2}; a state must be block diagonal in d")
 
 
-def sector_trace(blocks: dict) -> complex:
-    """Trace of a matrix given by its sector blocks."""
-    return sum((np.trace(block) for block in blocks.values()), np.complex128(0))
-
-
-def _split_sectors(layout: ModeLayout, mat: np.ndarray) -> dict:
-    """The nonzero sector blocks of a dense matrix; an entry between sectors raises StateError."""
-    if layout.modes == 1:
-        return {0: mat} if mat.any() else {}
-    n_sys, n_tilde = np.divmod(np.arange(layout.dim), layout.cutoff)
-    label = n_tilde - n_sys
-    rows, cols = np.nonzero(mat)
-    across = np.flatnonzero(label[rows] != label[cols])
-    if across.size:
-        raise _coupled(int(label[rows[across[0]]]), int(label[cols[across[0]]]))
-    index = {d: sector_indices(layout, d) for d in sorted(set(label[rows].tolist()))}
-    return {d: mat[np.ix_(idx, idx)] for d, idx in index.items()}
+def _real(a: np.ndarray) -> np.ndarray:
+    """a, or its real part when that is all of it: the states built here are
+    real, and real arithmetic and LAPACK routines are several times faster."""
+    return a.real if np.iscomplexobj(a) and not a.imag.any() else a
 
 
 class DensityMatrix:
-    """Hermitian, unit-trace (within trace_tol) state, stored as sector blocks.
+    """Unit-trace (within trace_tol) state: dense for one mode, one factor per
+    pair-number sector for two (see the module docstring).
 
-    `DensityMatrix(layout, mat)` splits a dense matrix into its nonzero
-    sector blocks; `from_blocks` takes the blocks themselves, keyed by the
-    sector d.  Both refuse entries between sectors and check finiteness,
-    hermiticity and the trace.  `blocks` must not be modified afterwards.
+    `DensityMatrix(layout, mat)` takes a single-mode matrix and checks
+    finiteness, hermiticity and the trace.  `from_factors(layout, {d: F_d})`
+    takes a two-mode state as factors of shape (cutoff - |d|, r_d), rows in
+    sector order (see sector_indices) and any r_d >= 0, and checks
+    finiteness and the trace.  The arrays must not be modified afterwards.
 
     trace_tol is carried with the instance because deliberately truncated
     states (thermal tails cut at the top of the space) have a known trace
     deficit that downstream operations must tolerate rather than reject.
     """
 
+    sectors: range | None = None
+    factors: np.ndarray | None = None
+
     def __init__(self, layout: ModeLayout, mat, trace_tol: float = DEFAULT_TRACE_TOL) -> None:
+        if layout.modes != 1:
+            raise LayoutError("a two-mode state is built from its sector factors: DensityMatrix.from_factors")
         mat = np.ascontiguousarray(mat, dtype=np.complex128)
         if mat.shape != (layout.dim, layout.dim):
             raise LayoutError(f"matrix shape {mat.shape} does not match layout dim {layout.dim}")
-        self._store(layout, _split_sectors(layout, mat), trace_tol)
-
-    @classmethod
-    def from_blocks(
-        cls, layout: ModeLayout, blocks: dict, trace_tol: float = DEFAULT_TRACE_TOL
-    ) -> "DensityMatrix":
-        rho = cls.__new__(cls)
-        rho._store(layout, blocks, trace_tol)
-        return rho
-
-    def _store(self, layout: ModeLayout, blocks: dict, trace_tol: float) -> None:
-        sectors = _sector_range(layout)
-        self.layout = layout
-        self.trace_tol = trace_tol
-        self.blocks = {}
-        for d, block in blocks.items():
-            if isinstance(d, tuple):  # a (row sector, column sector) key
-                raise _coupled(*d)
-            block = np.ascontiguousarray(block, dtype=np.complex128)
-            if d not in sectors:
-                raise LayoutError(f"sector {d} outside the layout {layout}")
-            if block.shape != (layout.cutoff - abs(d),) * 2:
-                raise LayoutError(f"block {d} has shape {block.shape}")
-            if not np.all(np.isfinite(block.view(np.float64))):
-                raise StateError("matrix contains non-finite entries")
-            if block.any():
-                self.blocks[d] = block
-        defect = max(map(kernels.hermiticity_defect, self.blocks.values()), default=0.0)
+        if not np.all(np.isfinite(mat.view(np.float64))):
+            raise StateError("matrix contains non-finite entries")
+        defect = kernels.hermiticity_defect(mat)
         if defect > HERMITICITY_TOL:
             raise StateError(f"not hermitian: max |rho - rho^dagger| = {defect:.3e}")
-        tr = sector_trace(self.blocks)
+        self.layout, self.trace_tol, self._mat = layout, trace_tol, mat
+        self._check_trace()
+
+    @classmethod
+    def from_factors(
+        cls, layout: ModeLayout, factors: dict, trace_tol: float = DEFAULT_TRACE_TOL
+    ) -> "DensityMatrix":
+        if layout.modes != 2:
+            raise LayoutError("sector factors describe a two-mode state")
+        n = layout.cutoff
+        factors = {d: np.asarray(f) for d, f in factors.items()}
+        for d, f in factors.items():
+            if d not in _sector_range(layout):
+                raise LayoutError(f"sector {d!r} outside the layout {layout}")
+            if f.ndim != 2 or f.shape[0] != n - abs(d):
+                raise LayoutError(f"factor {d} has shape {f.shape}")
+        lo, hi = (min(factors), max(factors) + 1) if factors else (0, 0)
+        rank = max((f.shape[1] for f in factors.values()), default=0)
+        stack = np.zeros((hi - lo, n, rank), dtype=np.result_type(np.float64, *factors.values()))
+        for d, f in factors.items():
+            stack[d - lo, max(-d, 0):n - max(d, 0), :f.shape[1]] = f
+        return cls._stacked(layout, range(lo, hi), stack, trace_tol)
+
+    @classmethod
+    def _stacked(cls, layout: ModeLayout, sectors: range, factors: np.ndarray, trace_tol: float) -> "DensityMatrix":
+        """A two-mode state from its `factors` array (rows by system occupation)."""
+        rho = cls.__new__(cls)
+        rho.layout, rho.trace_tol = layout, trace_tol
+        rho.sectors, rho.factors = sectors, np.ascontiguousarray(_real(factors))
+        rho._check_trace()
+        return rho
+
+    def _trace(self) -> complex:
+        if self.factors is None:
+            return complex(np.trace(self._mat))
+        return complex(np.vdot(self.factors, self.factors).real)
+
+    def _check_trace(self) -> None:
+        tr = self._trace()
+        # a two-mode trace is a sum of squares, finite when every factor entry is
+        if not np.isfinite(tr):
+            raise StateError("factors contain non-finite entries")
         err = abs(tr - 1.0)
         if err > self.trace_tol:
             raise StateError(f"trace {tr:.12g} deviates from 1 by {err:.3e} (tol {self.trace_tol:.3e})")
 
+    def factor(self, d: int) -> np.ndarray:
+        """F_d of a two-mode state, rows in sector order; zero outside `sectors`."""
+        n = self.layout.cutoff
+        if d not in self.sectors:
+            return np.zeros((n - abs(d), self.factors.shape[2]), dtype=self.factors.dtype)
+        return self.factors[d - self.sectors.start, max(-d, 0):n - max(d, 0)]
+
     @property
     def mat(self) -> np.ndarray:
-        """The dense matrix; a single-mode state returns its one block."""
-        if self.layout.modes == 1 and 0 in self.blocks:
-            return self.blocks[0]
+        """The dense matrix: the stored one of a single mode, assembled from
+        the factors for two modes."""
+        if self.factors is None:
+            return self._mat
         out = np.zeros((self.layout.dim, self.layout.dim), dtype=np.complex128)
-        for d, block in self.blocks.items():
+        for d in self.sectors:
             idx = sector_indices(self.layout, d)
-            out[np.ix_(idx, idx)] = block
+            f = self.factor(d)
+            out[np.ix_(idx, idx)] = f @ f.conj().T
         return out
 
     def min_eigenvalue(self) -> float:
-        """Smallest eigenvalue, sector by sector; called on demand rather
-        than in the constructor."""
-        return min(float(part.min()) for part in _spectrum(self.layout, self.blocks))
+        """Smallest eigenvalue of a single-mode state, called on demand rather
+        than in the constructor; a two-mode state is positive by construction."""
+        if self.factors is not None:
+            raise LayoutError("a two-mode state is positive by construction")
+        return float(np.linalg.eigvalsh(_real(self._mat)).min())
 
     def check_positive(self, floor: float = PSD_FLOOR) -> float:
         lo = self.min_eigenvalue()
@@ -279,7 +306,7 @@ def fock_state(layout: ModeLayout, occupation: int | tuple[int, int]) -> PureSta
 
 
 def trace(rho: DensityMatrix) -> complex:
-    return complex(sector_trace(rho.blocks))
+    return rho._trace()
 
 
 def expectation(rho: DensityMatrix, obs: np.ndarray) -> complex:
@@ -297,75 +324,95 @@ def expectation(rho: DensityMatrix, obs: np.ndarray) -> complex:
 
 
 def purity(rho: DensityMatrix) -> float:
-    """Tr(rho^2), the squared Frobenius norm of the hermitian rho summed over
-    its blocks; 1 for pure states, 1/rank-ish for mixed ones."""
-    return float(sum(np.vdot(block, block).real for block in rho.blocks.values()))
+    """Tr(rho^2): the squared Frobenius norm of a single-mode matrix, or the
+    sum over sectors of |F_d^+ F_d|^2, which equals Tr((F_d F_d^+)^2)."""
+    if rho.factors is None:
+        return float(np.vdot(rho.mat, rho.mat).real)
+    gram = rho.factors.conj().swapaxes(1, 2) @ rho.factors
+    return float(np.vdot(gram, gram).real)
 
 
 def outer(psi: PureState, trace_tol: float | None = None) -> DensityMatrix:
-    """Projector |psi><psi| as a density matrix, block v v^+ for the part v
-    of psi in its one sector; a psi with parts in two sectors raises
-    StateError, since its projector couples them."""
-    tol = DEFAULT_TRACE_TOL if trace_tol is None else trace_tol
-    parts = {}
-    for d in _sector_range(psi.layout):
-        part = psi.vec[sector_indices(psi.layout, d)]
-        if part.any():
-            parts[d] = part
-    if len(parts) > 1:
-        raise _coupled(*list(parts)[:2])
-    blocks = {d: np.outer(v, v.conj()) for d, v in parts.items()}
-    return DensityMatrix.from_blocks(psi.layout, blocks, trace_tol=max(tol, 2 * psi.norm_tol))
+    """Projector |psi><psi| as a density matrix.  In a two-mode layout psi's
+    part in its one sector is that sector's factor; a psi with parts in two
+    sectors raises StateError, since its projector couples them."""
+    tol = max(DEFAULT_TRACE_TOL if trace_tol is None else trace_tol, 2 * psi.norm_tol)
+    if psi.layout.modes == 1:
+        return DensityMatrix(psi.layout, np.outer(psi.vec, psi.vec.conj()), trace_tol=tol)
+    n = psi.layout.cutoff
+    grid = psi.vec.reshape(n, n)
+    n_sys, n_tilde = np.nonzero(grid)
+    found = np.unique(n_tilde - n_sys)
+    if found.size > 1:
+        raise _coupled(*found[:2])
+    d = int(found[0])
+    s = np.arange(max(-d, 0), n - max(d, 0))
+    factors = np.zeros((1, n, 1), dtype=np.complex128)
+    factors[0, s, 0] = grid[s, s + d]
+    return DensityMatrix._stacked(psi.layout, range(d, d + 1), factors, tol)
 
 
 def partial_trace(rho: DensityMatrix, over: str) -> DensityMatrix:
     """Trace out one mode of a two-mode density matrix.
 
     over=TILDE keeps the system mode; over=SYSTEM keeps the tilde mode.  A
-    block-diagonal state has a diagonal reduction: index p of sector d adds
-    its population to the kept occupation p + max(-d, 0) of the system mode,
-    or p + max(d, 0) of the tilde mode.
+    block-diagonal state has a diagonal reduction: the population
+    |F_d[s]|^2 of system occupation s in sector d adds to occupation s of
+    the system mode, or s + d of the tilde mode.
     """
     _check_mode(over)
     if rho.layout.modes != 2:
         raise LayoutError("partial_trace needs a two-mode state")
-    pops = np.zeros(rho.layout.cutoff)
+    n = rho.layout.cutoff
+    f = rho.factors
+    pops = np.einsum("dsr,dsr->ds", f.real, f.real)
+    if np.iscomplexobj(f):
+        pops += np.einsum("dsr,dsr->ds", f.imag, f.imag)
+    kept = np.broadcast_to(np.arange(n), pops.shape)
+    if over == SYSTEM:
+        # rows a sector does not hold carry 0, wherever they are counted
+        kept = np.clip(kept + np.array(rho.sectors)[:, None], 0, n - 1)
     # the traced occupation is the kept one plus d (tilde) or minus d (system),
     # so each population sums in increasing traced occupation
-    for d in sorted(rho.blocks, reverse=over == SYSTEM):
-        diag = np.diagonal(rho.blocks[d]).real
-        start = max(-d if over == TILDE else d, 0)
-        pops[start:start + diag.size] += diag
-    return DensityMatrix(rho.layout.single(), np.diag(pops), trace_tol=rho.trace_tol)
+    order = slice(None, None, -1 if over == SYSTEM else 1)
+    reduced = np.bincount(kept[order].ravel(), weights=pops[order].ravel(), minlength=n)
+    return DensityMatrix(rho.layout.single(), np.diag(reduced), trace_tol=rho.trace_tol)
 
 
-def _spectrum(layout: ModeLayout, blocks: dict) -> Iterator[np.ndarray]:
-    """Eigenvalues of a hermitian matrix given by its sector blocks: one
-    eigvalsh per block, zeros for a sector with nothing stored."""
-    for d in _sector_range(layout):
-        block = blocks.get(d)
-        if block is None:
-            yield np.zeros(layout.cutoff - abs(d))
-        else:
-            # the states built here are real; the real symmetric solver has
-            # the same eigenvalues and is about three times faster
-            yield np.linalg.eigvalsh(block if block.imag.any() else block.real)
+def _aligned(rho: DensityMatrix, sectors: range) -> np.ndarray:
+    """rho's factors over `sectors`, zero in the sectors rho does not store."""
+    if rho.sectors == sectors:
+        return rho.factors
+    out = np.zeros((len(sectors),) + rho.factors.shape[1:], dtype=rho.factors.dtype)
+    at = rho.sectors.start - sectors.start
+    out[at:at + len(rho.sectors)] = rho.factors
+    return out
 
 
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """(1/2) sum of singular values of rho - sigma (hermitian, so |eigenvalues|).
 
-    rho - sigma is formed block by block and eigensolved sector by sector
-    (see _spectrum): one eigvalsh of at most `cutoff` states per sector.
+    A single mode takes one eigvalsh of the difference.  In sector d of two
+    modes, F F^+ - G G^+ = A J A^+ with A = [F | G] and J = diag(1, .., -1,
+    ..); with A = Q R, Q with orthonormal columns, its nonzero eigenvalues
+    are those of the small hermitian R J R^+.  One batched QR and one
+    batched eigvalsh cover every sector.  No Gram matrix A^+ A is formed,
+    whose round-off would leave sqrt(eps) of two equal states apart; a
+    sector whose two factors are equal is skipped, so rho - rho gives 0.
     """
     if rho.layout != sigma.layout:
         raise LayoutError(f"layout mismatch: {rho.layout} vs {sigma.layout}")
-    diff = {}
-    for key in sorted(rho.blocks.keys() | sigma.blocks.keys()):
-        block = rho.blocks.get(key, 0) - sigma.blocks.get(key, 0)
-        if block.any():
-            diff[key] = block
-    return float(0.5 * sum(np.abs(part).sum() for part in _spectrum(rho.layout, diff)))
+    if rho.factors is None:
+        return float(0.5 * np.abs(np.linalg.eigvalsh(_real(rho.mat - sigma.mat))).sum())
+    sectors = range(min(rho.sectors.start, sigma.sectors.start), max(rho.sectors.stop, sigma.sectors.stop))
+    f, g = _aligned(rho, sectors), _aligned(sigma, sectors)
+    if f.shape == g.shape:
+        differ = ~(f == g).all(axis=(1, 2))
+        f, g = f[differ], g[differ]
+    r = np.linalg.qr(np.concatenate([f, g], axis=2), mode="r")
+    r_f, r_g = r[..., :f.shape[2]], r[..., f.shape[2]:]
+    core = r_f @ r_f.conj().swapaxes(1, 2) - r_g @ r_g.conj().swapaxes(1, 2)
+    return float(0.5 * np.abs(np.linalg.eigvalsh(core)).sum())
 
 
 def default_cutoff(theta: float, tail: float = TAIL_TARGET) -> int:

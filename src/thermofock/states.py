@@ -155,10 +155,12 @@ def evolved_two_mode_state(
     the module docstring; a negative kappa_t raises ValueError.
 
     E conserves the pair-number difference, so E|0, m~> lies in sector m and
-    each term sech^2 mu^m E|0, m~><0, m~|E+ is the block m of the result.
-    In sector m, lam a+ b+ is nilpotent, so E|0, m~> is the finite series
-    sum_n lam^n sqrt(C(m+n, n)) |n, (m+n)~>, whose amplitude at index n of
-    sector m is the n-th term.
+    each term sech^2 mu^m E|0, m~><0, m~|E+ is the block m of the result,
+    with the one-column factor sech mu^(m/2) E|0, m~>.  In sector m, lam a+
+    b+ is nilpotent, so E|0, m~> is the finite series sum_n lam^n
+    sqrt(C(m+n, n)) |n, (m+n)~>, whose amplitudes follow from the ratios
+    lam sqrt((m + n) / n) of successive terms: one running product over n
+    for all sectors at once.
 
     The exact state keeps a fraction tanh^2(theta)^cutoff of its weight above
     the truncation; a measured trace deficit beyond deficit_tol raises
@@ -171,25 +173,19 @@ def evolved_two_mode_state(
     n = layout.cutoff
     th = math.tanh(params.theta)
     decay = math.exp(-kappa_t)
-    sech2 = 1.0 - th**2
     lam = decay * th
     mu = (1.0 - decay * decay) * th * th
 
-    blocks = {}
-    for m in range(n):
-        weight = sech2 * mu**m
-        if weight == 0.0:
-            break
-        span = n - m
-        amps = np.empty(span)
-        amps[0] = 1.0
-        for k in range(1, span):
-            amps[k] = amps[k - 1] * lam * math.sqrt((m + k) / k)
-        blocks[m] = weight * np.outer(amps, amps)
+    # factors[m, k] is the amplitude of |k, (m+k)~>, zero past the cutoff
+    m = np.arange(n)[:, None]
+    k = np.arange(1, n)
+    ratios = np.where(m + k < n, lam * np.sqrt((m + k) / k), 0.0)
+    amps = np.cumprod(np.hstack([np.ones((n, 1)), ratios]), axis=1)
+    factors = (np.sqrt((1.0 - th**2) * mu ** np.arange(n))[:, None] * amps)[:, :, None]
 
-    deficit = 1.0 - fock.sector_trace(blocks).real
+    deficit = 1.0 - np.vdot(factors, factors)
     if deficit > deficit_tol:
         raise TruncationError(
             f"trace deficit {deficit:.3e} exceeds {deficit_tol:.3e}; raise the cutoff"
         )
-    return DensityMatrix.from_blocks(layout, blocks, trace_tol=abs(deficit) + 1e-12)
+    return DensityMatrix._stacked(layout, range(n), factors, abs(deficit) + 1e-12)

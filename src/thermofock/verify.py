@@ -69,12 +69,13 @@ def _partial_trace_tensor(cutoff: int | None) -> float:
     doubled = layout.doubled()
     rho_a = states.chaotic_state(states.ThermoParams(1.0), layout)
     rho_b = states.chaotic_state(states.ThermoParams(0.5), layout)
-    # both factors are diagonal, so their product is too: its entry
-    # n * cutoff + m is rho_a[n, n] rho_b[m, m], and each sector block is diagonal
-    prod = np.outer(np.diagonal(rho_a.mat), np.diagonal(rho_b.mat)).ravel()
+    # both states are diagonal, so their product is too: its entry
+    # n * cutoff + m is rho_a[n, n] rho_b[m, m], and the factor of each
+    # sector is the diagonal of square roots, one column per state
+    prod = np.sqrt(np.outer(np.diagonal(rho_a.mat).real, np.diagonal(rho_b.mat).real)).ravel()
     sectors = range(1 - layout.cutoff, layout.cutoff)
-    blocks = {d: np.diag(prod[fock.sector_indices(doubled, d)]) for d in sectors}
-    joint = fock.DensityMatrix.from_blocks(doubled, blocks, trace_tol=1e-9)
+    factors = {d: np.diag(prod[fock.sector_indices(doubled, d)]) for d in sectors}
+    joint = fock.DensityMatrix.from_factors(doubled, factors, trace_tol=1e-9)
     kept_sys = fock.partial_trace(joint, over=fock.TILDE)
     kept_til = fock.partial_trace(joint, over=fock.SYSTEM)
     tr_a = fock.trace(rho_a).real
@@ -131,7 +132,7 @@ def _evolved_series_vs_expm(cutoff: int | None) -> float:
     th = math.tanh(params.theta)
     lam = math.exp(-kappa_t) * th
     mu = (1.0 - math.exp(-2.0 * kappa_t)) * th * th
-    blocks = {}
+    factors = {}
     for m in range(n):
         step = lam * states.pair_creation_block(layout, m)
         term = np.zeros(n - m)
@@ -140,8 +141,8 @@ def _evolved_series_vs_expm(cutoff: int | None) -> float:
         for k in range(1, n - m):
             term = step @ term / k
             column += term
-        blocks[m] = (1.0 - th * th) * mu**m * np.outer(column, column)
-    via_expm = fock.DensityMatrix.from_blocks(layout, blocks, trace_tol=via_series.trace_tol)
+        factors[m] = math.sqrt((1.0 - th * th) * mu**m) * column[:, None]
+    via_expm = fock.DensityMatrix.from_factors(layout, factors, trace_tol=via_series.trace_tol)
     return fock.trace_distance(via_series, via_expm)
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermofock import channel, fock, states
-from test_kernels import random_sector_state
+from test_kernels import random_density, random_sector_state
 
 
 def explicit_kraus_sum(rho_mat, ops):
@@ -68,6 +68,20 @@ def test_weight_table_matches_literal_kraus_entries():
         assert np.count_nonzero(op) == n - order
 
 
+@pytest.mark.parametrize("kappa_t", [0.0, 0.45, 3.0, 1e307])
+def test_weight_table_is_the_row_recurrence(kappa_t):
+    # the running product down the columns does the recurrence's arithmetic
+    # in the recurrence's order, so the tables are equal bit for bit
+    n = 40
+    kappa_t_sat = min(kappa_t, channel.KAPPA_T_SATURATION)
+    v = -math.expm1(-2.0 * kappa_t_sat)
+    cols = np.arange(n, dtype=np.float64)
+    rows = [np.exp(-kappa_t_sat * np.arange(n))]
+    for order in range(1, n):
+        rows.append(rows[-1] * np.sqrt(v * (cols + order) / order))
+    np.testing.assert_array_equal(channel.damping_weights(n, kappa_t), np.array(rows))
+
+
 @pytest.mark.parametrize("kappa_t", [0.1, 0.5, 2.0])
 def test_kraus_completeness(kappa_t):
     layout = fock.ModeLayout(32)
@@ -113,7 +127,7 @@ def test_damping_by_symmetry_of_tfd():
     layout = fock.ModeLayout(16).doubled()
     params = states.ThermoParams(1.0)
     rho = fock.outer(states.thermal_vacuum(params, layout), trace_tol=1e-4)
-    assert list(rho.blocks) == [0]
+    assert rho.sectors == range(0, 1)
     np.testing.assert_array_equal(
         fock.partial_trace(rho, over=fock.SYSTEM).mat, fock.partial_trace(rho, over=fock.TILDE).mat
     )
@@ -227,27 +241,25 @@ def test_lindblad_zero_time_is_identity():
     np.testing.assert_array_equal(out.mat, rho.mat)
 
 
-def test_lindblad_two_mode_matches_kraus():
+def test_lindblad_refuses_two_mode_states():
+    # the operator sum damps a two-mode state exactly, sector by sector
     layout = fock.ModeLayout(12).doubled()
-    params = states.ThermoParams(0.6)
-    rho = fock.outer(states.thermal_vacuum(params, layout), trace_tol=1e-4)
-    via_ode = channel.lindblad_integrate(rho, kappa=2.0, times=[0.25])[0]
-    via_kraus = channel.apply_kraus(rho, 0.5)
-    assert fock.trace_distance(via_ode, via_kraus) < 1e-10
+    rho = fock.outer(states.thermal_vacuum(states.ThermoParams(0.6), layout), trace_tol=1e-4)
+    with pytest.raises(fock.LayoutError, match="single-mode"):
+        channel.lindblad_integrate(rho, kappa=2.0, times=[0.25])
 
 
 @settings(max_examples=30, deadline=None)
 @given(
     cutoff=st.integers(2, 6),
-    two_mode=st.booleans(),
     kappa=st.floats(0.5, 2.0),
     kappa_t=st.floats(0.0, 1.0),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_lindblad_matches_kraus_on_random_states(cutoff, two_mode, kappa, kappa_t, seed):
-    # a random state fills every sector block of its layout
-    layout = fock.ModeLayout(cutoff, 2 if two_mode else 1)
-    rho = fock.DensityMatrix(layout, random_sector_state(layout, np.random.default_rng(seed)))
+def test_lindblad_matches_kraus_on_random_states(cutoff, kappa, kappa_t, seed):
+    # a random state fills every entry of the matrix
+    layout = fock.ModeLayout(cutoff)
+    rho = fock.DensityMatrix(layout, random_density(cutoff, np.random.default_rng(seed)))
     via_ode = channel.lindblad_integrate(rho, kappa=kappa, times=[kappa_t / kappa])[0]
     via_kraus = channel.apply_kraus(rho, kappa_t)
     assert fock.trace_distance(via_ode, via_kraus) < 1e-10
@@ -270,6 +282,16 @@ def test_lindblad_trace_drift_names_the_failing_time():
     # the drift bound; the error carries the time
     rho = states.chaotic_state(states.ThermoParams(30.0), fock.ModeLayout(128))
     with pytest.raises(channel.IntegrationError, match="trace drifted") as info:
+        channel.lindblad_integrate(rho, kappa=1.0, times=[2.0], dt=1.9)
+    assert info.value.time == 2.0
+
+
+def test_lindblad_unstable_step_names_the_failing_time():
+    # RK4 keeps the trace of the trace-free generator exactly, so an unstable
+    # step drifts by round-off only; its populations leave [0, 1] (they reach
+    # 1.42 and -1.09), and the error carries the time
+    rho = states.chaotic_state(states.ThermoParams(1.0), fock.ModeLayout(64))
+    with pytest.raises(channel.IntegrationError, match="population") as info:
         channel.lindblad_integrate(rho, kappa=1.0, times=[2.0], dt=1.9)
     assert info.value.time == 2.0
 
@@ -297,17 +319,19 @@ def assert_relative(got, want):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_sector_storage_matches_dense_oracle(cutoff, tau0, kappa_t, thermal, seed):
-    # the thermal vacuum fills one sector block; a random state fills every one
+    # the thermal vacuum is one factor of one column; random factors fill
+    # every sector, with from 0 to cutoff - |d| columns
     layout = fock.ModeLayout(cutoff).doubled()
     if thermal:
         rho = fock.outer(states.thermal_vacuum(states.ThermoParams(tau0), layout))
     else:
-        rho = fock.DensityMatrix(layout, random_sector_state(layout, np.random.default_rng(seed)))
+        rho = fock.DensityMatrix.from_factors(layout, random_sector_state(layout, np.random.default_rng(seed)))
     damped = channel.apply_kraus(rho, kappa_t)
     oracle = explicit_kraus_sum(rho.mat, two_mode_kraus(kappa_t, layout))
     np.testing.assert_allclose(damped.mat, oracle, rtol=0, atol=1e-14)
-    again = fock.DensityMatrix(layout, damped.mat, trace_tol=damped.trace_tol)
-    assert again.blocks.keys() == damped.blocks.keys()
+    again = fock.DensityMatrix.from_factors(
+        layout, {d: damped.factor(d) for d in damped.sectors}, trace_tol=damped.trace_tol
+    )
     np.testing.assert_array_equal(again.mat, damped.mat)
 
     assert_relative(fock.trace_distance(rho, damped), dense_trace_distance(rho.mat, oracle))

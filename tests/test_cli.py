@@ -442,18 +442,39 @@ def test_two_mode_work_budget_admits_the_largest_grid_and_no_larger():
     def config(*flags):
         return cli.build_config(cli.build_parser().parse_args(["two-mode", *flags]))
 
-    # a cutoff below 24 counts as 24; tau0 = 3 has the automatic cutoff 97
-    for cutoff_flags, size in ((["--cutoff", "128"], 128), (["--cutoff", "8"], 24), ([], 97)):
-        largest = cli.TWO_MODE_WORK_BUDGET // size**2 - 1
+    # a cutoff below the floor counts as the floor; tau0 = 3 has the automatic cutoff 97
+    floor = cli.WORK_CUTOFF_FLOOR
+    for cutoff_flags, size in ((["--cutoff", "128"], 128), (["--cutoff", "8"], floor), ([], 97)):
+        largest = cli.WORK_BUDGET // size**2 - 1
         assert config(*cutoff_flags, "--tau0", "3", "--steps", str(largest)).steps == largest
         with pytest.raises(cli.ConfigError, match="budget"):
             config(*cutoff_flags, "--tau0", "3", "--steps", str(largest + 1))
-    # 50001 points at cutoff 128 would run for over an hour
+    # 50001 points at cutoff 128 would run for about two minutes
     with pytest.raises(cli.ConfigError, match="budget"):
         config("--cutoff", "128", "--tau0", "3", "--steps", "50000")
     # the documented and smoke-tested commands stay admitted
     for flags in ([], ["--tau0", "1", "--steps", "6"], ["--tau0", "3", "--steps", "8"],
                   ["--cutoff", "128", "--tau0", "3", "--steps", "16"]):
+        config(*flags)
+
+
+def test_cool_work_budget_is_the_two_mode_one(capsys):
+    def config(*flags):
+        return cli.build_config(cli.build_parser().parse_args(["cool", *flags]))
+
+    # tau0 = 6 runs at the clamped cutoff 128, resolved before the check
+    largest = cli.WORK_BUDGET // 128**2 - 1
+    assert config("--tau0", "6", "--steps", str(largest)).cutoff == 128
+    with pytest.raises(cli.ConfigError, match="units of work"):
+        config("--tau0", "6", "--steps", str(largest + 1))
+    # 50001 points at cutoff 128 would run for about three minutes; the grid
+    # is refused before any state is built
+    assert run_cli(["cool", "--tau0", "6", "--steps", "50000"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cool needs") and "budget" in err and err.count("\n") == 1
+    # the documented and smoke-tested commands stay admitted
+    for flags in ([], ["--method", "both"], ["--method", "both", "--steps", "2"],
+                  ["--method", "lindblad", "--steps", "16"], ["--tau0", "6", "--method", "lindblad", "--steps", "16"]):
         config(*flags)
 
 
@@ -607,7 +628,8 @@ def test_a_long_flag_value_is_cut_in_the_error_line(capsys, argv, kept):
 _REALS = st.sampled_from(
     ["0", "-1", "5e-324", "1e-300", "0.05", "1", "3", "1e308", "nan", "inf", "-inf", "1" + "0" * 400, "abc"]
 )
-# accepted steps stay small: a two-mode grid point at cutoff 128 costs about 90 ms
+# accepted steps stay small: a grid point at cutoff 128 costs about 3 ms, and
+# a `cool --method both` grid interval at least 100 RK4 steps
 _STEPS = st.one_of(st.integers(1, 3).map(str), st.sampled_from(["0", "-2", "50001", "1" + "0" * 5000, "1.5"]))
 _CUTOFFS = st.sampled_from(["auto", "1", "2", "8", "128", "129", "abc"])
 _METHODS = st.sampled_from(["kraus", "lindblad", "both", "euler"])
@@ -642,6 +664,7 @@ RUN_SECONDS_MAX = 3.0
 @example(argv=["two-mode", "--tau0=0.05", "--kappa=700", "--t-max=1"])
 @example(argv=["two-mode", "--cutoff=128", "--tau0=3", "--steps=50000"])
 @example(argv=["two-mode", "--tau0=1e308", "--steps=50000"])
+@example(argv=["cool", "--tau0=6", "--steps=50000"])
 @example(argv=["cool", "--steps=1" + "0" * 5000])
 @given(argv=cli_argv())
 def test_every_input_exits_0_2_or_3_with_at_most_one_line(argv):

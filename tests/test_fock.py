@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermofock import fock
+from thermofock import channel, fock, states
+from test_kernels import random_sector_state
 
 
 def test_layout_validation():
@@ -118,21 +119,27 @@ def test_density_matrix_validation():
 def test_sector_blocks_are_validated():
     layout = fock.ModeLayout(4).doubled()
     proj = fock.outer(fock.fock_state(layout, (1, 1)))
-    assert set(proj.blocks) == {0}
-    blocks = dict(proj.blocks)
-    # sector 1 holds 3 states
-    blocks[1] = np.full((3, 3), 0.1j)
-    with pytest.raises(fock.StateError, match="hermitian"):
-        fock.DensityMatrix.from_blocks(layout, blocks)
-    blocks[1] = 0.1j * (np.eye(3, k=1) - np.eye(3, k=-1))
-    rho = fock.DensityMatrix.from_blocks(layout, blocks)
-    np.testing.assert_array_equal(fock.DensityMatrix(layout, rho.mat).mat, rho.mat)
-    with pytest.raises(fock.LayoutError):
-        fock.DensityMatrix.from_blocks(layout, {0: np.eye(3)})
-    with pytest.raises(fock.LayoutError):
-        fock.DensityMatrix.from_blocks(layout, {4: np.eye(1)})
+    assert proj.sectors == range(0, 1)
+    np.testing.assert_array_equal(proj.factor(0)[:, 0], [0, 1, 0, 0])
+    # sector 1 holds 3 states; factors of 1, 2, 0 and 1 columns, trace 0.93
+    factors = {0: 0.8 * proj.factor(0), 1: np.full((3, 2), 0.2j), -2: np.zeros((2, 0)), 3: np.full((1, 1), 0.3)}
+    rho = fock.DensityMatrix.from_factors(layout, factors, trace_tol=0.1)
+    assert rho.sectors == range(-2, 4) and rho.factors.shape == (6, 4, 2)
+    dense = np.zeros((16, 16), dtype=complex)
+    for d, f in factors.items():
+        idx = fock.sector_indices(layout, d)
+        dense[np.ix_(idx, idx)] = f @ f.conj().T
+    np.testing.assert_allclose(rho.mat, dense, rtol=0, atol=1e-16)
+    with pytest.raises(fock.LayoutError, match="shape"):
+        fock.DensityMatrix.from_factors(layout, {0: np.eye(3)})
+    with pytest.raises(fock.LayoutError, match="outside"):
+        fock.DensityMatrix.from_factors(layout, {4: np.eye(1)})
     with pytest.raises(fock.StateError, match="non-finite"):
-        fock.DensityMatrix.from_blocks(layout, {0: np.full((4, 4), np.nan)})
+        fock.DensityMatrix.from_factors(layout, {0: np.full((4, 1), np.nan)})
+    with pytest.raises(fock.StateError, match="trace"):
+        fock.DensityMatrix.from_factors(layout, {0: np.ones((4, 1))})
+    with pytest.raises(fock.LayoutError, match="two-mode"):
+        fock.DensityMatrix.from_factors(layout.single(), {0: np.eye(4) / 2})
 
 
 def test_entries_between_sectors_are_refused():
@@ -140,10 +147,12 @@ def test_entries_between_sectors_are_refused():
     layout = fock.ModeLayout(4).doubled()
     coupled = np.zeros((16, 16), dtype=complex)
     coupled[3, 3] = coupled[4, 4] = coupled[3, 4] = coupled[4, 3] = 0.5
-    with pytest.raises(fock.StateError, match="couple pair-number sectors 3 and -1"):
+    # a factor per sector cannot hold such entries, and no dense two-mode
+    # matrix is taken
+    with pytest.raises(fock.LayoutError, match="from_factors"):
         fock.DensityMatrix(layout, coupled)
-    with pytest.raises(fock.StateError, match="couple pair-number sectors 3 and -1"):
-        fock.DensityMatrix.from_blocks(layout, {3: np.eye(1) / 2, -1: np.diag([0.5, 0, 0]), (3, -1): np.eye(1, 3) / 2})
+    with pytest.raises(fock.LayoutError, match="outside"):
+        fock.DensityMatrix.from_factors(layout, {3: np.eye(1) / 2, -1: np.eye(3, 1) / 2, (3, -1): np.eye(1)})
     psi = fock.PureState(layout, coupled[3] * np.sqrt(2))
     with pytest.raises(fock.StateError, match="couple pair-number sectors -1 and 3"):
         fock.outer(psi)
@@ -186,7 +195,12 @@ def test_partial_trace_of_product_state():
 
     rho_a = random_density(6)
     rho_b = random_density(6)
-    joint = fock.DensityMatrix(layout.doubled(), np.kron(rho_a, rho_b))
+    # the factor of each sector is the diagonal of square roots
+    roots = np.sqrt(np.diag(np.kron(rho_a, rho_b)).real)
+    doubled = layout.doubled()
+    factors = {d: np.diag(roots[fock.sector_indices(doubled, d)]) for d in range(-5, 6)}
+    joint = fock.DensityMatrix.from_factors(doubled, factors)
+    np.testing.assert_allclose(joint.mat, np.kron(rho_a, rho_b), rtol=0, atol=1e-16)
     np.testing.assert_allclose(
         fock.partial_trace(joint, over=fock.TILDE).mat, rho_a, atol=1e-13
     )
@@ -226,6 +240,25 @@ def test_trace_distance_of_basis_projectors():
     p1 = fock.outer(fock.fock_state(layout, 1))
     assert fock.trace_distance(p0, p1) == pytest.approx(1.0)
     assert fock.trace_distance(p0, p0) == pytest.approx(0.0, abs=1e-15)
+
+
+def test_trace_distance_of_a_state_to_itself_is_zero():
+    rng = np.random.default_rng(17)
+    single = fock.ModeLayout(9)
+    m = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+    layout = single.doubled()
+    params = states.ThermoParams(1.0)
+    damped = channel.apply_kraus(fock.outer(states.thermal_vacuum(params, layout), trace_tol=1e-3), 0.4)
+    for rho in (
+        fock.DensityMatrix(single, m @ m.conj().T / np.trace(m @ m.conj().T)),
+        fock.DensityMatrix.from_factors(layout, random_sector_state(layout, rng)),
+        states.evolved_two_mode_state(params, 0.4, layout, deficit_tol=1e-3),
+        damped,
+    ):
+        assert fock.trace_distance(rho, rho) == 0.0
+    # the same state, one copy with a zero sector and a zero column more
+    padded = {d: np.hstack([damped.factor(d), np.zeros((9 - abs(d), 1))]) for d in range(-1, 9)}
+    assert fock.trace_distance(damped, fock.DensityMatrix.from_factors(layout, padded, trace_tol=1e-3)) < 1e-15
 
 
 def block_partitions(dim):

@@ -139,16 +139,19 @@ def test_tfd_identity_rejects_non_square_observable():
 def test_evolved_state_weights_are_lambda_and_mu():
     layout = fock.ModeLayout(33).doubled()
     params = states.ThermoParams(1.0)
-    blocks = states.evolved_two_mode_state(params, 0.5, layout).blocks
+    rho = states.evolved_two_mode_state(params, 0.5, layout)
     th = math.tanh(THETA_TAU1)
     lam = math.exp(-0.5) * th
     mu = (1 - math.exp(-1.0)) * th * th
     # block m starts with sech^2 mu^m |0, m~><0, m~|, and its next
-    # diagonal entry carries lam^2 (m + 1) for the pair |1, (m+1)~>
+    # diagonal entry carries lam^2 (m + 1) for the pair |1, (m+1)~>; the
+    # factor of block m is one column
     sech2 = 1 - th * th
+    assert rho.sectors == range(33) and rho.factors.shape == (33, 33, 1)
     for m in (0, 1, 2):
-        assert blocks[m][0, 0] == pytest.approx(sech2 * mu**m, rel=1e-14)
-        assert blocks[m][1, 1] == pytest.approx(sech2 * mu**m * lam**2 * (m + 1), rel=1e-14)
+        factor = rho.factor(m)[:, 0]
+        assert factor[0] ** 2 == pytest.approx(sech2 * mu**m, rel=1e-14)
+        assert factor[1] ** 2 == pytest.approx(sech2 * mu**m * lam**2 * (m + 1), rel=1e-14)
     # the surviving correlation and the leaked mixture exhaust tanh^2(theta)
     assert mu + lam**2 == pytest.approx(th * th, abs=1e-15)
     with pytest.raises(ValueError, match="kappa_t"):
@@ -162,16 +165,22 @@ def dense_pair_creation(layout):
     return a_sys.conj().T @ a_til.conj().T
 
 
-def dense_evolved_state(params, kappa_t, layout):
-    # sech^2 E (|0><0| (x) sum_m mu^m |m~><m~|) E+ with a dense expm for E;
-    # |0, m~> is basis index m
+def dense_evolved_parts(params, kappa_t, layout):
+    # E with a dense expm, and the weights sech^2 mu^m of the terms
+    # E|0, m~><0, m~|E+; |0, m~> is basis index m
     n = layout.cutoff
     th = math.tanh(params.theta)
     lam = math.exp(-kappa_t) * th
     mu = (1.0 - math.exp(-2.0 * kappa_t)) * th * th
     expand = scipy.linalg.expm(lam * dense_pair_creation(layout))
-    core = np.zeros(n * n)
-    core[:n] = (1.0 - th * th) * mu ** np.arange(n)
+    return expand, (1.0 - th * th) * mu ** np.arange(n)
+
+
+def dense_evolved_state(params, kappa_t, layout):
+    # sech^2 E (|0><0| (x) sum_m mu^m |m~><m~|) E+
+    expand, weights = dense_evolved_parts(params, kappa_t, layout)
+    core = np.zeros(layout.dim)
+    core[:layout.cutoff] = weights
     return (expand * core) @ expand.conj().T
 
 
@@ -179,7 +188,11 @@ def test_evolved_state_series_equals_expm():
     layout = fock.ModeLayout(24).doubled()
     params = states.ThermoParams(1.0)
     via_series = states.evolved_two_mode_state(params, 0.8, layout)
-    via_expm = fock.DensityMatrix(layout, dense_evolved_state(params, 0.8, layout), trace_tol=via_series.trace_tol)
+    # the factor of sector m is sech mu^(m/2) E|0, m~>, read off the dense E
+    expand, weights = dense_evolved_parts(params, 0.8, layout)
+    factors = {m: np.sqrt(w) * expand[fock.sector_indices(layout, m), m][:, None] for m, w in enumerate(weights)}
+    via_expm = fock.DensityMatrix.from_factors(layout, factors, trace_tol=via_series.trace_tol)
+    np.testing.assert_allclose(via_expm.mat, dense_evolved_state(params, 0.8, layout), rtol=0, atol=1e-15)
     assert fock.trace_distance(via_series, via_expm) < 1e-12
     np.testing.assert_allclose(via_series.mat, via_expm.mat, atol=1e-13)
 
@@ -220,6 +233,18 @@ def test_evolved_state_matches_kraus_evolution():
         analytic = states.evolved_two_mode_state(params, kappa_t, layout)
         evolved = channel.apply_kraus(rho0, kappa_t)
         assert fock.trace_distance(analytic, evolved) < 1e-12
+
+
+@pytest.mark.parametrize("cutoff, tau0", [(33, 1.0), (48, 1.4), (128, 3.0)])
+def test_closed_form_matches_operator_sum(cutoff, tau0):
+    # the two routes to the damped thermal vacuum agree to round-off at the
+    # cutoffs the benchmark and the CLI's largest grids run
+    layout = fock.ModeLayout(cutoff).doubled()
+    params = states.ThermoParams(tau0)
+    rho0 = fock.outer(states.thermal_vacuum(params, layout))
+    for kappa_t in (0.0, 0.3, 2.0):
+        analytic = states.evolved_two_mode_state(params, kappa_t, layout)
+        assert fock.trace_distance(analytic, channel.apply_kraus(rho0, kappa_t)) < 1e-14
 
 
 def test_evolved_state_reductions():
