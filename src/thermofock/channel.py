@@ -18,9 +18,9 @@ products: per offset j - k for a single mode (see kernels), and on the
 sector factors for two modes, where K_n takes sector d to sector d + n.
 
 The Lindblad route integrates d rho / dt = kappa (2 a rho a+ - {a+a, rho})
-for a single mode with fixed-step RK4, and checks the trace drift and the
-populations at every requested time; both routes converge to the same
-state.  lindblad_integrate takes a list of times and steps one packed
+for a single mode with fixed-step RK4, taken as powers of the step matrix
+(see kernels), and checks the trace drift and the populations at every
+requested time; both routes converge to the same state.  lindblad_integrate takes a list of times and steps one packed
 vector from each time to the next, so a grid costs about one integration
 to its last time; rk4_step_count gives that cost before any step is taken.
 """
@@ -195,7 +195,9 @@ def lindblad_integrate(
     operator sum damps it exactly.  One packed vector is stepped from 0
     through the times in increasing order, each interval between
     consecutive times planned by _rk4_plan, so a time grid costs about one
-    integration to its last time.  The state is re-hermitized every step.
+    integration to its last time.  kernels.rk4_evolve takes the full steps
+    of an interval as one power of each chain's RK4 step matrix, and the
+    remainder step as one more call; each call re-hermitizes the state once.
     At each time, a trace drift beyond TRACE_DRIFT_TOL raises
     IntegrationError naming that time (the generator is exactly trace-free,
     so drift measures accumulated integration error), and so does a

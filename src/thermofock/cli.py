@@ -30,6 +30,7 @@ a `cool` or `two-mode` grid whose work exceeds WORK_BUDGET.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -53,10 +54,11 @@ CROSS_METHOD_TOL = 1e-5
 DEFICIT_TOL = 1e-6
 # Most RK4 steps a `cool --method lindblad|both` grid may take, and most grid
 # intervals any grid may have, since each grid point costs at least one kernel
-# call; a larger kappa * t-max or steps is refused with exit 2.  At cutoff
-# 128, the largest, a step takes about 35 us, and about twice that once the
-# decayed populations are subnormal floats, so a run at the budget takes about
-# 2.5 to 4 seconds.
+# call; a larger kappa * t-max or steps is refused with exit 2.  The steps of
+# one grid interval cost about log2(steps) batched products of chain-sized
+# matrices, at most cutoff x cutoff; the worst admitted grid, 500 intervals of
+# 100 steps at cutoff 128 (`cool --tau0 3.9 --method lindblad --steps 500
+# --t-max 0.05`), takes about 2 s on 2 vCPUs.
 LINDBLAD_STEP_BUDGET = 50_000
 # Most work a `cool` or `two-mode` grid may take, in units of (steps + 1) grid
 # points times max(cutoff, WORK_CUTOFF_FLOOR)^2; a larger grid is refused with
@@ -401,7 +403,10 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process on first use; parsing
+    leaves it unchanged, so every call reuses it."""
     parser = _Parser(
         prog="thermofock",
         description="Amplitude damping of thermal bosonic states on truncated Fock spaces.",

@@ -1,13 +1,20 @@
 """Hot numerical kernels, in numpy, on single-mode states.
 
 apply_damping applies the amplitude-damping operator sum to a dense matrix,
-per offset j - k.  lindblad_table and rk4_evolve integrate the damping
-generator kappa (2 a rho a+ - {a+a, rho}).  Only the entries the generator
-can make nonzero are packed into the complex vector: the state's nonzero
-entries, their transposes, and the entries the jump term feeds from them.
-A chaotic state of cutoff N packs N entries, not N^2; every other entry
-stays exactly 0.  Two-mode states are damped by channel.apply_kraus on
-their sector factors.
+per occupied offset j - k.  lindblad_table and rk4_evolve integrate the
+damping generator kappa (2 a rho a+ - {a+a, rho}).  Only the entries the
+generator can make nonzero are packed into the complex vector: the state's
+nonzero entries, their transposes, and the entries the jump term feeds
+from them.  A chaotic state of cutoff N packs N entries, not N^2; every
+other entry stays exactly 0.
+
+The generator keeps the offset c - r of an entry (r, c), and feeds each
+entry only from the next one down its chain, (r + 1, c + 1).  On one chain
+it is a real bidiagonal matrix at most cutoff x cutoff, the same for the
+chain and its transpose, so rk4_evolve takes n RK4 steps as the n-th power
+of each chain's RK4 step matrix, by binary powering in increment form, and
+re-hermitizes once per call.  No packed-size matrix is ever formed.
+Two-mode states are damped by channel.apply_kraus on their sector factors.
 """
 
 from __future__ import annotations
@@ -31,14 +38,16 @@ def apply_damping(rho4: np.ndarray, weights: np.ndarray, n_kraus: int) -> np.nda
     Every term keeps the offset delta = j - k, so the sum acts on each
     diagonal rho4[p+max(delta,0), :, p+max(-delta,0), :] (p = 0..L-1,
     L = N - |delta|) on its own, as the upper-triangular L x L matrix
-    T[p, p+n] = W[n, j_p] W[n, k_p].  Only the (m, m') columns with a
+    T[p, p+n] = W[n, j_p] W[n, k_p].  The offsets are read off the nonzero
+    entries in one pass, and on each only the (m, m') columns with a
     nonzero on that diagonal are gathered, so a diagonal single-mode state
     touches one offset.
     """
     n_modes = rho4.shape[0]
     n_kraus = min(n_kraus, n_modes)
     out = np.zeros_like(rho4)
-    for delta in range(1 - n_modes, n_modes):
+    j, k = np.nonzero(rho4.any(axis=(1, 3)))
+    for delta in np.unique(j - k).tolist():
         diag = np.diagonal(rho4, -delta, axis1=0, axis2=2)  # (R, R, L) view
         m_sel, mp_sel = np.nonzero(diag.any(axis=2))
         if m_sel.size == 0:
@@ -75,17 +84,22 @@ class LindbladTable:
     """The damping generator on the entries a damped state can reach, packed.
 
     Entry k sits at flat position local[k] of the cutoff x cutoff matrix, in
-    row-major order.  rhs(vec) is decay * vec + gain * vec[feed]: entry
-    feed[k] is the one whose jump lands on entry k, or k itself with gain
-    0; partner[k] is the position of the transpose of entry k.
+    row-major order, and partner[k] is the position of its transpose.  The
+    generator keeps the offset c - r of an entry (r, c) and acts on each
+    offset's chain of entries on its own; entry k is slot[k] = min(r, c) of
+    chain[k], which is the offset's magnitude |c - r|, on side[k] (0 on or
+    above the diagonal, 1 below).  A chain and its transpose have the same
+    real generator, generator[chain], bidiagonal and padded with zeros to
+    the longest chain.
     """
 
     cutoff: int
     local: np.ndarray
-    decay: np.ndarray
-    feed: np.ndarray
-    gain: np.ndarray
     partner: np.ndarray
+    chain: np.ndarray
+    slot: np.ndarray
+    side: np.ndarray
+    generator: np.ndarray
 
     def pack(self, mat: np.ndarray) -> np.ndarray:
         """One vector holding the table's entries of the matrix."""
@@ -97,10 +111,6 @@ class LindbladTable:
         np.put(out, self.local, vec)
         return out
 
-    def rhs(self, vec: np.ndarray) -> np.ndarray:
-        """kappa (2 a rho a+ - a+a rho - rho a+a)."""
-        return self.decay * vec + self.gain * vec[self.feed]
-
 
 def lindblad_table(mat: np.ndarray, kappa: float) -> LindbladTable:
     """Pack the entries a damped state can reach and tabulate the generator.
@@ -110,7 +120,7 @@ def lindblad_table(mat: np.ndarray, kappa: float) -> LindbladTable:
     stays exactly zero unless it or an entry above it on its chain is
     nonzero: the packed entries are the state's nonzero entries, closed
     under that feed and under transposition.  A chaotic state of cutoff N
-    packs its N populations.
+    packs its N populations, on one chain.
     """
     n = mat.shape[0]
     # entries as flat positions r * n + c: the nonzero ones and their transposes
@@ -127,35 +137,61 @@ def lindblad_table(mat: np.ndarray, kappa: float) -> LindbladTable:
     packed = np.sort(np.repeat(base[top_of_line], counts) + step * lower)
     rows, cols = np.divmod(packed, n)
 
-    src = np.flatnonzero((rows > 0) & (cols > 0))
-    dst = np.searchsorted(packed, packed[src] - lower)
-    feed = np.arange(packed.size)
-    feed[dst] = src
-    gain = np.zeros(packed.size)
-    gain[dst] = 2.0 * kappa * (np.sqrt(rows[src]) * np.sqrt(cols[src]))
+    # the closure is symmetric, so a chain and its transpose have the same slots
+    offsets, chain = np.unique(np.abs(cols - rows), return_inverse=True)
+    slot = np.minimum(rows, cols)
+    length = int(slot.max(initial=-1)) + 1
+    generator = np.zeros((offsets.size, length, length))
+    generator[chain, slot, slot] = -kappa * (rows + cols).astype(np.float64)
+    fed = slot > 0
+    generator[chain[fed], slot[fed] - 1, slot[fed]] = 2.0 * kappa * (np.sqrt(rows[fed]) * np.sqrt(cols[fed]))
     return LindbladTable(
         cutoff=n,
         local=packed,
-        decay=-kappa * (rows + cols).astype(np.float64),
-        feed=feed,
-        gain=gain,
         partner=np.searchsorted(packed, cols * n + rows),
+        chain=chain,
+        slot=slot,
+        side=(rows > cols).astype(np.intp),
+        generator=generator,
     )
 
 
 def rk4_evolve(vec: np.ndarray, table: LindbladTable, dt: float, n_steps: int) -> np.ndarray:
-    """Integrate the packed generator with fixed-step RK4.
+    """Take n_steps fixed RK4 steps of length dt on the packed generator.
 
-    The state is re-hermitized after every step, each entry against its
-    partner, so round-off cannot accumulate an anti-hermitian component
-    over long integrations.
+    The generator L is linear and keeps each chain, so one RK4 step is the
+    chain-sized matrix P = I + hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24 and
+    n_steps steps are its power, taken for all chains at once by binary
+    powering: about log2(n_steps) batched products.  Both are kept in
+    increment form, D = P - I by Horner and (I + A)(I + B) = I + (A + B + AB),
+    because I + D would round the small entries of D against the ones on
+    the diagonal at every product.  The state is then vec + D_n vec.
+
+    The state is re-hermitized once per call, each entry against its
+    partner.  The step matrix is real and shared by a chain and its
+    transpose, so it commutes with taking the hermitian part, and one
+    re-hermitization after n steps is the same map as one after every step.
+    n_steps = 0 returns a copy unchanged; dt = 0 only re-hermitizes.
     """
-    out = vec.copy()
-    for _ in range(n_steps):
-        k1 = table.rhs(out)
-        k2 = table.rhs(out + (0.5 * dt) * k1)
-        k3 = table.rhs(out + (0.5 * dt) * k2)
-        k4 = table.rhs(out + dt * k3)
-        out += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out = 0.5 * (out + out[table.partner].conj())
-    return out
+    if n_steps <= 0:
+        return vec.copy()
+    hl = dt * table.generator
+    eye = np.eye(hl.shape[-1])
+    inc = hl
+    for order in (4, 3, 2):
+        inc = hl @ (eye + inc / order)
+    total = None
+    while True:
+        if n_steps & 1:
+            total = inc if total is None else total + inc + total @ inc
+        n_steps >>= 1
+        if not n_steps:
+            break
+        inc = 2.0 * inc + inc @ inc
+    # each chain's two sides as complex columns, interleaved as real pairs so
+    # the real step matrix acts through one real product
+    cols = np.zeros(hl.shape[:2] + (2,), dtype=np.complex128)
+    cols[table.chain, table.slot, table.side] = vec
+    cols += (total @ cols.view(np.float64)).view(np.complex128)
+    out = cols[table.chain, table.slot, table.side]
+    return 0.5 * (out + out[table.partner].conj())

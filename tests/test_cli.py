@@ -536,6 +536,24 @@ def test_flag_after_a_config_file_wins_and_tol_items_merge(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("numerical failure: ")
 
 
+def test_successive_runs_in_one_process_share_no_flags(tmp_path, monkeypatch):
+    # the parser is built once per process, so a run's config file and
+    # --tol items must not reach the next run
+    seen = []
+    monkeypatch.setattr(cli, "cmd_cool", lambda cfg: seen.append(cfg) or 0)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tau0 = 2\nmethod = lindblad\ntol = cross_method=1e-3\n")
+    assert run_cli(["cool", "--config", str(cfg), "--tol", "deficit=1"]) == 0
+    assert run_cli(["cool"]) == 0
+    first, second = seen
+    assert (first.tau0, first.method) == (2.0, "lindblad")
+    assert first.tolerances == {"cross_method": 1e-3, "deficit": 1.0}
+    fresh = cli.build_config(cli.build_parser.__wrapped__().parse_args(["cool"]))
+    assert vars(second) == vars(fresh)
+    assert second.config is None and second.tol == [] and second.tolerances == {}
+    assert cli.build_parser() is cli.build_parser()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

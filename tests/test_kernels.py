@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,13 @@ def random_hermitian4(n, ride, seed):
     m = 0.5 * (m + m.conj().T)
     m /= np.abs(m).max()
     return np.ascontiguousarray(m.reshape(n, ride, n, ride))
+
+
+def banded_hermitian4(n, offsets, seed):
+    """random_hermitian4(n, 1) kept on the offsets j - k = +-offsets only."""
+    m = random_hermitian4(n, 1, seed).reshape(n, n)
+    delta = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    return np.where(np.isin(delta, offsets), m, 0).reshape(n, 1, n, 1)
 
 
 def reference_damping(rho4, weights, n_kraus):
@@ -68,6 +77,7 @@ def thermal_vacuum4(n):
         pytest.param(random_hermitian4(6, 6, seed=3), 6, False, id="6-6"),
         pytest.param(thermal_vacuum4(8), 8, False, id="thermal-vacuum-8"),
         pytest.param(random_hermitian4(7, 4, seed=3), 3, False, id="capped-7-4"),
+        pytest.param(banded_hermitian4(9, (0, 2, 5), seed=3), 9, False, id="banded-9"),
         pytest.param(random_sector_density(5, seed=3), 5, True, id="sectors-5"),
     ],
 )
@@ -99,6 +109,13 @@ def bracket(rho, a, kappa):
     return kappa * (2 * a @ rho @ a.conj().T - num @ rho - rho @ num)
 
 
+def apply_generator(table, vec):
+    """The packed generator applied once, chain by chain."""
+    cols = np.zeros(table.generator.shape[:2] + (2,), dtype=np.complex128)
+    cols[table.chain, table.slot, table.side] = vec
+    return (table.generator @ cols)[table.chain, table.slot, table.side]
+
+
 @pytest.mark.parametrize("n", [9, 36])
 def test_lindblad_rhs_backends_match_bracket_form(n):
     # a random state fills every entry of the matrix
@@ -106,7 +123,7 @@ def test_lindblad_rhs_backends_match_bracket_form(n):
     kappa = 0.7
     table, vec = packed_generator(rho, kappa)
     assert table.local.size == n * n
-    got = table.unpack(table.rhs(vec))
+    got = table.unpack(apply_generator(table, vec))
     expected = bracket(rho, fock.annihilation(fock.ModeLayout(n)), kappa)
     np.testing.assert_allclose(got, expected, atol=1e-13)
     # the generator is trace-free
@@ -178,6 +195,59 @@ def test_pruned_rk4_matches_bracket_form_on_sparse_states(cutoff, density, seed)
     # the textbook integration leaves every entry outside the packed set at exactly 0
     packed = table.unpack(np.ones(table.local.size)) != 0
     assert not expected[~packed].any()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    cutoff=st.integers(2, 6),
+    n_steps=st.integers(0, 400),
+    dt=st.floats(1e-4, 2e-2),
+    sparse=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_powered_rk4_matches_textbook_steps(cutoff, n_steps, dt, sparse, seed):
+    # n steps taken as one power of each chain's step matrix are n textbook steps
+    rng = np.random.default_rng(seed)
+    rho = random_density(cutoff, rng)
+    if sparse:
+        mask = rng.random((cutoff, cutoff)) < 0.3
+        rho = np.where(mask | mask.T, rho, 0)
+    table, vec = packed_generator(rho, kappa=1.0)
+    got = table.unpack(kernels.rk4_evolve(vec, table, dt, n_steps))
+    expected = reference_rk4(rho, fock.annihilation(fock.ModeLayout(cutoff)), 1.0, dt, n_steps)
+    np.testing.assert_allclose(got, expected, atol=1e-13)
+
+
+def test_rk4_keeps_a_hermitian_state_exactly_hermitian():
+    rho = random_density(12, np.random.default_rng(17))
+    rho = 0.5 * (rho + rho.conj().T)
+    assert kernels.hermiticity_defect(rho) == 0
+    table, vec = packed_generator(rho, 1.0)
+    for n_steps in (0, 1, 7, 500):
+        out = table.unpack(kernels.rk4_evolve(vec, table, 1e-3, n_steps))
+        assert kernels.hermiticity_defect(out) == 0
+
+
+def test_rk4_keeps_the_trace_over_many_steps():
+    rho = random_density(32, np.random.default_rng(19))
+    table, vec = packed_generator(rho, 1.0)
+    out = table.unpack(kernels.rk4_evolve(vec, table, 1e-3, 50000))
+    assert abs(out.trace() - 1.0) < 1e-13
+
+
+def test_rk4_memory_is_chain_sized():
+    # a dense cutoff-48 state packs P = 2304 entries; one P x P real matrix
+    # would take 42 MB, while its 48 chains of at most 48 slots take 0.9 MB
+    rho = random_density(48, np.random.default_rng(21))
+    table, vec = packed_generator(rho, 1.0)
+    tracemalloc.start()
+    try:
+        kernels.rk4_evolve(vec, table, 1e-3, 500)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # measured 4.4 MB
+    assert peak < 8e6
 
 
 def test_rk4_zero_steps_copies():
