@@ -348,8 +348,7 @@ def cmd_two_mode(cfg: argparse.Namespace) -> int:
     layout = fock.ModeLayout(cfg.cutoff).doubled()
     deficit_tol = cfg.tolerances.get("deficit", DEFICIT_TOL)
 
-    psi = states.thermal_vacuum(params, layout)
-    rho0 = fock.outer(psi)
+    rho0 = states.thermal_vacuum(params, layout)
     number_single = fock.number(layout.single())
 
     rows = []

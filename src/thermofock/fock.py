@@ -3,10 +3,12 @@
 A single bosonic mode is truncated to occupations 0..cutoff-1.  Two-mode
 objects live on the tensor product of a "system" mode and a "tilde" partner
 of the same cutoff, ordered system-major: basis index = n_sys * cutoff +
-n_tilde.  Operators are plain complex128 arrays of shape (dim, dim), and
-pure states dense complex128 vectors; the two-mode operators the package
-needs (the squeeze unitary, E = exp(lambda a+ b+)) are built sector by
-sector in `states` instead.
+n_tilde.  Single-mode operators are plain complex128 arrays of shape
+(cutoff, cutoff), and single-mode pure states dense complex128 vectors.
+There are no dense two-mode operators or vectors: the two-mode operators
+the package needs (the squeeze unitary, E = exp(lambda a+ b+)) are built
+sector by sector in `states`, and a two-mode state is a density matrix
+stored by sector.
 
 A single-mode density matrix is stored dense.  A two-mode one is stored by
 pair-number sector.  Sector d holds the basis states with n_tilde - n_sys =
@@ -83,28 +85,21 @@ class ModeLayout:
         return ModeLayout(self.cutoff, 1)
 
 
-def _check_mode(mode: str) -> None:
-    if mode not in (SYSTEM, TILDE):
-        raise LayoutError(f"mode must be {SYSTEM!r} or {TILDE!r}, got {mode!r}")
+def _single_mode(layout: ModeLayout, what: str) -> None:
+    if layout.modes != 1:
+        raise LayoutError(f"{what} takes a single-mode layout; two-mode objects are built by sector")
 
 
 def _sector_range(layout: ModeLayout) -> range:
-    """Pair-number differences d = n_tilde - n_sys of the layout's sectors."""
-    top = layout.cutoff - 1 if layout.modes == 2 else 0
-    return range(-top, top + 1)
+    """Pair-number differences d = n_tilde - n_sys of a two-mode layout's sectors."""
+    return range(1 - layout.cutoff, layout.cutoff)
 
 
 def sector_indices(layout: ModeLayout, d: int) -> np.ndarray:
-    """Dense basis indices of sector d, in sector order."""
+    """Dense basis indices of sector d of a two-mode layout, in sector order."""
     n = layout.cutoff
     p = np.arange(n - abs(d))
-    if layout.modes == 1:
-        return p
     return (p + max(-d, 0)) * n + (p + max(d, 0))
-
-
-def _coupled(d: int, d2: int) -> StateError:
-    return StateError(f"entries couple pair-number sectors {d} and {d2}; a state must be block diagonal in d")
 
 
 def _real(a: np.ndarray) -> np.ndarray:
@@ -189,7 +184,12 @@ class DensityMatrix:
             raise StateError(f"trace {tr:.12g} deviates from 1 by {err:.3e} (tol {self.trace_tol:.3e})")
 
     def factor(self, d: int) -> np.ndarray:
-        """F_d of a two-mode state, rows in sector order; zero outside `sectors`."""
+        """F_d of a two-mode state, rows in sector order; zero in the layout's
+        sectors outside `sectors`."""
+        if self.factors is None:
+            raise LayoutError("a single-mode state has no sector factors")
+        if d not in _sector_range(self.layout):
+            raise LayoutError(f"sector {d!r} outside the layout {self.layout}")
         n = self.layout.cutoff
         if d not in self.sectors:
             return np.zeros((n - abs(d), self.factors.shape[2]), dtype=self.factors.dtype)
@@ -224,13 +224,14 @@ class DensityMatrix:
 
 @dataclass(eq=False)
 class PureState:
-    """A normalized state vector tied to a ModeLayout."""
+    """A normalized state vector of a single mode."""
 
     layout: ModeLayout
     vec: np.ndarray
     norm_tol: float = field(default=DEFAULT_TRACE_TOL, compare=False)
 
     def __post_init__(self) -> None:
+        _single_mode(self.layout, "PureState")
         vec = np.ascontiguousarray(self.vec, dtype=np.complex128)
         if vec.shape != (self.layout.dim,):
             raise LayoutError(f"vector shape {vec.shape} does not match layout dim {self.layout.dim}")
@@ -247,56 +248,38 @@ class PureState:
 # ---------------------------------------------------------------------------
 
 
-def _embed(core: np.ndarray, layout: ModeLayout, mode: str) -> np.ndarray:
-    if layout.modes == 1:
-        return core
-    eye = np.eye(layout.cutoff, dtype=np.complex128)
-    if mode == SYSTEM:
-        return np.kron(core, eye)
-    return np.kron(eye, core)
-
-
-def annihilation(layout: ModeLayout, mode: str = SYSTEM) -> np.ndarray:
-    """Lowering operator a on the requested mode: a|n> = sqrt(n)|n-1>."""
-    _check_mode(mode)
+def annihilation(layout: ModeLayout) -> np.ndarray:
+    """Lowering operator a of a single mode: a|n> = sqrt(n)|n-1>."""
+    _single_mode(layout, "annihilation")
     n = layout.cutoff
     core = np.zeros((n, n), dtype=np.complex128)
     core[np.arange(n - 1), np.arange(1, n)] = np.sqrt(np.arange(1, n))
-    return _embed(core, layout, mode)
+    return core
 
 
-def creation(layout: ModeLayout, mode: str = SYSTEM) -> np.ndarray:
-    """Raising operator a+ on the requested mode."""
-    _check_mode(mode)
+def creation(layout: ModeLayout) -> np.ndarray:
+    """Raising operator a+ of a single mode."""
+    _single_mode(layout, "creation")
     n = layout.cutoff
     core = np.zeros((n, n), dtype=np.complex128)
     core[np.arange(1, n), np.arange(n - 1)] = np.sqrt(np.arange(1, n))
-    return _embed(core, layout, mode)
+    return core
 
 
-def number(layout: ModeLayout, mode: str = SYSTEM) -> np.ndarray:
-    """Occupation-number operator a+a on the requested mode."""
-    _check_mode(mode)
-    core = np.diag(np.arange(layout.cutoff, dtype=np.complex128))
-    return _embed(core, layout, mode)
+def number(layout: ModeLayout) -> np.ndarray:
+    """Occupation-number operator a+a of a single mode."""
+    _single_mode(layout, "number")
+    return np.diag(np.arange(layout.cutoff, dtype=np.complex128))
 
 
-def fock_state(layout: ModeLayout, occupation: int | tuple[int, int]) -> PureState:
-    """Basis vector |n> (single mode) or |n, m~> (two modes)."""
-    if layout.modes == 1:
-        if isinstance(occupation, tuple):
-            raise LayoutError("single-mode layout takes a single occupation")
-        occs = (occupation,)
-    else:
-        if not isinstance(occupation, tuple) or len(occupation) != 2:
-            raise LayoutError("two-mode layout takes an (n_system, n_tilde) pair")
-        occs = occupation
-    for occ in occs:
-        if not 0 <= occ < layout.cutoff:
-            raise LayoutError(f"occupation {occ} outside 0..{layout.cutoff - 1}")
-    idx = occs[0] if layout.modes == 1 else occs[0] * layout.cutoff + occs[1]
+def fock_state(layout: ModeLayout, occupation: int) -> PureState:
+    """Basis vector |n> of a single mode."""
+    if isinstance(occupation, tuple):
+        raise LayoutError("a single-mode layout takes a single occupation")
+    if not 0 <= occupation < layout.cutoff:
+        raise LayoutError(f"occupation {occupation} outside 0..{layout.cutoff - 1}")
     vec = np.zeros(layout.dim, dtype=np.complex128)
-    vec[idx] = 1.0
+    vec[occupation] = 1.0
     return PureState(layout, vec)
 
 
@@ -332,24 +315,10 @@ def purity(rho: DensityMatrix) -> float:
     return float(np.vdot(gram, gram).real)
 
 
-def outer(psi: PureState, trace_tol: float | None = None) -> DensityMatrix:
-    """Projector |psi><psi| as a density matrix.  In a two-mode layout psi's
-    part in its one sector is that sector's factor; a psi with parts in two
-    sectors raises StateError, since its projector couples them."""
-    tol = max(DEFAULT_TRACE_TOL if trace_tol is None else trace_tol, 2 * psi.norm_tol)
-    if psi.layout.modes == 1:
-        return DensityMatrix(psi.layout, np.outer(psi.vec, psi.vec.conj()), trace_tol=tol)
-    n = psi.layout.cutoff
-    grid = psi.vec.reshape(n, n)
-    n_sys, n_tilde = np.nonzero(grid)
-    found = np.unique(n_tilde - n_sys)
-    if found.size > 1:
-        raise _coupled(*found[:2])
-    d = int(found[0])
-    s = np.arange(max(-d, 0), n - max(d, 0))
-    factors = np.zeros((1, n, 1), dtype=np.complex128)
-    factors[0, s, 0] = grid[s, s + d]
-    return DensityMatrix._stacked(psi.layout, range(d, d + 1), factors, tol)
+def outer(psi: PureState) -> DensityMatrix:
+    """Projector |psi><psi| as a single-mode density matrix."""
+    tol = max(DEFAULT_TRACE_TOL, 2 * psi.norm_tol)
+    return DensityMatrix(psi.layout, np.outer(psi.vec, psi.vec.conj()), trace_tol=tol)
 
 
 def partial_trace(rho: DensityMatrix, over: str) -> DensityMatrix:
@@ -360,7 +329,8 @@ def partial_trace(rho: DensityMatrix, over: str) -> DensityMatrix:
     |F_d[s]|^2 of system occupation s in sector d adds to occupation s of
     the system mode, or s + d of the tilde mode.
     """
-    _check_mode(over)
+    if over not in (SYSTEM, TILDE):
+        raise LayoutError(f"over must be {SYSTEM!r} or {TILDE!r}, got {over!r}")
     if rho.layout.modes != 2:
         raise LayoutError("partial_trace needs a two-mode state")
     n = rho.layout.cutoff

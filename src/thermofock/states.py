@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock, thermo
-from .fock import DensityMatrix, ModeLayout, PureState, StateError
+from .fock import DensityMatrix, ModeLayout, StateError
 
 
 class TruncationError(StateError):
@@ -78,15 +78,21 @@ def chaotic_state(params: ThermoParams, layout: ModeLayout) -> DensityMatrix:
     return DensityMatrix(layout, np.diag(pops.astype(np.complex128)), trace_tol=tol)
 
 
-def thermal_vacuum(params: ThermoParams, layout: ModeLayout) -> PureState:
-    """|0(beta)> = sech(theta) sum_n tanh(theta)^n |n, n~| on the doubled space."""
+def thermal_vacuum(params: ThermoParams, layout: ModeLayout) -> DensityMatrix:
+    """The projector on |0(beta)> = sech(theta) sum_n tanh(theta)^n |n, n~>
+    on the doubled space.
+
+    |0(beta)> lies in pair-number sector 0, so the state is that sector's
+    factor: the one real column sech(theta) tanh(theta)^n, read back with
+    factor(0)[:, 0].  Its trace falls short of 1 by the tail weight
+    q^cutoff, which its trace tolerance admits.
+    """
     if layout.modes != 2:
         raise fock.LayoutError("thermal_vacuum lives on a two-mode layout")
     n = layout.cutoff
     amps = (1.0 / math.cosh(params.theta)) * math.tanh(params.theta) ** np.arange(n)
-    vec = np.zeros(layout.dim, dtype=np.complex128)
-    vec[np.arange(n) * n + np.arange(n)] = amps
-    return PureState(layout, vec, norm_tol=params.tail_weight(n) + 1e-12)
+    tol = max(fock.DEFAULT_TRACE_TOL, 2 * (params.tail_weight(n) + 1e-12))
+    return DensityMatrix.from_factors(layout, {0: amps[:, None]}, trace_tol=tol)
 
 
 def pair_creation_block(layout: ModeLayout, d: int) -> np.ndarray:
@@ -132,14 +138,15 @@ def tfd_expectation_identity(obs: np.ndarray, params: ThermoParams) -> tuple[com
 
     A is a (cutoff, cutoff) system observable.  On the untruncated space the
     two are equal for every system observable; on the truncated space they
-    agree up to the thermal tail weight.
+    agree up to the thermal tail weight.  |0(beta)> pairs each |n> with its
+    own |n~>, so the pure side is sum_n f_n^2 A_nn over the amplitudes f_n
+    of the thermal vacuum.
     """
     layout = ModeLayout(obs.shape[0])
-    # fock.expectation checks the shape of A before A is applied to psi
+    # fock.expectation checks the shape of A before its diagonal is read
     mixed_side = fock.expectation(chaotic_state(params, layout), obs)
-    psi = thermal_vacuum(params, layout.doubled())
-    grid = psi.vec.reshape(layout.cutoff, layout.cutoff)
-    pure_side = complex(np.vdot(grid, obs @ grid))
+    amps = thermal_vacuum(params, layout.doubled()).factor(0)[:, 0]
+    pure_side = complex(np.dot(amps * amps, np.diagonal(obs)))
     return pure_side, mixed_side
 
 

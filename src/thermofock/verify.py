@@ -105,7 +105,7 @@ def _squeeze_generates_thermal_vacuum(cutoff: int | None) -> float:
     # |0, 0~> is index 0 of sector 0; its image and the thermal vacuum both
     # lie in sector 0
     squeezed = unitaries[0][:, 0]
-    target = states.thermal_vacuum(params, layout).vec[fock.sector_indices(layout, 0)]
+    target = states.thermal_vacuum(params, layout).factor(0)[:, 0]
     return float(np.linalg.norm(squeezed - target))
 
 

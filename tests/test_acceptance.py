@@ -28,7 +28,7 @@ def test_thermal_vacuum_reduction_matches_chaotic_state():
     for tau0 in (0.3, 1.0, 3.0):
         params = states.ThermoParams(tau0)
         layout = fock.ModeLayout(fock.default_cutoff(params.theta))
-        rho2 = fock.outer(states.thermal_vacuum(params, layout.doubled()))
+        rho2 = states.thermal_vacuum(params, layout.doubled())
         reduced = fock.partial_trace(rho2, over=fock.TILDE)
         reference = states.chaotic_state(params, layout)
         worst = max(worst, float(np.abs(reduced.mat - reference.mat).max()))
@@ -46,10 +46,10 @@ def test_squeeze_route_matches_closed_amplitudes_at_cutoff_32():
     layout = fock.ModeLayout(32).doubled()
     params = states.ThermoParams(1.0)
     u = states.thermo_squeeze_operator(params.theta, layout)
-    # |0, 0~> is index 0 of sector 0, so its image is column 0 of that block
-    squeezed = np.zeros(layout.dim, dtype=complex)
-    squeezed[fock.sector_indices(layout, 0)] = u[0][:, 0]
-    closed = states.thermal_vacuum(params, layout).vec
+    # |0, 0~> is index 0 of sector 0, so its image is column 0 of that
+    # block; the thermal vacuum is the one column of sector 0's factor
+    squeezed = u[0][:, 0]
+    closed = states.thermal_vacuum(params, layout).factor(0)[:, 0]
     observed = float(np.linalg.norm(squeezed - closed))
     report("squeeze route reproduces closed amplitudes", observed, 1e-8)
     assert observed < 1e-8
@@ -108,7 +108,7 @@ def test_closed_form_temperature_matches_simulation():
 def test_compact_evolved_state_matches_channel():
     layout = fock.ModeLayout(24).doubled()
     params = states.ThermoParams(1.0)
-    rho0 = fock.outer(states.thermal_vacuum(params, layout))
+    rho0 = states.thermal_vacuum(params, layout)
     worst = 0.0
     for kappa_t in (0.2, 1.0):
         analytic = states.evolved_two_mode_state(params, kappa_t, layout)
@@ -132,7 +132,7 @@ def test_cooling_is_positive_and_monotone():
 def test_undamped_partner_state_is_time_invariant():
     layout = fock.ModeLayout(24).doubled()
     params = states.ThermoParams(1.0)
-    rho0 = fock.outer(states.thermal_vacuum(params, layout))
+    rho0 = states.thermal_vacuum(params, layout)
     baseline = fock.partial_trace(rho0, over=fock.SYSTEM).mat
     worst = 0.0
     for kappa_t in (0.4, 1.0, 2.5):

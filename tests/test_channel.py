@@ -106,7 +106,7 @@ def test_apply_kraus_matches_explicit_operator_sum():
 def test_apply_kraus_two_mode_matches_explicit_operator_sum():
     layout = fock.ModeLayout(10).doubled()
     params = states.ThermoParams(0.8)
-    rho = fock.outer(states.thermal_vacuum(params, layout), trace_tol=1e-3)
+    rho = states.thermal_vacuum(params, layout)
     fast = channel.apply_kraus(rho, 0.7)
     slow = explicit_kraus_sum(rho.mat, two_mode_kraus(0.7, layout))
     np.testing.assert_allclose(fast.mat, slow, atol=1e-14)
@@ -126,7 +126,7 @@ def test_damping_by_symmetry_of_tfd():
     # undamped one
     layout = fock.ModeLayout(16).doubled()
     params = states.ThermoParams(1.0)
-    rho = fock.outer(states.thermal_vacuum(params, layout), trace_tol=1e-4)
+    rho = states.thermal_vacuum(params, layout)
     assert rho.sectors == range(0, 1)
     np.testing.assert_array_equal(
         fock.partial_trace(rho, over=fock.SYSTEM).mat, fock.partial_trace(rho, over=fock.TILDE).mat
@@ -244,7 +244,7 @@ def test_lindblad_zero_time_is_identity():
 def test_lindblad_refuses_two_mode_states():
     # the operator sum damps a two-mode state exactly, sector by sector
     layout = fock.ModeLayout(12).doubled()
-    rho = fock.outer(states.thermal_vacuum(states.ThermoParams(0.6), layout), trace_tol=1e-4)
+    rho = states.thermal_vacuum(states.ThermoParams(0.6), layout)
     with pytest.raises(fock.LayoutError, match="single-mode"):
         channel.lindblad_integrate(rho, kappa=2.0, times=[0.25])
 
@@ -323,7 +323,7 @@ def test_sector_storage_matches_dense_oracle(cutoff, tau0, kappa_t, thermal, see
     # every sector, with from 0 to cutoff - |d| columns
     layout = fock.ModeLayout(cutoff).doubled()
     if thermal:
-        rho = fock.outer(states.thermal_vacuum(states.ThermoParams(tau0), layout))
+        rho = states.thermal_vacuum(states.ThermoParams(tau0), layout)
     else:
         rho = fock.DensityMatrix.from_factors(layout, random_sector_state(layout, np.random.default_rng(seed)))
     damped = channel.apply_kraus(rho, kappa_t)

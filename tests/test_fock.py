@@ -55,38 +55,38 @@ def test_number_equals_ladder_product():
 
 def test_fock_state_indexing():
     layout = fock.ModeLayout(5)
-    assert fock.fock_state(layout, 3).vec[3] == 1.0
-    two = layout.doubled()
-    vec = fock.fock_state(two, (2, 4)).vec
-    assert vec[2 * 5 + 4] == 1.0
+    vec = fock.fock_state(layout, 3).vec
+    assert vec[3] == 1.0
     assert np.count_nonzero(vec) == 1
     with pytest.raises(fock.LayoutError):
         fock.fock_state(layout, 5)
     with pytest.raises(fock.LayoutError):
         fock.fock_state(layout, (1, 2))
-    with pytest.raises(fock.LayoutError):
+    # a two-mode state is a density matrix stored by sector, never a vector
+    two = layout.doubled()
+    with pytest.raises(fock.LayoutError, match="single-mode"):
         fock.fock_state(two, 3)
     with pytest.raises(fock.LayoutError):
-        fock.fock_state(two, (1, 5))
+        fock.fock_state(two, (1, 4))
 
 
-def test_embedded_single_mode_operators_match_tensor():
-    layout = fock.ModeLayout(4)
-    two = layout.doubled()
-    a = fock.annihilation(layout)
-    eye = np.eye(4)
-    # system-major ordering: index = n_sys * cutoff + n_tilde
-    np.testing.assert_array_equal(fock.annihilation(two, fock.SYSTEM), np.kron(a, eye))
-    np.testing.assert_array_equal(fock.annihilation(two, fock.TILDE), np.kron(eye, a))
+def test_single_mode_objects_refuse_two_mode_layouts():
+    # two-mode operators are built by sector in `states`; dense np.kron
+    # embeddings exist only as test oracles
+    two = fock.ModeLayout(4).doubled()
+    for build in (fock.annihilation, fock.creation, fock.number):
+        with pytest.raises(fock.LayoutError, match="single-mode"):
+            build(two)
+    with pytest.raises(fock.LayoutError, match="single-mode"):
+        fock.PureState(two, np.eye(16)[0])
 
 
 def test_ladder_operators_are_complex_arrays():
-    two = fock.ModeLayout(4).doubled()
+    layout = fock.ModeLayout(4)
     for build in (fock.annihilation, fock.creation, fock.number):
-        for mode in (fock.SYSTEM, fock.TILDE):
-            op = build(two, mode)
-            assert type(op) is np.ndarray
-            assert op.dtype == np.complex128 and op.shape == (16, 16)
+        op = build(layout)
+        assert type(op) is np.ndarray
+        assert op.dtype == np.complex128 and op.shape == (4, 4)
 
 
 def test_expectation_checks_observable_shape():
@@ -118,9 +118,18 @@ def test_density_matrix_validation():
 
 def test_sector_blocks_are_validated():
     layout = fock.ModeLayout(4).doubled()
-    proj = fock.outer(fock.fock_state(layout, (1, 1)))
+    # the projector on |1, 1~>, index 1 of sector 0
+    proj = fock.DensityMatrix.from_factors(layout, {0: np.eye(4)[:, [1]]})
     assert proj.sectors == range(0, 1)
     np.testing.assert_array_equal(proj.factor(0)[:, 0], [0, 1, 0, 0])
+    # a sector of the layout that the state does not store reads as zero;
+    # one outside the layout is refused
+    np.testing.assert_array_equal(proj.factor(-3), np.zeros((1, 1)))
+    for d in (-4, 4, 7):
+        with pytest.raises(fock.LayoutError, match="outside the layout"):
+            proj.factor(d)
+    with pytest.raises(fock.LayoutError, match="single-mode"):
+        fock.DensityMatrix(layout.single(), np.eye(4) / 4).factor(0)
     # sector 1 holds 3 states; factors of 1, 2, 0 and 1 columns, trace 0.93
     factors = {0: 0.8 * proj.factor(0), 1: np.full((3, 2), 0.2j), -2: np.zeros((2, 0)), 3: np.full((1, 1), 0.3)}
     rho = fock.DensityMatrix.from_factors(layout, factors, trace_tol=0.1)
@@ -153,9 +162,6 @@ def test_entries_between_sectors_are_refused():
         fock.DensityMatrix(layout, coupled)
     with pytest.raises(fock.LayoutError, match="outside"):
         fock.DensityMatrix.from_factors(layout, {3: np.eye(1) / 2, -1: np.eye(3, 1) / 2, (3, -1): np.eye(1)})
-    psi = fock.PureState(layout, coupled[3] * np.sqrt(2))
-    with pytest.raises(fock.StateError, match="couple pair-number sectors -1 and 3"):
-        fock.outer(psi)
 
 
 def test_density_matrix_positivity_check():
@@ -229,9 +235,10 @@ def test_expectation_and_trace():
 def test_expectation_refuses_two_mode_states():
     # the dense two-mode matrix it would read holds cutoff^4 entries
     two = fock.ModeLayout(4).doubled()
-    rho = fock.outer(fock.fock_state(two, (1, 2)))
+    # the projector on |1, 2~>, index 1 of sector 1
+    rho = fock.DensityMatrix.from_factors(two, {1: np.eye(3)[:, [1]]})
     with pytest.raises(fock.LayoutError, match="single-mode"):
-        fock.expectation(rho, fock.number(two))
+        fock.expectation(rho, np.eye(16))
 
 
 def test_trace_distance_of_basis_projectors():
@@ -248,7 +255,7 @@ def test_trace_distance_of_a_state_to_itself_is_zero():
     m = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
     layout = single.doubled()
     params = states.ThermoParams(1.0)
-    damped = channel.apply_kraus(fock.outer(states.thermal_vacuum(params, layout), trace_tol=1e-3), 0.4)
+    damped = channel.apply_kraus(states.thermal_vacuum(params, layout), 0.4)
     for rho in (
         fock.DensityMatrix(single, m @ m.conj().T / np.trace(m @ m.conj().T)),
         fock.DensityMatrix.from_factors(layout, random_sector_state(layout, rng)),

@@ -66,7 +66,7 @@ def random_sector_density(n, seed):
 
 def thermal_vacuum4(n):
     layout = fock.ModeLayout(n).doubled()
-    rho = fock.outer(states.thermal_vacuum(states.ThermoParams(1.0), layout))
+    rho = states.thermal_vacuum(states.ThermoParams(1.0), layout)
     return rho.mat.reshape(n, n, n, n)
 
 

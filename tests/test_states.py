@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermofock import channel, fock, states, thermo
 
@@ -60,25 +62,37 @@ def test_chaotic_state_vacuum():
     np.testing.assert_array_equal(rho.mat.real, expected)
 
 
-def test_thermal_vacuum_amplitudes():
-    layout = fock.ModeLayout(16).doubled()
-    params = states.ThermoParams(1.0)
-    psi = states.thermal_vacuum(params, layout)
-    grid = psi.vec.reshape(16, 16)
-    sech = 1.0 / math.cosh(params.theta)
+@settings(max_examples=60, deadline=None)
+@given(tau0=st.floats(0.05, 4.0), cutoff=st.integers(2, 64))
+def test_thermal_vacuum_amplitudes(tau0, cutoff):
+    # the state is sector 0's one column sech(theta) tanh(theta)^n
+    params = states.ThermoParams(tau0)
+    layout = fock.ModeLayout(cutoff)
+    rho = states.thermal_vacuum(params, layout.doubled())
+    assert rho.sectors == range(0, 1) and rho.factors.shape == (1, cutoff, 1)
+    amps = rho.factor(0)[:, 0]
     th = math.tanh(params.theta)
-    np.testing.assert_allclose(np.diag(grid).real, sech * th ** np.arange(16), rtol=1e-14)
-    off = grid - np.diag(np.diag(grid))
-    assert np.abs(off).max() == 0.0
-    # norm matches the truncated geometric sum
-    norm2 = np.vdot(psi.vec, psi.vec).real
-    assert norm2 == pytest.approx(1 - params.q**16, abs=1e-14)
+    np.testing.assert_allclose(amps, th ** np.arange(cutoff) / math.cosh(params.theta), rtol=1e-14, atol=0)
+    # the trace falls short of 1 by the truncated tail q^cutoff, to a few
+    # roundings of the sum of squares (at most 9.7e-16 on a 400 x 63 grid)
+    assert abs(1.0 - fock.trace(rho).real - params.tail_weight(cutoff)) < 2e-15
+    reference = np.diagonal(states.chaotic_state(params, layout).mat)
+    for over in (fock.SYSTEM, fock.TILDE):
+        reduced = fock.partial_trace(rho, over=over).mat
+        assert np.abs(reduced - np.diag(reference)).max() < 1e-15
+    # the damped closed form at kappa t = 0 is the same column; trace_distance
+    # adds the round-off of a QR and an eigvalsh at unit scale (at most
+    # 1.19e-15 on the same grid)
+    at_zero = states.evolved_two_mode_state(params, 0.0, layout.doubled(), deficit_tol=1)
+    assert at_zero.sectors == range(cutoff) and not at_zero.factors[1:].any()
+    assert np.abs(rho.factor(0) - at_zero.factor(0)).max() < 1e-15
+    assert fock.trace_distance(rho, at_zero) < 2e-15
 
 
 def test_thermal_vacuum_reduces_to_chaotic():
     layout = fock.ModeLayout(24)
     params = states.ThermoParams(0.7)
-    rho2 = fock.outer(states.thermal_vacuum(params, layout.doubled()))
+    rho2 = states.thermal_vacuum(params, layout.doubled())
     for side in (fock.TILDE, fock.SYSTEM):
         red = fock.partial_trace(rho2, over=side)
         np.testing.assert_allclose(
@@ -109,10 +123,10 @@ def test_squeeze_generates_thermal_vacuum_at_ample_cutoff():
     layout = fock.ModeLayout(48).doubled()
     params = states.ThermoParams(1.0)
     u = states.thermo_squeeze_operator(params.theta, layout)
-    # |0, 0~> is index 0 of sector 0, so its image is column 0 of that block
-    squeezed = np.zeros(layout.dim, dtype=complex)
-    squeezed[fock.sector_indices(layout, 0)] = u[0][:, 0]
-    target = states.thermal_vacuum(params, layout).vec
+    # |0, 0~> is index 0 of sector 0, so its image is column 0 of that
+    # block; the thermal vacuum is the one column of sector 0's factor
+    squeezed = u[0][:, 0]
+    target = states.thermal_vacuum(params, layout).factor(0)[:, 0]
     assert np.linalg.norm(squeezed - target) < 1e-9
 
 
@@ -159,10 +173,9 @@ def test_evolved_state_weights_are_lambda_and_mu():
 
 
 def dense_pair_creation(layout):
-    # a+ b+ as the product of the two embedded raising operators
-    a_sys = fock.annihilation(layout, fock.SYSTEM)
-    a_til = fock.annihilation(layout, fock.TILDE)
-    return a_sys.conj().T @ a_til.conj().T
+    # a+ b+ as the tensor product of the two raising operators, system-major
+    raise_one = fock.creation(layout.single())
+    return np.kron(raise_one, raise_one)
 
 
 def dense_evolved_parts(params, kappa_t, layout):
@@ -221,14 +234,14 @@ def test_evolved_state_at_zero_time_is_thermal_vacuum_projector():
     layout = fock.ModeLayout(28).doubled()
     params = states.ThermoParams(1.0)
     evolved = states.evolved_two_mode_state(params, 0.0, layout)
-    rho0 = fock.outer(states.thermal_vacuum(params, layout))
+    rho0 = states.thermal_vacuum(params, layout)
     np.testing.assert_allclose(evolved.mat, rho0.mat, atol=1e-14)
 
 
 def test_evolved_state_matches_kraus_evolution():
     layout = fock.ModeLayout(24).doubled()
     params = states.ThermoParams(1.0)
-    rho0 = fock.outer(states.thermal_vacuum(params, layout))
+    rho0 = states.thermal_vacuum(params, layout)
     for kappa_t in (0.2, 1.0, 3.0):
         analytic = states.evolved_two_mode_state(params, kappa_t, layout)
         evolved = channel.apply_kraus(rho0, kappa_t)
@@ -241,7 +254,7 @@ def test_closed_form_matches_operator_sum(cutoff, tau0):
     # cutoffs the benchmark and the CLI's largest grids run
     layout = fock.ModeLayout(cutoff).doubled()
     params = states.ThermoParams(tau0)
-    rho0 = fock.outer(states.thermal_vacuum(params, layout))
+    rho0 = states.thermal_vacuum(params, layout)
     for kappa_t in (0.0, 0.3, 2.0):
         analytic = states.evolved_two_mode_state(params, kappa_t, layout)
         assert fock.trace_distance(analytic, channel.apply_kraus(rho0, kappa_t)) < 1e-14

@@ -173,7 +173,7 @@ def test_fit_geometric_rejects_growing_populations():
 def test_fit_geometric_requires_single_mode():
     layout = fock.ModeLayout(6).doubled()
     params = states.ThermoParams(1.0)
-    rho = fock.outer(states.thermal_vacuum(params, layout), trace_tol=1e-2)
+    rho = states.thermal_vacuum(params, layout)
     with pytest.raises(fock.LayoutError):
         thermo.fit_geometric(rho)
 
