@@ -97,6 +97,8 @@ def _sector_range(layout: ModeLayout) -> range:
 
 def sector_indices(layout: ModeLayout, d: int) -> np.ndarray:
     """Dense basis indices of sector d of a two-mode layout, in sector order."""
+    if layout.modes != 2:
+        raise LayoutError("sector_indices takes a two-mode layout")
     n = layout.cutoff
     p = np.arange(n - abs(d))
     return (p + max(-d, 0)) * n + (p + max(d, 0))

@@ -130,6 +130,8 @@ def test_sector_blocks_are_validated():
             proj.factor(d)
     with pytest.raises(fock.LayoutError, match="single-mode"):
         fock.DensityMatrix(layout.single(), np.eye(4) / 4).factor(0)
+    with pytest.raises(fock.LayoutError, match="two-mode"):
+        fock.sector_indices(layout.single(), 0)
     # sector 1 holds 3 states; factors of 1, 2, 0 and 1 columns, trace 0.93
     factors = {0: 0.8 * proj.factor(0), 1: np.full((3, 2), 0.2j), -2: np.zeros((2, 0)), 3: np.full((1, 1), 0.3)}
     rho = fock.DensityMatrix.from_factors(layout, factors, trace_tol=0.1)
