@@ -14,15 +14,17 @@ element of K_n taking occupation j+n to j is
 
 every factor of which is <= 1, so the table is built by a stable recurrence
 and the operator sum is applied from the table instead of explicit matrix
-products: per offset j - k for a single mode (see kernels), and on the
-sector factors for two modes, where K_n takes sector d to sector d + n.
+products: on each stored offset diagonal for a single mode (see kernels),
+and on the sector factors for two modes, where K_n takes sector d to
+sector d + n.
 
 The Lindblad route integrates d rho / dt = kappa (2 a rho a+ - {a+a, rho})
 for a single mode with fixed-step RK4, taken as powers of the step matrix
 (see kernels), and checks the trace drift and the populations at every
-requested time; both routes converge to the same state.  lindblad_integrate takes a list of times and steps one packed
-vector from each time to the next, so a grid costs about one integration
-to its last time; rk4_step_count gives that cost before any step is taken.
+requested time; both routes converge to the same state.
+lindblad_integrate takes a list of times and steps the stored diagonals
+from each time to the next, so a grid costs about one integration to its
+last time; rk4_step_count gives that cost before any step is taken.
 """
 
 from __future__ import annotations
@@ -77,8 +79,10 @@ def damping_weights(cutoff: int, kappa_t: float) -> np.ndarray:
 def kraus_operators(kappa_t: float, layout: ModeLayout) -> list[np.ndarray]:
     """Materialize the single-mode Kraus family as dense complex128 matrices.
 
-    Built literally as sqrt(V^n / n!) e^(-kappa t a+a) a^n, with the diagonal
-    e^(-kappa t a+a) taken entrywise; apply_kraus does not call this (it uses
+    Built from the ladder operator as the running product K_0 =
+    e^(-kappa t a+a), K_n = K_(n-1) sqrt(V / n) a, which is sqrt(V^n / n!)
+    e^(-kappa t a+a) a^n with every entry in [0, 1]: V^n / n! alone
+    underflows from cutoff 190 on.  apply_kraus does not call this (it uses
     the weight table), so the two can check each other.  A two-mode layout
     raises LayoutError: its family would be cutoff dense matrices of
     cutoff^4 entries, and apply_kraus damps two-mode states by sector.
@@ -86,24 +90,18 @@ def kraus_operators(kappa_t: float, layout: ModeLayout) -> list[np.ndarray]:
     if layout.modes != 1:
         raise fock.LayoutError("kraus_operators builds the single-mode family")
     v = _jump_weight(kappa_t)
-    decay = np.diag(np.exp(-kappa_t * np.arange(layout.cutoff)))
     a = fock.annihilation(layout)
-    ops = []
-    power = np.eye(layout.dim, dtype=np.complex128)
-    coef = 1.0
-    for n in range(layout.cutoff):
-        if n > 0:
-            power = power @ a
-            coef *= v / n
-        ops.append(math.sqrt(coef) * (decay @ power))
+    ops = [np.diag(np.exp(-kappa_t * np.arange(layout.cutoff))).astype(np.complex128)]
+    for n in range(1, layout.cutoff):
+        ops.append(ops[-1] @ (math.sqrt(v / n) * a))
     return ops
 
 
 def apply_kraus(rho: DensityMatrix, kappa_t: float) -> DensityMatrix:
     """Push rho through the damping channel via the structured operator sum.
 
-    The Kraus matrices are never formed.  A single-mode state is mapped per
-    offset j - k by one banded product over its nonzero entries.  On a
+    The Kraus matrices are never formed.  A single-mode state is mapped on
+    each stored offset diagonal by one triangular product.  On a
     two-mode state K_n takes system occupation j + n of sector d to j of
     sector d + n with weight W[n, j], so the images of one input sector are
     the weight table times shifted copies of its factor, stacked over n;
@@ -117,10 +115,9 @@ def apply_kraus(rho: DensityMatrix, kappa_t: float) -> DensityMatrix:
     weights = damping_weights(cutoff, kappa_t)
     trace_tol = rho.trace_tol + TRACE_PRESERVATION_TOL
     if rho.factors is None:
-        rho4 = rho.mat.reshape(cutoff, 1, cutoff, 1)
-        out = kernels.apply_damping(rho4, weights, cutoff).reshape(cutoff, cutoff)
-        _check_preserved(np.trace(out), rho)
-        return DensityMatrix(rho.layout, out, trace_tol=trace_tol)
+        out = kernels.damp_diagonals(rho.diagonals, weights)
+        _check_preserved(out[0].sum(), rho)
+        return DensityMatrix._from_diagonals(rho.layout, out, trace_tol)
     count, _, rank = rho.factors.shape
     # row j + n of the factor for every (n, j); rows past the cutoff read 0
     lowered = np.add.outer(np.arange(cutoff), np.arange(cutoff))
@@ -192,12 +189,15 @@ def lindblad_integrate(
     """Integrate the damping generator with fixed-step RK4; one state per time.
 
     rho is a single-mode state: a two-mode one raises LayoutError, since the
-    operator sum damps it exactly.  One packed vector is stepped from 0
+    operator sum damps it exactly.  Its stored diagonals are stepped from 0
     through the times in increasing order, each interval between
     consecutive times planned by _rk4_plan, so a time grid costs about one
     integration to its last time.  kernels.rk4_evolve takes the full steps
-    of an interval as one power of each chain's RK4 step matrix, and the
-    remainder step as one more call; each call re-hermitizes the state once.
+    of an interval as one power of each diagonal's RK4 step matrix, which
+    the equal intervals of a uniform grid share, and the remainder step as
+    one more call.  Each returned state holds as many diagonals as rho: a
+    chaotic state, cutoff reals per time.
+
     At each time, a trace drift beyond TRACE_DRIFT_TOL raises
     IntegrationError naming that time (the generator is exactly trace-free,
     so drift measures accumulated integration error), and so does a
@@ -214,25 +214,24 @@ def lindblad_integrate(
         raise ValueError(f"dt must be > 0, got {dt}")
     if rho.layout.modes != 1:
         raise fock.LayoutError("lindblad_integrate damps a single-mode state; apply_kraus damps two modes exactly")
-    table = kernels.lindblad_table(rho.mat, kappa)
-    vec = table.pack(rho.mat)
+    table = kernels.lindblad_table(rho.diagonals, kappa)
+    diagonals = rho.diagonals
     n_steps = 0
     out: list = [None] * len(times)
     for i, t, interval, step, n_full, remainder in _rk4_schedule(times, kappa, dt):
         if n_full == math.inf:
             raise IntegrationError(f"a step of {step:.3e} cannot cover {interval:.3e}", time=t)
         n_tail = int(remainder > 0.0)
-        vec = kernels.rk4_evolve(vec, table, step, n_full)
-        vec = kernels.rk4_evolve(vec, table, remainder, n_tail)
+        diagonals = kernels.rk4_evolve(diagonals, table, step, n_full)
+        diagonals = kernels.rk4_evolve(diagonals, table, remainder, n_tail)
         n_steps += n_full + n_tail
-        mat = table.unpack(vec)
-        drift = abs(np.trace(mat) - fock.trace(rho))
+        pops = diagonals[0].real
+        drift = abs(pops.sum() - fock.trace(rho))
         if not drift <= TRACE_DRIFT_TOL:
             raise IntegrationError(f"trace drifted by {drift:.3e} over {n_steps} RK4 steps", time=t)
-        pops = np.diagonal(mat).real
         outside = np.maximum(-pops, pops - 1.0)
         if not outside.max() <= TRACE_DRIFT_TOL:
             worst = pops[np.argmax(outside)]
             raise IntegrationError(f"population {worst:.6g} left [0, 1] over {n_steps} RK4 steps", time=t)
-        out[i] = DensityMatrix(rho.layout, mat, trace_tol=rho.trace_tol + drift + 1e-12)
+        out[i] = DensityMatrix._from_diagonals(rho.layout, diagonals, rho.trace_tol + drift + 1e-12)
     return out

@@ -1,4 +1,4 @@
-"""Truncated Fock spaces: ladder operators as arrays, states stored by sector.
+"""Truncated Fock spaces: ladder operators as arrays, states stored by structure.
 
 A single bosonic mode is truncated to occupations 0..cutoff-1.  Two-mode
 objects live on the tensor product of a "system" mode and a "tilde" partner
@@ -10,27 +10,37 @@ the package needs (the squeeze unitary, E = exp(lambda a+ b+)) are built
 sector by sector in `states`, and a two-mode state is a density matrix
 stored by sector.
 
-A single-mode density matrix is stored dense.  A two-mode one is stored by
-pair-number sector.  Sector d holds the basis states with n_tilde - n_sys =
-d; its index p is the state (n_sys, n_tilde) = (p + max(-d, 0), p +
-max(d, 0)), so it has cutoff - |d| states.  The squeeze generator a+ b+
-keeps d, and each damping operator lowers n_sys by the same n on the row
-and on the column, so every state built here is block diagonal in d with a
-positive block per sector.  That block is stored as one factor F_d, of
-shape (cutoff - |d|, r_d), whose block is F_d F_d^+.  The thermal vacuum,
-its damped closed form and its operator-sum image have r_d = 1: about
-cutoff^2 / 2 entries in all, where the blocks would hold cutoff^3 / 3 and
-the dense matrix cutoff^4 (4.3 GB at cutoff 128).
+A single-mode density matrix is stored by offset diagonal.  The damping
+channel keeps the offset k = c - r of every entry (r, c), and the thermal
+states it damps are diagonal, so the state keeps one zero-padded array
+`diagonals[k, p] = rho[p, p + k]` over the offsets k = 0..K-1 it stores;
+offset -k is the conjugate of offset k, and offset 0 is real.  A chaotic
+state and its damped images store one real vector of populations.
+
+A two-mode density matrix is stored by pair-number sector.  Sector d holds
+the basis states with n_tilde - n_sys = d; its index p is the state
+(n_sys, n_tilde) = (p + max(-d, 0), p + max(d, 0)), so it has cutoff - |d|
+states.  The squeeze generator a+ b+ keeps d, and each damping operator
+lowers n_sys by the same n on the row and on the column, so every state
+built here is block diagonal in d with a positive block per sector.  That
+block is stored as one factor F_d, of shape (cutoff - |d|, r_d), whose
+block is F_d F_d^+.  The thermal vacuum, its damped closed form and its
+operator-sum image have r_d = 1: about cutoff^2 / 2 entries in all, where
+the blocks would hold cutoff^3 / 3 and the dense matrix cutoff^4 (4.3 GB at
+cutoff 128).
 
 The factors sit in one array, `factors[i, s, r]`: column r of the factor of
 sector `sectors[i]` at system occupation s, zero where the sector has no
 state with that n_sys, and zero in the columns beyond a sector's r_d; it
-is real when the state is.  Hermiticity and positivity hold by
-construction, so validation checks only finiteness and the trace.
-Partial traces and the purity are sums of squared entries, and
-trace_distance is one batched QR and one batched eigvalsh over all
-sectors.  The dense matrix (DensityMatrix.mat) is
-assembled only on request, as a test oracle.
+is real when the state is.
+
+Hermiticity holds by construction in both storages (and positivity for two
+modes), so validation checks only finiteness and the trace.  Partial
+traces return the populations as offset 0, the purity is a sum of squared
+entries, and a two-mode trace_distance is one batched QR and one batched
+eigvalsh over all sectors.  The dense matrix (DensityMatrix.mat) is
+assembled only on request: as a test oracle, and for the eigenvalues of a
+single-mode state.
 """
 
 from __future__ import annotations
@@ -111,20 +121,22 @@ def _real(a: np.ndarray) -> np.ndarray:
 
 
 class DensityMatrix:
-    """Unit-trace (within trace_tol) state: dense for one mode, one factor per
-    pair-number sector for two (see the module docstring).
+    """Unit-trace (within trace_tol) state: by offset diagonal for one mode,
+    one factor per pair-number sector for two (see the module docstring).
 
-    `DensityMatrix(layout, mat)` takes a single-mode matrix and checks
-    finiteness, hermiticity and the trace.  `from_factors(layout, {d: F_d})`
-    takes a two-mode state as factors of shape (cutoff - |d|, r_d), rows in
-    sector order (see sector_indices) and any r_d >= 0, and checks
-    finiteness and the trace.  The arrays must not be modified afterwards.
+    `DensityMatrix(layout, mat)` takes a dense single-mode matrix, checks
+    finiteness, hermiticity and the trace, and stores the diagonals of its
+    hermitian part.  `from_factors(layout, {d: F_d})` takes a two-mode
+    state as factors of shape (cutoff - |d|, r_d), rows in sector order (see
+    sector_indices) and any r_d >= 0, and checks finiteness and the trace.
+    The arrays must not be modified afterwards.
 
     trace_tol is carried with the instance because deliberately truncated
     states (thermal tails cut at the top of the space) have a known trace
     deficit that downstream operations must tolerate rather than reject.
     """
 
+    diagonals: np.ndarray | None = None
     sectors: range | None = None
     factors: np.ndarray | None = None
 
@@ -139,7 +151,14 @@ class DensityMatrix:
         defect = kernels.hermiticity_defect(mat)
         if defect > HERMITICITY_TOL:
             raise StateError(f"not hermitian: max |rho - rho^dagger| = {defect:.3e}")
-        self.layout, self.trace_tol, self._mat = layout, trace_tol, mat
+        n = layout.cutoff
+        rows, cols = np.nonzero(mat)
+        diagonals = np.zeros((int(np.abs(cols - rows).max(initial=0)) + 1, n), dtype=np.complex128)
+        for k, line in enumerate(diagonals):
+            # the hermitian part: exact on a hermitian matrix, real on offset 0
+            line[:n - k] = 0.5 * (np.diagonal(mat, k) + np.diagonal(mat, -k).conj())
+        self.layout, self.trace_tol = layout, trace_tol
+        self.diagonals = np.ascontiguousarray(_real(diagonals))
         self._check_trace()
 
     @classmethod
@@ -171,12 +190,24 @@ class DensityMatrix:
         rho._check_trace()
         return rho
 
+    @classmethod
+    def _from_diagonals(cls, layout: ModeLayout, diagonals: np.ndarray, trace_tol: float) -> "DensityMatrix":
+        """A single-mode state from its `diagonals` array: offset 0 real, each
+        offset k zero past cutoff - k."""
+        rho = cls.__new__(cls)
+        rho.layout, rho.trace_tol = layout, trace_tol
+        rho.diagonals = np.ascontiguousarray(_real(diagonals))
+        rho._check_trace()
+        return rho
+
     def _trace(self) -> complex:
         if self.factors is None:
-            return complex(np.trace(self._mat))
+            return complex(self.diagonals[0].sum())
         return complex(np.vdot(self.factors, self.factors).real)
 
     def _check_trace(self) -> None:
+        if self.factors is None and not np.isfinite(self.diagonals).all():
+            raise StateError("diagonals contain non-finite entries")
         tr = self._trace()
         # a two-mode trace is a sum of squares, finite when every factor entry is
         if not np.isfinite(tr):
@@ -199,11 +230,16 @@ class DensityMatrix:
 
     @property
     def mat(self) -> np.ndarray:
-        """The dense matrix: the stored one of a single mode, assembled from
-        the factors for two modes."""
-        if self.factors is None:
-            return self._mat
+        """The dense matrix, assembled from the diagonals of a single mode or
+        from the factors of two."""
         out = np.zeros((self.layout.dim, self.layout.dim), dtype=np.complex128)
+        if self.factors is None:
+            n = self.layout.cutoff
+            p = np.arange(n)
+            for k, line in enumerate(self.diagonals):
+                out[p[:n - k], p[k:]] = line[:n - k]
+                out[p[k:], p[:n - k]] = line[:n - k].conj()
+            return out
         for d in self.sectors:
             idx = sector_indices(self.layout, d)
             f = self.factor(d)
@@ -215,7 +251,7 @@ class DensityMatrix:
         than in the constructor; a two-mode state is positive by construction."""
         if self.factors is not None:
             raise LayoutError("a two-mode state is positive by construction")
-        return float(np.linalg.eigvalsh(_real(self._mat)).min())
+        return float(np.linalg.eigvalsh(_real(self.mat)).min())
 
     def check_positive(self, floor: float = PSD_FLOOR) -> float:
         lo = self.min_eigenvalue()
@@ -297,22 +333,30 @@ def trace(rho: DensityMatrix) -> complex:
 def expectation(rho: DensityMatrix, obs: np.ndarray) -> complex:
     """Tr(rho A) against a dense (dim, dim) observable.
 
-    A two-mode density matrix is refused: its dense form would hold
-    cutoff^4 entries (4.3 GB at cutoff 128).
+    Offset k of rho meets offset -k of A: each stored diagonal is summed
+    against the matching diagonals of A, in O(stored entries).  A two-mode
+    density matrix is refused: its dense form would hold cutoff^4 entries
+    (4.3 GB at cutoff 128).
     """
     dim = rho.layout.dim
     if obs.shape != (dim, dim):
         raise LayoutError(f"observable shape {obs.shape} does not match layout dim {dim}")
     if rho.layout.modes == 2:
         raise LayoutError("expectation takes a single-mode density matrix")
-    return complex(np.einsum("ij,ji->", rho.mat, obs))
+    total = np.dot(rho.diagonals[0], np.diagonal(obs))
+    for k, line in enumerate(rho.diagonals[1:], start=1):
+        line = line[:dim - k]
+        total += np.dot(line, np.diagonal(obs, -k)) + np.dot(line.conj(), np.diagonal(obs, k))
+    return complex(total)
 
 
 def purity(rho: DensityMatrix) -> float:
-    """Tr(rho^2): the squared Frobenius norm of a single-mode matrix, or the
-    sum over sectors of |F_d^+ F_d|^2, which equals Tr((F_d F_d^+)^2)."""
+    """Tr(rho^2): the squared Frobenius norm of a single-mode matrix, each
+    offset k > 0 counted with its conjugate -k, or the sum over sectors of
+    |F_d^+ F_d|^2, which equals Tr((F_d F_d^+)^2)."""
     if rho.factors is None:
-        return float(np.vdot(rho.mat, rho.mat).real)
+        d = rho.diagonals
+        return float(2.0 * np.vdot(d, d).real - np.vdot(d[0], d[0]).real)
     gram = rho.factors.conj().swapaxes(1, 2) @ rho.factors
     return float(np.vdot(gram, gram).real)
 
@@ -327,9 +371,9 @@ def partial_trace(rho: DensityMatrix, over: str) -> DensityMatrix:
     """Trace out one mode of a two-mode density matrix.
 
     over=TILDE keeps the system mode; over=SYSTEM keeps the tilde mode.  A
-    block-diagonal state has a diagonal reduction: the population
-    |F_d[s]|^2 of system occupation s in sector d adds to occupation s of
-    the system mode, or s + d of the tilde mode.
+    block-diagonal state has a diagonal reduction, stored as offset 0
+    alone: the population |F_d[s]|^2 of system occupation s in sector d
+    adds to occupation s of the system mode, or s + d of the tilde mode.
     """
     if over not in (SYSTEM, TILDE):
         raise LayoutError(f"over must be {SYSTEM!r} or {TILDE!r}, got {over!r}")
@@ -340,15 +384,16 @@ def partial_trace(rho: DensityMatrix, over: str) -> DensityMatrix:
     pops = np.einsum("dsr,dsr->ds", f.real, f.real)
     if np.iscomplexobj(f):
         pops += np.einsum("dsr,dsr->ds", f.imag, f.imag)
-    kept = np.broadcast_to(np.arange(n), pops.shape)
-    if over == SYSTEM:
-        # rows a sector does not hold carry 0, wherever they are counted
-        kept = np.clip(kept + np.array(rho.sectors)[:, None], 0, n - 1)
-    # the traced occupation is the kept one plus d (tilde) or minus d (system),
-    # so each population sums in increasing traced occupation
-    order = slice(None, None, -1 if over == SYSTEM else 1)
-    reduced = np.bincount(kept[order].ravel(), weights=pops[order].ravel(), minlength=n)
-    return DensityMatrix(rho.layout.single(), np.diag(reduced), trace_tol=rho.trace_tol)
+    # each population sums in increasing traced occupation
+    if over == TILDE:
+        # system occupation s, over increasing d
+        reduced = pops.sum(axis=0)
+    else:
+        # tilde occupation s + d, over decreasing d; the rows a sector does not
+        # hold carry 0 and fall outside [0, n), so the bins start at -(n - 1)
+        tilde = np.add.outer(np.arange(rho.sectors.start, rho.sectors.stop), np.arange(n - 1, 2 * n - 1))
+        reduced = np.bincount(tilde[::-1].ravel(), weights=pops[::-1].ravel(), minlength=3 * n)[n - 1:2 * n - 1]
+    return DensityMatrix._from_diagonals(rho.layout.single(), reduced[None, :], rho.trace_tol)
 
 
 def _aligned(rho: DensityMatrix, sectors: range) -> np.ndarray:

@@ -1,181 +1,136 @@
-"""Hot numerical kernels, in numpy, on single-mode states.
+"""Hot numerical kernels, in numpy, on single-mode states stored by offset diagonal.
 
-apply_damping applies the amplitude-damping operator sum to a dense matrix,
-per occupied offset j - k.  lindblad_table and rk4_evolve integrate the
-damping generator kappa (2 a rho a+ - {a+a, rho}).  Only the entries the
-generator can make nonzero are packed into the complex vector: the state's
-nonzero entries, their transposes, and the entries the jump term feeds
-from them.  A chaotic state of cutoff N packs N entries, not N^2; every
-other entry stays exactly 0.
+A single-mode state is the array diagonals[k, p] = rho[p, p + k] over its
+stored offsets k >= 0 (see fock); both damping routes keep the offset of
+every entry, so each acts on each stored diagonal on its own, and only
+k >= 0 is computed: offset -k is the conjugate of offset k, and the maps
+are real.
 
-The generator keeps the offset c - r of an entry (r, c), and feeds each
-entry only from the next one down its chain, (r + 1, c + 1).  On one chain
-it is a real bidiagonal matrix at most cutoff x cutoff, the same for the
-chain and its transpose, so rk4_evolve takes n RK4 steps as the n-th power
-of each chain's RK4 step matrix, by binary powering in increment form, and
-re-hermitizes once per call.  No packed-size matrix is ever formed.
-Two-mode states are damped by channel.apply_kraus on their sector factors.
+damp_diagonals applies the amplitude-damping operator sum to each diagonal
+as one upper-triangular matrix.  lindblad_table and rk4_evolve integrate
+the damping generator kappa (2 a rho a+ - {a+a, rho}), which feeds each
+entry only from the next one down its diagonal, (r + 1, c + 1): on one
+diagonal it is a real bidiagonal matrix at most cutoff x cutoff, so
+rk4_evolve takes n RK4 steps as the n-th power of each diagonal's RK4 step
+matrix, by binary powering in increment form.  A chaotic state and its
+images step one real vector.  Two-mode states are damped by
+channel.apply_kraus on their sector factors.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+
+# powered RK4 increments a LindbladTable keeps, oldest dropped first
+POWER_CACHE_SIZE = 16
 
 
 def backend_name() -> str:
     return "numpy"
 
 
-def apply_damping(rho4: np.ndarray, weights: np.ndarray, n_kraus: int) -> np.ndarray:
-    """Apply the amplitude-damping operator sum to the first mode of rho4.
+def damp_diagonals(diagonals: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Apply the amplitude-damping operator sum to a state's diagonals.
 
-    out[j,m,k,m'] = sum_n W[n,j] W[n,k] rho[j+n,m,k+n,m'], where weights[n, j]
-    is the matrix element of the n-th damping operator that maps occupation
-    j+n down to j; rows beyond n_kraus are ignored.
-
-    Every term keeps the offset delta = j - k, so the sum acts on each
-    diagonal rho4[p+max(delta,0), :, p+max(-delta,0), :] (p = 0..L-1,
-    L = N - |delta|) on its own, as the upper-triangular L x L matrix
-    T[p, p+n] = W[n, j_p] W[n, k_p].  The offsets are read off the nonzero
-    entries in one pass, and on each only the (m, m') columns with a
-    nonzero on that diagonal are gathered, so a diagonal single-mode state
-    touches one offset.
+    out[k, p] = sum_n W[n, p] W[n, p + k] diagonals[k, p + n], where
+    weights[n, j] is the matrix element of the n-th damping operator that
+    maps occupation j + n down to j.  On offset k, of length L = N - k, that
+    is the upper-triangular L x L matrix T[p, p + n] = W[n, p] W[n, p + k].
+    An offset whose diagonal is zero stays zero and is skipped.
     """
-    n_modes = rho4.shape[0]
-    n_kraus = min(n_kraus, n_modes)
-    out = np.zeros_like(rho4)
-    j, k = np.nonzero(rho4.any(axis=(1, 3)))
-    for delta in np.unique(j - k).tolist():
-        diag = np.diagonal(rho4, -delta, axis1=0, axis2=2)  # (R, R, L) view
-        m_sel, mp_sel = np.nonzero(diag.any(axis=2))
-        if m_sel.size == 0:
+    count, n = diagonals.shape
+    out = np.zeros_like(diagonals)
+    for k in range(count):
+        span = n - k
+        line = diagonals[k, :span]
+        if not line.any():
             continue
-        span = diag.shape[2]
-        j0, k0 = max(delta, 0), max(-delta, 0)
         row, col = np.triu_indices(span)
         order = col - row
-        keep = order < n_kraus
-        row, col, order = row[keep], col[keep], order[keep]
         tmat = np.zeros((span, span))
-        tmat[row, col] = weights[order, j0 + row] * weights[order, k0 + row]
-        # complex columns as interleaved real pairs, so T acts through one real GEMM
-        cols = np.ascontiguousarray(diag[m_sel, mp_sel, :].T)
-        damped = (tmat @ cols.view(np.float64)).view(np.complex128)
-        p = np.arange(span)[:, None]
-        out[j0 + p, m_sel, k0 + p, mp_sel] = damped
+        tmat[row, col] = weights[order, row] * weights[order, k + row]
+        # a complex diagonal as interleaved real pairs, so T acts through one real product
+        damped = tmat @ line.view(np.float64).reshape(span, -1)
+        out[k, :span] = damped.view(diagonals.dtype).ravel()
     return out
 
 
 def hermiticity_defect(mat: np.ndarray) -> float:
-    """max |mat - mat^dagger| entrywise; a single-mode density matrix is
+    """max |mat - mat^dagger| entrywise; a dense single-mode matrix is
     checked with it on construction."""
     return float(np.abs(mat - mat.conj().T).max())
 
 
 # ---------------------------------------------------------------------------
-# Lindblad generator on packed entries
+# Lindblad generator on the stored diagonals
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True, eq=False)
 class LindbladTable:
-    """The damping generator on the entries a damped state can reach, packed.
+    """The damping generator on each stored diagonal of a single-mode state.
 
-    Entry k sits at flat position local[k] of the cutoff x cutoff matrix, in
-    row-major order, and partner[k] is the position of its transpose.  The
-    generator keeps the offset c - r of an entry (r, c) and acts on each
-    offset's chain of entries on its own; entry k is slot[k] = min(r, c) of
-    chain[k], which is the offset's magnitude |c - r|, on side[k] (0 on or
-    above the diagonal, 1 below).  A chain and its transpose have the same
-    real generator, generator[chain], bidiagonal and padded with zeros to
-    the longest chain.
+    generator[k] is the real bidiagonal generator of offset k, acting on the
+    entries rho[p, p + k], and zero past the offset's length cutoff - k.
+    `powers` keeps the powered RK4 increments rk4_evolve has formed, keyed
+    by (step, step count).
     """
 
-    cutoff: int
-    local: np.ndarray
-    partner: np.ndarray
-    chain: np.ndarray
-    slot: np.ndarray
-    side: np.ndarray
     generator: np.ndarray
-
-    def pack(self, mat: np.ndarray) -> np.ndarray:
-        """One vector holding the table's entries of the matrix."""
-        return mat.ravel()[self.local]
-
-    def unpack(self, vec: np.ndarray) -> np.ndarray:
-        """The matrix of a packed vector, zero outside the table's entries."""
-        out = np.zeros((self.cutoff, self.cutoff), dtype=np.complex128)
-        np.put(out, self.local, vec)
-        return out
+    powers: dict = field(default_factory=dict)
 
 
-def lindblad_table(mat: np.ndarray, kappa: float) -> LindbladTable:
-    """Pack the entries a damped state can reach and tabulate the generator.
+def lindblad_table(diagonals: np.ndarray, kappa: float) -> LindbladTable:
+    """Tabulate the generator on the stored offsets of a single-mode state.
 
-    Entry (r, c) decays at kappa (r + c), and for r, c >= 1 feeds the entry
-    (r - 1, c - 1) with weight 2 kappa sqrt(r) sqrt(c).  An entry therefore
-    stays exactly zero unless it or an entry above it on its chain is
-    nonzero: the packed entries are the state's nonzero entries, closed
-    under that feed and under transposition.  A chaotic state of cutoff N
-    packs its N populations, on one chain.
+    Entry (p, p + k) decays at kappa (2p + k), and for p >= 1 feeds the entry
+    (p - 1, p - 1 + k) with weight 2 kappa sqrt(p) sqrt(p + k).  A chaotic
+    state stores one offset, so its table is one cutoff x cutoff matrix.
     """
-    n = mat.shape[0]
-    # entries as flat positions r * n + c: the nonzero ones and their transposes
-    r, c = np.nonzero(mat)
-    seeds = np.concatenate([r * n + c, c * n + r])
-    # Feeding moves an entry down its line by `lower`, to the line's base where
-    # r or c is 0; the closure is every line entry up to the highest seed.
-    lower = n + 1
-    height = np.minimum(seeds // n, seeds % n)
-    base, height = np.divmod(np.sort((seeds - height * lower) * n + height), n)
-    top_of_line = np.diff(base, append=-1) != 0
-    counts = height[top_of_line] + 1
-    step = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-    packed = np.sort(np.repeat(base[top_of_line], counts) + step * lower)
-    rows, cols = np.divmod(packed, n)
-
-    # the closure is symmetric, so a chain and its transpose have the same slots
-    offsets, chain = np.unique(np.abs(cols - rows), return_inverse=True)
-    slot = np.minimum(rows, cols)
-    length = int(slot.max(initial=-1)) + 1
-    generator = np.zeros((offsets.size, length, length))
-    generator[chain, slot, slot] = -kappa * (rows + cols).astype(np.float64)
-    fed = slot > 0
-    generator[chain[fed], slot[fed] - 1, slot[fed]] = 2.0 * kappa * (np.sqrt(rows[fed]) * np.sqrt(cols[fed]))
-    return LindbladTable(
-        cutoff=n,
-        local=packed,
-        partner=np.searchsorted(packed, cols * n + rows),
-        chain=chain,
-        slot=slot,
-        side=(rows > cols).astype(np.intp),
-        generator=generator,
-    )
+    count, n = diagonals.shape
+    generator = np.zeros((count, n, n))
+    for k in range(count):
+        p = np.arange(n - k)
+        generator[k, p, p] = -kappa * (2 * p + k).astype(np.float64)
+        generator[k, p[:-1], p[1:]] = 2.0 * kappa * (np.sqrt(p[1:]) * np.sqrt(p[1:] + k))
+    return LindbladTable(generator)
 
 
 def rk4_evolve(vec: np.ndarray, table: LindbladTable, dt: float, n_steps: int) -> np.ndarray:
-    """Take n_steps fixed RK4 steps of length dt on the packed generator.
+    """Take n_steps fixed RK4 steps of length dt on the stored diagonals.
 
-    The generator L is linear and keeps each chain, so one RK4 step is the
-    chain-sized matrix P = I + hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24 and
-    n_steps steps are its power, taken for all chains at once by binary
+    vec is the state's diagonals array, one row per offset of the table.  The
+    generator L is linear and keeps each diagonal, so one RK4 step is the
+    diagonal-sized matrix P = I + hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24 and
+    n_steps steps are its power, taken for all diagonals at once by binary
     powering: about log2(n_steps) batched products.  Both are kept in
     increment form, D = P - I by Horner and (I + A)(I + B) = I + (A + B + AB),
     because I + D would round the small entries of D against the ones on
     the diagonal at every product.  The state is then vec + D_n vec.
 
-    The state is re-hermitized once per call, each entry against its
-    partner.  The step matrix is real and shared by a chain and its
-    transpose, so it commutes with taking the hermitian part, and one
-    re-hermitization after n steps is the same map as one after every step.
-    n_steps = 0 returns a copy unchanged; dt = 0 only re-hermitizes.
+    D_n is kept on the table for n_steps > 1, so the equal intervals of a
+    uniform time grid power it once; a single step is only the Horner form.
+    n_steps = 0 returns a copy unchanged.
     """
     if n_steps <= 0:
         return vec.copy()
-    hl = dt * table.generator
+    total = table.powers.get((dt, n_steps))
+    if total is None:
+        total = _rk4_power(dt * table.generator, n_steps)
+        if n_steps > 1:
+            if len(table.powers) >= POWER_CACHE_SIZE:
+                del table.powers[next(iter(table.powers))]
+            table.powers[dt, n_steps] = total
+    # a complex diagonal as interleaved real pairs, so the real step matrix
+    # acts through one real product
+    cols = vec.view(np.float64).reshape(*vec.shape, -1)
+    return vec + (total @ cols).view(vec.dtype).reshape(vec.shape)
+
+
+def _rk4_power(hl: np.ndarray, n_steps: int) -> np.ndarray:
+    """D_n = P^n - I for the RK4 step matrix P of hL, by binary powering."""
     eye = np.eye(hl.shape[-1])
     inc = hl
     for order in (4, 3, 2):
@@ -186,12 +141,5 @@ def rk4_evolve(vec: np.ndarray, table: LindbladTable, dt: float, n_steps: int) -
             total = inc if total is None else total + inc + total @ inc
         n_steps >>= 1
         if not n_steps:
-            break
+            return total
         inc = 2.0 * inc + inc @ inc
-    # each chain's two sides as complex columns, interleaved as real pairs so
-    # the real step matrix acts through one real product
-    cols = np.zeros(hl.shape[:2] + (2,), dtype=np.complex128)
-    cols[table.chain, table.slot, table.side] = vec
-    cols += (total @ cols.view(np.float64)).view(np.complex128)
-    out = cols[table.chain, table.slot, table.side]
-    return 0.5 * (out + out[table.partner].conj())

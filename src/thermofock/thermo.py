@@ -174,18 +174,18 @@ def fit_geometric(
 ) -> GeometricFit:
     """Extract the geometric ratio q from a single-mode density matrix.
 
-    The estimate is the population-weighted mean of the successive-ratio
-    samples p_{n+1}/p_n, which reduces to sum(p_{n+1}) / sum(p_n) over the
-    rows whose population exceeds `population_floor`.  Rows below the floor
-    carry no usable ratio information and are excluded.  Off-diagonal mass
-    above `off_diag_tol` or a non-geometric diagonal raises NotChaoticError.
+    The populations are its offset 0, and max_offdiag is the largest
+    magnitude on its other stored offsets.  The estimate is the
+    population-weighted mean of the successive-ratio samples p_{n+1}/p_n,
+    which reduces to sum(p_{n+1}) / sum(p_n) over the rows whose population
+    exceeds `population_floor`.  Rows below the floor carry no usable ratio
+    information and are excluded.  Off-diagonal mass above `off_diag_tol`
+    or a non-geometric diagonal raises NotChaoticError.
     """
     if rho.layout.modes != 1:
         raise LayoutError("fit_geometric needs a single-mode state")
-    mat = rho.mat
-    pops = mat.diagonal().real
-    off = mat - np.diag(mat.diagonal())
-    max_offdiag = float(np.abs(off).max())
+    pops = rho.diagonals[0].real
+    max_offdiag = float(np.abs(rho.diagonals[1:]).max(initial=0.0))
     if max_offdiag > off_diag_tol:
         raise NotChaoticError(
             f"off-diagonal weight {max_offdiag:.3e} exceeds {off_diag_tol:.3e}"

@@ -92,6 +92,18 @@ def test_kraus_completeness(kappa_t):
     np.testing.assert_allclose(acc, np.eye(32), atol=1e-12)
 
 
+def test_kraus_family_stays_complete_above_cutoff_190():
+    # V^n / n! underflows from cutoff 190 on; the running product keeps every
+    # entry in [0, 1], and each K_n removes exactly n quanta
+    layout = fock.ModeLayout(200)
+    ops = channel.kraus_operators(0.5, layout)
+    acc = sum(op.conj().T @ op for op in ops)
+    np.testing.assert_allclose(acc, np.eye(200), rtol=0, atol=1e-12)
+    weights = channel.damping_weights(200, 0.5)
+    for n in (0, 1, 150, 199):
+        np.testing.assert_allclose(np.diagonal(ops[n], n), weights[n, :200 - n], rtol=1e-12, atol=0)
+
+
 def test_apply_kraus_matches_explicit_operator_sum():
     layout = fock.ModeLayout(18)
     rng = np.random.default_rng(21)
@@ -222,7 +234,7 @@ def test_lindblad_grid_returns_each_time_in_order():
 
 def test_lindblad_packs_the_partner_of_a_one_sided_entry():
     # hermitian within tolerance, although the mirror of entry (5, 2) is 0:
-    # the table must still pack that mirror, which re-hermitization pairs it with
+    # the state stores offset 3 as the hermitian part, so the mirror is damped too
     layout = fock.ModeLayout(8)
     mat = states.chaotic_state(states.ThermoParams(1.0), layout).mat
     mat[5, 2] = 5e-13
