@@ -115,9 +115,9 @@ def apply_kraus(rho: DensityMatrix, kappa_t: float) -> DensityMatrix:
     weights = damping_weights(cutoff, kappa_t)
     trace_tol = rho.trace_tol + TRACE_PRESERVATION_TOL
     if rho.factors is None:
-        out = kernels.damp_diagonals(rho.diagonals, weights)
-        _check_preserved(out[0].sum(), rho)
-        return DensityMatrix._from_diagonals(rho.layout, out, trace_tol)
+        out = kernels.apply_damping(rho.diagonals.T, weights, cutoff).T
+        _check_preserved(fock.diagonal_populations(out).sum(), rho)
+        return DensityMatrix.from_diagonals(rho.layout, out, trace_tol)
     count, _, rank = rho.factors.shape
     # row j + n of the factor for every (n, j); rows past the cutoff read 0
     lowered = np.add.outer(np.arange(cutoff), np.arange(cutoff))
@@ -215,6 +215,8 @@ def lindblad_integrate(
     if rho.layout.modes != 1:
         raise fock.LayoutError("lindblad_integrate damps a single-mode state; apply_kraus damps two modes exactly")
     table = kernels.lindblad_table(rho.diagonals, kappa)
+    # the powered step of each (step, full-step count) the grid uses
+    powers: dict = {}
     diagonals = rho.diagonals
     n_steps = 0
     out: list = [None] * len(times)
@@ -222,10 +224,10 @@ def lindblad_integrate(
         if n_full == math.inf:
             raise IntegrationError(f"a step of {step:.3e} cannot cover {interval:.3e}", time=t)
         n_tail = int(remainder > 0.0)
-        diagonals = kernels.rk4_evolve(diagonals, table, step, n_full)
+        diagonals = kernels.rk4_evolve(diagonals, table, step, n_full, powers=powers)
         diagonals = kernels.rk4_evolve(diagonals, table, remainder, n_tail)
         n_steps += n_full + n_tail
-        pops = diagonals[0].real
+        pops = fock.diagonal_populations(diagonals)
         drift = abs(pops.sum() - fock.trace(rho))
         if not drift <= TRACE_DRIFT_TOL:
             raise IntegrationError(f"trace drifted by {drift:.3e} over {n_steps} RK4 steps", time=t)
@@ -233,5 +235,5 @@ def lindblad_integrate(
         if not outside.max() <= TRACE_DRIFT_TOL:
             worst = pops[np.argmax(outside)]
             raise IntegrationError(f"population {worst:.6g} left [0, 1] over {n_steps} RK4 steps", time=t)
-        out[i] = DensityMatrix._from_diagonals(rho.layout, diagonals, rho.trace_tol + drift + 1e-12)
+        out[i] = DensityMatrix.from_diagonals(rho.layout, diagonals, rho.trace_tol + drift + 1e-12)
     return out

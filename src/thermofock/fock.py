@@ -120,6 +120,12 @@ def _real(a: np.ndarray) -> np.ndarray:
     return a.real if np.iscomplexobj(a) and not a.imag.any() else a
 
 
+def diagonal_populations(diagonals: np.ndarray) -> np.ndarray:
+    """The populations rho[p, p] held in a single-mode `diagonals` array:
+    its offset 0, real."""
+    return diagonals[0].real
+
+
 class DensityMatrix:
     """Unit-trace (within trace_tol) state: by offset diagonal for one mode,
     one factor per pair-number sector for two (see the module docstring).
@@ -191,9 +197,11 @@ class DensityMatrix:
         return rho
 
     @classmethod
-    def _from_diagonals(cls, layout: ModeLayout, diagonals: np.ndarray, trace_tol: float) -> "DensityMatrix":
-        """A single-mode state from its `diagonals` array: offset 0 real, each
-        offset k zero past cutoff - k."""
+    def from_diagonals(cls, layout: ModeLayout, diagonals: np.ndarray, trace_tol: float) -> "DensityMatrix":
+        """A single-mode state from its `diagonals` array, as the kernels
+        return it: offset 0 real, each offset k zero past cutoff - k."""
+        if layout.modes != 1:
+            raise LayoutError("diagonals describe a single-mode state")
         rho = cls.__new__(cls)
         rho.layout, rho.trace_tol = layout, trace_tol
         rho.diagonals = np.ascontiguousarray(_real(diagonals))
@@ -227,6 +235,12 @@ class DensityMatrix:
         if d not in self.sectors:
             return np.zeros((n - abs(d), self.factors.shape[2]), dtype=self.factors.dtype)
         return self.factors[d - self.sectors.start, max(-d, 0):n - max(d, 0)]
+
+    @property
+    def max_coherence(self) -> float:
+        """The largest |rho[r, c]|, r != c, of a single-mode state: 0 when it
+        is diagonal in the Fock basis."""
+        return float(np.abs(self.diagonals[1:]).max(initial=0.0))
 
     @property
     def mat(self) -> np.ndarray:
@@ -393,7 +407,7 @@ def partial_trace(rho: DensityMatrix, over: str) -> DensityMatrix:
         # hold carry 0 and fall outside [0, n), so the bins start at -(n - 1)
         tilde = np.add.outer(np.arange(rho.sectors.start, rho.sectors.stop), np.arange(n - 1, 2 * n - 1))
         reduced = np.bincount(tilde[::-1].ravel(), weights=pops[::-1].ravel(), minlength=3 * n)[n - 1:2 * n - 1]
-    return DensityMatrix._from_diagonals(rho.layout.single(), reduced[None, :], rho.trace_tol)
+    return DensityMatrix.from_diagonals(rho.layout.single(), reduced[None, :], rho.trace_tol)
 
 
 def _aligned(rho: DensityMatrix, sectors: range) -> np.ndarray:

@@ -6,7 +6,7 @@ every entry, so each acts on each stored diagonal on its own, and only
 k >= 0 is computed: offset -k is the conjugate of offset k, and the maps
 are real.
 
-damp_diagonals applies the amplitude-damping operator sum to each diagonal
+apply_damping applies the amplitude-damping operator sum to each diagonal
 as one upper-triangular matrix.  lindblad_table and rk4_evolve integrate
 the damping generator kappa (2 a rho a+ - {a+a, rho}), which feeds each
 entry only from the next one down its diagonal, (r + 1, c + 1): on one
@@ -19,41 +19,41 @@ channel.apply_kraus on their sector factors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
-
-# powered RK4 increments a LindbladTable keeps, oldest dropped first
-POWER_CACHE_SIZE = 16
 
 
 def backend_name() -> str:
     return "numpy"
 
 
-def damp_diagonals(diagonals: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Apply the amplitude-damping operator sum to a state's diagonals.
+def apply_damping(columns: np.ndarray, weights: np.ndarray, n_kraus: int) -> np.ndarray:
+    """Apply the amplitude-damping operator sum to a single-mode state.
 
-    out[k, p] = sum_n W[n, p] W[n, p + k] diagonals[k, p + n], where
-    weights[n, j] is the matrix element of the n-th damping operator that
-    maps occupation j + n down to j.  On offset k, of length L = N - k, that
-    is the upper-triangular L x L matrix T[p, p + n] = W[n, p] W[n, p + k].
-    An offset whose diagonal is zero stays zero and is skipped.
+    columns[p, k] = rho[p, p + k] holds one stored offset k per column (the
+    transpose of the state's diagonals), rows by the occupation p that the
+    damping lowers.  out[p, k] = sum_n W[n, p] W[n, p + k] columns[p + n, k],
+    where weights[n, j] is the matrix element of the n-th damping operator
+    that maps occupation j + n down to j; rows beyond n_kraus are ignored.
+    On offset k, of length L = N - k, that is the upper-triangular L x L
+    matrix T[p, p + n] = W[n, p] W[n, p + k].  An offset whose column is
+    zero stays zero and is skipped.
     """
-    count, n = diagonals.shape
-    out = np.zeros_like(diagonals)
+    n, count = columns.shape
+    out = np.zeros_like(columns)
     for k in range(count):
         span = n - k
-        line = diagonals[k, :span]
+        line = columns[:span, k]
         if not line.any():
             continue
         row, col = np.triu_indices(span)
         order = col - row
+        keep = order < n_kraus
+        row, col, order = row[keep], col[keep], order[keep]
         tmat = np.zeros((span, span))
         tmat[row, col] = weights[order, row] * weights[order, k + row]
-        # a complex diagonal as interleaved real pairs, so T acts through one real product
-        damped = tmat @ line.view(np.float64).reshape(span, -1)
-        out[k, :span] = damped.view(diagonals.dtype).ravel()
+        # a complex column as interleaved real pairs, so T acts through one real product
+        damped = tmat @ np.ascontiguousarray(line).view(np.float64).reshape(span, -1)
+        out[:span, k] = damped.view(columns.dtype).ravel()
     return out
 
 
@@ -68,37 +68,27 @@ def hermiticity_defect(mat: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class LindbladTable:
-    """The damping generator on each stored diagonal of a single-mode state.
+def lindblad_table(diagonals: np.ndarray, kappa: float) -> np.ndarray:
+    """Tabulate the damping generator on the stored offsets of a single-mode state.
 
-    generator[k] is the real bidiagonal generator of offset k, acting on the
+    table[k] is the real bidiagonal generator of offset k, acting on the
     entries rho[p, p + k], and zero past the offset's length cutoff - k.
-    `powers` keeps the powered RK4 increments rk4_evolve has formed, keyed
-    by (step, step count).
-    """
-
-    generator: np.ndarray
-    powers: dict = field(default_factory=dict)
-
-
-def lindblad_table(diagonals: np.ndarray, kappa: float) -> LindbladTable:
-    """Tabulate the generator on the stored offsets of a single-mode state.
-
     Entry (p, p + k) decays at kappa (2p + k), and for p >= 1 feeds the entry
     (p - 1, p - 1 + k) with weight 2 kappa sqrt(p) sqrt(p + k).  A chaotic
     state stores one offset, so its table is one cutoff x cutoff matrix.
     """
     count, n = diagonals.shape
-    generator = np.zeros((count, n, n))
+    table = np.zeros((count, n, n))
     for k in range(count):
         p = np.arange(n - k)
-        generator[k, p, p] = -kappa * (2 * p + k).astype(np.float64)
-        generator[k, p[:-1], p[1:]] = 2.0 * kappa * (np.sqrt(p[1:]) * np.sqrt(p[1:] + k))
-    return LindbladTable(generator)
+        table[k, p, p] = -kappa * (2 * p + k).astype(np.float64)
+        table[k, p[:-1], p[1:]] = 2.0 * kappa * (np.sqrt(p[1:]) * np.sqrt(p[1:] + k))
+    return table
 
 
-def rk4_evolve(vec: np.ndarray, table: LindbladTable, dt: float, n_steps: int) -> np.ndarray:
+def rk4_evolve(
+    vec: np.ndarray, table: np.ndarray, dt: float, n_steps: int, powers: dict | None = None
+) -> np.ndarray:
     """Take n_steps fixed RK4 steps of length dt on the stored diagonals.
 
     vec is the state's diagonals array, one row per offset of the table.  The
@@ -110,19 +100,19 @@ def rk4_evolve(vec: np.ndarray, table: LindbladTable, dt: float, n_steps: int) -
     because I + D would round the small entries of D against the ones on
     the diagonal at every product.  The state is then vec + D_n vec.
 
-    D_n is kept on the table for n_steps > 1, so the equal intervals of a
-    uniform time grid power it once; a single step is only the Horner form.
-    n_steps = 0 returns a copy unchanged.
+    powers, when given, is a dict the caller keeps for one table: D_n for
+    n_steps > 1 is looked up there by (dt, n_steps) and stored once formed,
+    so the equal intervals of a uniform time grid power it once.  A single
+    step is only the Horner form and is not stored.  n_steps = 0 returns a
+    copy unchanged.
     """
     if n_steps <= 0:
         return vec.copy()
-    total = table.powers.get((dt, n_steps))
+    total = None if powers is None else powers.get((dt, n_steps))
     if total is None:
-        total = _rk4_power(dt * table.generator, n_steps)
-        if n_steps > 1:
-            if len(table.powers) >= POWER_CACHE_SIZE:
-                del table.powers[next(iter(table.powers))]
-            table.powers[dt, n_steps] = total
+        total = _rk4_power(dt * table, n_steps)
+        if powers is not None and n_steps > 1:
+            powers[dt, n_steps] = total
     # a complex diagonal as interleaved real pairs, so the real step matrix
     # acts through one real product
     cols = vec.view(np.float64).reshape(*vec.shape, -1)

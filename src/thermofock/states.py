@@ -65,7 +65,8 @@ class ThermoParams:
 
 def chaotic_state(params: ThermoParams, layout: ModeLayout) -> DensityMatrix:
     """Single-mode thermal state diag((1 - q) q^n) on the truncated space,
-    stored as its one real diagonal.
+    built through the checked dense constructor, which stores its one real
+    diagonal.
 
     The populations are the exact infinite-space values, so the trace falls
     short of 1 by the tail weight q^cutoff; the instance carries that
@@ -76,7 +77,7 @@ def chaotic_state(params: ThermoParams, layout: ModeLayout) -> DensityMatrix:
     q = params.q
     pops = (1.0 - q) * q ** np.arange(layout.cutoff)
     tol = 1e-12 + params.tail_weight(layout.cutoff)
-    return DensityMatrix._from_diagonals(layout, pops[None, :], tol)
+    return DensityMatrix(layout, np.diag(pops), trace_tol=tol)
 
 
 def thermal_vacuum(params: ThermoParams, layout: ModeLayout) -> DensityMatrix:

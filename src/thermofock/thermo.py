@@ -174,8 +174,7 @@ def fit_geometric(
 ) -> GeometricFit:
     """Extract the geometric ratio q from a single-mode density matrix.
 
-    The populations are its offset 0, and max_offdiag is the largest
-    magnitude on its other stored offsets.  The estimate is the
+    max_offdiag is the state's largest off-diagonal magnitude.  The estimate is the
     population-weighted mean of the successive-ratio samples p_{n+1}/p_n,
     which reduces to sum(p_{n+1}) / sum(p_n) over the rows whose population
     exceeds `population_floor`.  Rows below the floor carry no usable ratio
@@ -184,8 +183,8 @@ def fit_geometric(
     """
     if rho.layout.modes != 1:
         raise LayoutError("fit_geometric needs a single-mode state")
-    pops = rho.diagonals[0].real
-    max_offdiag = float(np.abs(rho.diagonals[1:]).max(initial=0.0))
+    pops = fock.diagonal_populations(rho.diagonals)
+    max_offdiag = rho.max_coherence
     if max_offdiag > off_diag_tol:
         raise NotChaoticError(
             f"off-diagonal weight {max_offdiag:.3e} exceeds {off_diag_tol:.3e}"

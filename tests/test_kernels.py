@@ -45,14 +45,14 @@ def dense_of(diagonals):
     return out
 
 
-def reference_damping(rho4, weights):
+def reference_damping(rho4, weights, n_kraus):
     # direct translation of the operator sum on the first mode of rho4 (a
     # single mode has a second mode of size 1), no shared code with the kernels
     n = rho4.shape[0]
     out = np.zeros_like(rho4)
     for j in range(n):
         for k in range(n):
-            for nn in range(min(n - j, n - k)):
+            for nn in range(min(n - j, n - k, n_kraus)):
                 out[j, :, k, :] += weights[nn, j] * weights[nn, k] * rho4[j + nn, :, k + nn, :]
     return out
 
@@ -91,38 +91,45 @@ def thermal_vacuum(n):
 
 
 @pytest.mark.parametrize(
-    "rho",
+    "rho, n_kraus",
     [
-        pytest.param(random_hermitian(9, seed=3), id="9-1"),
-        pytest.param(banded_hermitian(9, (0, 2, 5), seed=3), id="banded-9"),
-        pytest.param(thermal_vacuum(8), id="thermal-vacuum-8"),
-        pytest.param(random_sector_density(5, seed=3), id="sectors-5"),
+        pytest.param(random_hermitian(9, seed=3), 9, id="9-1"),
+        # every offset of a cutoff-6 matrix stored
+        pytest.param(random_hermitian(6, seed=3), 6, id="6-6"),
+        pytest.param(banded_hermitian(9, (0, 2, 5), seed=3), 9, id="banded-9"),
+        # cutoff 7, offsets 0 to 3 stored, the family capped at 3 operators
+        pytest.param(banded_hermitian(7, (0, 1, 2, 3), seed=3), 3, id="capped-7-4"),
+        pytest.param(thermal_vacuum(8), 8, id="thermal-vacuum-8"),
+        pytest.param(random_sector_density(5, seed=3), 5, id="sectors-5"),
     ],
 )
-def test_damping_backends_match_reference(rho):
+def test_damping_backends_match_reference(rho, n_kraus):
     if isinstance(rho, np.ndarray):
         n = rho.shape[0]
-        # any table: the kernel must not assume the channel's weights
+        # the full table even when capped: rows beyond n_kraus must be ignored
         weights = np.exp(-0.3 * np.arange(n))[None, :] * np.linspace(1.0, 0.2, n)[:, None]
-        got = dense_of(kernels.damp_diagonals(diagonals_of(rho), weights))
-        expected = reference_damping(rho.reshape(n, 1, n, 1), weights).reshape(n, n)
+        columns = diagonals_of(rho).T
+        got = kernels.apply_damping(columns, weights, n_kraus)
+        assert got.shape == columns.shape
+        got = dense_of(got.T)
+        expected = reference_damping(rho.reshape(n, 1, n, 1), weights, n_kraus).reshape(n, n)
     else:
         # random factors of every size and column count, so apply_kraus
         # shifts the factors of every sector
         n = rho.layout.cutoff
         got = channel.apply_kraus(rho, 0.6).mat
-        expected = reference_damping(rho.mat.reshape(n, n, n, n), channel.damping_weights(n, 0.6))
+        expected = reference_damping(rho.mat.reshape(n, n, n, n), channel.damping_weights(n, 0.6), n_kraus)
         expected = expected.reshape(n * n, n * n)
     np.testing.assert_allclose(got, expected, atol=1e-14)
 
 
 def test_damping_skips_a_zero_offset_and_keeps_the_padding():
     weights = channel.damping_weights(7, 0.4)
-    diagonals = diagonals_of(banded_hermitian(7, (0, 3), seed=5))
-    out = kernels.damp_diagonals(diagonals, weights)
-    assert not out[1:3].any()
-    for k, line in enumerate(out):
-        assert not line[7 - k:].any()
+    columns = diagonals_of(banded_hermitian(7, (0, 3), seed=5)).T
+    out = kernels.apply_damping(columns, weights, 7)
+    assert not out[:, 1:3].any()
+    for k in range(out.shape[1]):
+        assert not out[7 - k:, k].any()
 
 
 def bracket(rho, a, kappa):
@@ -132,7 +139,7 @@ def bracket(rho, a, kappa):
 
 def apply_generator(table, diagonals):
     """The tabulated generator applied once, diagonal by diagonal."""
-    return (table.generator @ diagonals[..., None])[..., 0]
+    return (table @ diagonals[..., None])[..., 0]
 
 
 @pytest.mark.parametrize("n", [9, 36])
@@ -142,7 +149,7 @@ def test_lindblad_rhs_backends_match_bracket_form(n):
     kappa = 0.7
     diagonals = diagonals_of(rho)
     table = kernels.lindblad_table(diagonals, kappa)
-    assert table.generator.shape == (n, n, n)
+    assert table.shape == (n, n, n)
     got = dense_of(apply_generator(table, diagonals))
     expected = bracket(rho, fock.annihilation(fock.ModeLayout(n)), kappa)
     np.testing.assert_allclose(got, expected, atol=1e-13)
@@ -187,7 +194,7 @@ def test_table_steps_the_stored_diagonals():
         chaotic = states.chaotic_state(params, fock.ModeLayout(n))
         assert chaotic.diagonals.shape == (1, n) and chaotic.diagonals.dtype == np.float64
         table = kernels.lindblad_table(chaotic.diagonals, 1.0)
-        assert table.generator.shape == (1, n, n)
+        assert table.shape == (1, n, n)
         stepped = kernels.rk4_evolve(chaotic.diagonals, table, 1e-3, 50)
         assert stepped.shape == (1, n) and stepped.dtype == np.float64
     # (|0> + |3>) / sqrt(2) stores offsets 0 to 3; the coherences (0, 3) and
@@ -300,19 +307,31 @@ def test_rk4_powers_each_plan_once(monkeypatch):
     monkeypatch.setattr(kernels, "_rk4_power", counting)
     chaotic = states.chaotic_state(states.ThermoParams(1.0), fock.ModeLayout(16)).diagonals
     table = kernels.lindblad_table(chaotic, 1.0)
-    first = kernels.rk4_evolve(chaotic, table, 1e-3, 100)
-    again = kernels.rk4_evolve(chaotic, table, 1e-3, 100)
-    # a single step is not kept, and neither is a new table's power
-    kernels.rk4_evolve(chaotic, table, 2e-4, 1)
-    kernels.rk4_evolve(chaotic, table, 2e-4, 1)
-    kernels.rk4_evolve(chaotic, kernels.lindblad_table(chaotic, 1.0), 1e-3, 100)
+    powers = {}
+    first = kernels.rk4_evolve(chaotic, table, 1e-3, 100, powers=powers)
+    again = kernels.rk4_evolve(chaotic, table, 1e-3, 100, powers=powers)
+    # a single step is not kept, and nothing is kept without a dict
+    kernels.rk4_evolve(chaotic, table, 2e-4, 1, powers=powers)
+    kernels.rk4_evolve(chaotic, table, 2e-4, 1, powers=powers)
+    kernels.rk4_evolve(chaotic, table, 1e-3, 100)
     assert powered == [100, 1, 1, 100]
+    assert list(powers) == [(1e-3, 100)]
     np.testing.assert_array_equal(again, first)
-    # the oldest power is dropped once the table keeps POWER_CACHE_SIZE
-    for n_steps in range(2, kernels.POWER_CACHE_SIZE + 2):
-        kernels.rk4_evolve(chaotic, table, 1e-3, n_steps)
-    assert len(table.powers) == kernels.POWER_CACHE_SIZE
-    assert (1e-3, 100) not in table.powers
+
+
+def test_uniform_lindblad_grid_powers_each_plan_once(monkeypatch):
+    powered = []
+    power = kernels._rk4_power
+
+    def counting(hl, n_steps):
+        powered.append(n_steps)
+        return power(hl, n_steps)
+
+    monkeypatch.setattr(kernels, "_rk4_power", counting)
+    rho = states.chaotic_state(states.ThermoParams(1.0), fock.ModeLayout(12))
+    # twenty intervals of 0.5 at the default step 1e-3: one power of 500 steps
+    channel.lindblad_integrate(rho, 1.0, np.linspace(0.0, 10.0, 21))
+    assert powered == [500]
 
 
 def test_hermiticity_defect_backends():

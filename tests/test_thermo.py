@@ -210,9 +210,9 @@ def test_cooling_curve_lindblad_steps_once_through_the_grid(monkeypatch):
     steps = []
     evolve = kernels.rk4_evolve
 
-    def counting(vec, table, dt, n_steps):
+    def counting(vec, table, dt, n_steps, **kwargs):
         steps.append(n_steps)
-        return evolve(vec, table, dt, n_steps)
+        return evolve(vec, table, dt, n_steps, **kwargs)
 
     monkeypatch.setattr(kernels, "rk4_evolve", counting)
     # uneven intervals need remainder steps; a repeated time needs none
