@@ -100,16 +100,18 @@ def kraus_operators(kappa_t: float, layout: ModeLayout) -> list[np.ndarray]:
 def apply_kraus(rho: DensityMatrix, kappa_t: float) -> DensityMatrix:
     """Push rho through the damping channel via the structured operator sum.
 
-    The Kraus matrices are never formed.  A single-mode state is mapped on
-    each stored offset diagonal by one triangular product.  On a
-    two-mode state K_n takes system occupation j + n of sector d to j of
-    sector d + n with weight W[n, j], so the images of one input sector are
-    the weight table times shifted copies of its factor, stacked over n;
-    each input sector's images take their own columns.  The thermal vacuum
-    is one sector of one column, whose images are one triangular
-    cutoff x cutoff array.  The family is complete, so the trace is
-    preserved exactly (to round-off) even at the truncation boundary; a
-    violation indicates a real defect and raises IntegrationError.
+    The Kraus matrices are never formed.  K_n lowers an occupation by n
+    with weight W[n, j], so both branches read the rows j + n of the state
+    through kernels._lowered.  A single-mode state is mapped on each stored
+    offset diagonal by kernels.apply_damping.  On a two-mode state K_n
+    takes system occupation j + n of sector d to j of sector d + n, so the
+    images of one input sector are the weight table times its lowered
+    factor, stacked over n; each input sector's images take their own
+    columns.  The thermal vacuum is one sector of one column, whose images
+    are one triangular cutoff x cutoff array.  The family is complete, so
+    the trace is preserved exactly (to round-off) even at the truncation
+    boundary; a violation indicates a real defect and raises
+    IntegrationError.
     """
     cutoff = rho.layout.cutoff
     weights = damping_weights(cutoff, kappa_t)
@@ -119,15 +121,12 @@ def apply_kraus(rho: DensityMatrix, kappa_t: float) -> DensityMatrix:
         _check_preserved(fock.diagonal_populations(out).sum(), rho)
         return DensityMatrix.from_diagonals(rho.layout, out, trace_tol)
     count, _, rank = rho.factors.shape
-    # row j + n of the factor for every (n, j); rows past the cutoff read 0
-    lowered = np.add.outer(np.arange(cutoff), np.arange(cutoff))
-    padded = np.concatenate([rho.factors, np.zeros_like(rho.factors)], axis=1)
     # output sector d + n sits n rows below input sector d; none reaches d >= cutoff
     start = rho.sectors.start
     stop = min(rho.sectors.stop + cutoff - 1, cutoff)
     out = np.zeros((stop - start, cutoff, count * rank), dtype=rho.factors.dtype)
     for i in range(count):
-        images = weights[:, :, None] * padded[i, lowered]
+        images = weights[:, :, None] * kernels._lowered(rho.factors[i], cutoff)
         out[i:i + cutoff, :, i * rank:(i + 1) * rank] = images[:stop - start - i]
     _check_preserved(np.vdot(out, out).real, rho)
     return DensityMatrix._stacked(rho.layout, range(start, stop), out, trace_tol)

@@ -62,9 +62,11 @@ DEFICIT_TOL = 1e-6
 LINDBLAD_STEP_BUDGET = 50_000
 # Most work a `cool` or `two-mode` grid may take, in units of (steps + 1) grid
 # points times max(cutoff, WORK_CUTOFF_FLOOR)^2; a larger grid is refused with
-# exit 2.  On 2 vCPUs a grid point of either command costs 0.2 to 0.4 ms at
-# cutoff 8 and 2.4 to 3 ms at 128, and a unit at most about 0.27 us (`cool`
-# at cutoff 64), so the largest admitted grid runs in about 4 s.
+# exit 2.  On 2 vCPUs a grid point costs about 0.1 ms (`cool`) and 0.35 ms
+# (`two-mode`) at cutoff 8 and 0.4 and 1.8 ms at 128, and a unit at most
+# about 0.2 us (`two-mode` at cutoff 64, whose largest admitted grid,
+# --steps 3905, runs in 3.2 s), so the largest admitted grid runs in about
+# 3 s.
 WORK_BUDGET = 16_000_000
 WORK_CUTOFF_FLOOR = 64
 
@@ -365,7 +367,7 @@ def cmd_two_mode(cfg: argparse.Namespace) -> int:
             sys_tau_numeric = thermo.effective_temperature(sys_side)
             tilde_nbar = fock.expectation(tilde_side, number_single).real
             total_purity = fock.purity(evolved)
-        except (thermo.NotChaoticError, states.TruncationError, channel.IntegrationError, fock.StateError) as exc:
+        except (thermo.NotChaoticError, channel.IntegrationError, fock.StateError) as exc:
             raise thermo.CoolingCurveError(t, kappa_t, exc) from exc
         sys_tau_closed = thermo.tau_after(cfg.tau0, kappa_t)
         rows.append((kappa_t, dist, sys_tau_numeric, sys_tau_closed, tilde_nbar, total_purity))

@@ -446,9 +446,9 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     return float(0.5 * np.abs(np.linalg.eigvalsh(core)).sum())
 
 
-def default_cutoff(theta: float, tail: float = TAIL_TARGET) -> int:
+def default_cutoff(theta: float) -> int:
     """Smallest cutoff whose thermal-tail weight tanh(theta)^(2N) drops
-    below `tail`, clamped to [CUTOFF_MIN, CUTOFF_MAX]."""
+    below TAIL_TARGET, clamped to [CUTOFF_MIN, CUTOFF_MAX]."""
     if theta < 0:
         raise ValueError(f"theta must be >= 0, got {theta}")
     t2 = np.tanh(theta) ** 2
@@ -458,5 +458,5 @@ def default_cutoff(theta: float, tail: float = TAIL_TARGET) -> int:
         raise ArithmeticError(
             f"tanh(theta)^2 rounds to 1 at theta = {theta:.6g}: no cutoff holds the thermal tail"
         )
-    need = int(np.ceil(np.log(tail) / np.log(t2)))
+    need = int(np.ceil(np.log(TAIL_TARGET) / np.log(t2)))
     return max(CUTOFF_MIN, min(CUTOFF_MAX, need))

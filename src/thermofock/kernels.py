@@ -7,14 +7,14 @@ k >= 0 is computed: offset -k is the conjugate of offset k, and the maps
 are real.
 
 apply_damping applies the amplitude-damping operator sum to each diagonal
-as one upper-triangular matrix.  lindblad_table and rk4_evolve integrate
-the damping generator kappa (2 a rho a+ - {a+a, rho}), which feeds each
-entry only from the next one down its diagonal, (r + 1, c + 1): on one
-diagonal it is a real bidiagonal matrix at most cutoff x cutoff, so
-rk4_evolve takes n RK4 steps as the n-th power of each diagonal's RK4 step
-matrix, by binary powering in increment form.  A chaotic state and its
-images step one real vector.  Two-mode states are damped by
-channel.apply_kraus on their sector factors.
+as a weighted sum of its rows lowered by n quanta, through _lowered, the
+gather by which channel.apply_kraus also damps two-mode sector factors.
+lindblad_table and rk4_evolve integrate the damping generator
+kappa (2 a rho a+ - {a+a, rho}), which feeds each entry only from the next
+one down its diagonal, (r + 1, c + 1): on one diagonal it is a real
+bidiagonal matrix at most cutoff x cutoff, so rk4_evolve takes n RK4 steps
+as the n-th power of each diagonal's RK4 step matrix, by binary powering
+in increment form.  A chaotic state and its images step one real vector.
 """
 
 from __future__ import annotations
@@ -34,9 +34,9 @@ def apply_damping(columns: np.ndarray, weights: np.ndarray, n_kraus: int) -> np.
     damping lowers.  out[p, k] = sum_n W[n, p] W[n, p + k] columns[p + n, k],
     where weights[n, j] is the matrix element of the n-th damping operator
     that maps occupation j + n down to j; rows beyond n_kraus are ignored.
-    On offset k, of length L = N - k, that is the upper-triangular L x L
-    matrix T[p, p + n] = W[n, p] W[n, p + k].  An offset whose column is
-    zero stays zero and is skipped.
+    Offset k, of length L = N - k, is summed over its rows lowered by
+    n < min(n_kraus, L), read through _lowered.
+    An offset whose column is zero stays zero and is skipped.
     """
     n, count = columns.shape
     out = np.zeros_like(columns)
@@ -45,16 +45,16 @@ def apply_damping(columns: np.ndarray, weights: np.ndarray, n_kraus: int) -> np.
         line = columns[:span, k]
         if not line.any():
             continue
-        row, col = np.triu_indices(span)
-        order = col - row
-        keep = order < n_kraus
-        row, col, order = row[keep], col[keep], order[keep]
-        tmat = np.zeros((span, span))
-        tmat[row, col] = weights[order, row] * weights[order, k + row]
-        # a complex column as interleaved real pairs, so T acts through one real product
-        damped = tmat @ np.ascontiguousarray(line).view(np.float64).reshape(span, -1)
-        out[:span, k] = damped.view(columns.dtype).ravel()
+        orders = min(n_kraus, span)
+        pair = weights[:orders, :span] * weights[:orders, k:n]
+        out[:span, k] = np.einsum("nj,nj->j", pair, _lowered(line, orders))
     return out
+
+
+def _lowered(x: np.ndarray, orders: int) -> np.ndarray:
+    """rows[n, j] = x[j + n] for n < orders, and 0 where j + n runs past x."""
+    padded = np.concatenate([x, np.zeros_like(x[:orders])])
+    return padded[np.add.outer(np.arange(orders), np.arange(len(x)))]
 
 
 def hermiticity_defect(mat: np.ndarray) -> float:

@@ -167,17 +167,13 @@ class GeometricFit:
     max_ratio_residual: float
 
 
-def fit_geometric(
-    rho,
-    off_diag_tol: float = OFF_DIAG_TOL,
-    population_floor: float = POPULATION_FLOOR,
-) -> GeometricFit:
+def fit_geometric(rho, off_diag_tol: float = OFF_DIAG_TOL) -> GeometricFit:
     """Extract the geometric ratio q from a single-mode density matrix.
 
     max_offdiag is the state's largest off-diagonal magnitude.  The estimate is the
     population-weighted mean of the successive-ratio samples p_{n+1}/p_n,
     which reduces to sum(p_{n+1}) / sum(p_n) over the rows whose population
-    exceeds `population_floor`.  Rows below the floor carry no usable ratio
+    exceeds POPULATION_FLOOR.  Rows below the floor carry no usable ratio
     information and are excluded.  Off-diagonal mass above `off_diag_tol`
     or a non-geometric diagonal raises NotChaoticError.
     """
@@ -189,7 +185,7 @@ def fit_geometric(
         raise NotChaoticError(
             f"off-diagonal weight {max_offdiag:.3e} exceeds {off_diag_tol:.3e}"
         )
-    anchors = np.nonzero(pops[:-1] > population_floor)[0]
+    anchors = np.nonzero(pops[:-1] > POPULATION_FLOOR)[0]
     if anchors.size == 0:
         return GeometricFit(q=0.0, nbar=0.0, max_offdiag=max_offdiag, max_ratio_residual=0.0)
     num = pops[anchors + 1].sum()
@@ -211,9 +207,9 @@ def fit_geometric(
     )
 
 
-def effective_temperature(rho, **fit_kwargs) -> float:
+def effective_temperature(rho) -> float:
     """Temperature of a chaotic state, via the geometric-ratio fit."""
-    return tau_from_nbar(fit_geometric(rho, **fit_kwargs).nbar)
+    return tau_from_nbar(fit_geometric(rho).nbar)
 
 
 # ---------------------------------------------------------------------------

@@ -62,8 +62,25 @@ def test_apply_kraus_matches_the_explicit_operator_sum(drawn, kappa_t):
     damped = channel.apply_kraus(rho, kappa_t)
     oracle = sum(op @ rho.mat @ op.conj().T for op in channel.kraus_operators(kappa_t, rho.layout))
     np.testing.assert_allclose(damped.mat, oracle, rtol=0, atol=1e-14)
-    # the channel keeps every offset: nothing new is stored
+    # the channel keeps every offset and its dtype: nothing new is stored
     assert damped.diagonals.shape == rho.diagonals.shape
+    assert damped.diagonals.dtype == rho.diagonals.dtype
+    # from_diagonals would demote a zero imaginary part, so check the kernel itself
+    n = rho.layout.cutoff
+    raw = kernels.apply_damping(rho.diagonals.T, channel.damping_weights(n, kappa_t), n)
+    assert raw.dtype == rho.diagonals.dtype
+
+
+@pytest.mark.parametrize("cutoff,tau0", [(128, 3.0), (512, 10.0), (1024, 20.0)])
+@pytest.mark.parametrize("kappa_t", [0.05, 0.5, 3.0])
+def test_apply_kraus_cools_a_chaotic_state_at_large_cutoffs(cutoff, tau0, kappa_t):
+    rho = states.chaotic_state(states.ThermoParams(tau0), fock.ModeLayout(cutoff))
+    damped = channel.apply_kraus(rho, kappa_t)
+    assert damped.diagonals.dtype == np.float64
+    assert damped.diagonals.shape == (1, cutoff)
+    q = np.exp(-1.0 / thermo.tau_after(tau0, kappa_t))
+    cooled = (1.0 - q) * q ** np.arange(cutoff)
+    np.testing.assert_allclose(damped.diagonals[0], cooled, rtol=0, atol=1e-14)
 
 
 @settings(max_examples=25, deadline=None)
