@@ -13,15 +13,12 @@ from .fock import (
     DensityMatrix,
     LayoutError,
     ModeLayout,
-    PureState,
     StateError,
     annihilation,
     creation,
     default_cutoff,
     expectation,
-    fock_state,
     number,
-    outer,
     partial_trace,
     purity,
     trace,

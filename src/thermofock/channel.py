@@ -55,8 +55,9 @@ KAPPA_T_SATURATION = 750.0
 
 
 def _jump_weight(kappa_t: float) -> float:
-    """Jump weight V = 1 - e^(-2 kappa t); a negative kappa_t raises ValueError."""
-    if kappa_t < 0:
+    """Jump weight V = 1 - e^(-2 kappa t); a negative or NaN kappa_t raises
+    ValueError, and kappa_t = inf gives V = 1."""
+    if not kappa_t >= 0:
         raise ValueError(f"kappa_t must be >= 0, got {kappa_t}")
     return -math.expm1(-2.0 * kappa_t)
 
@@ -115,11 +116,10 @@ def apply_kraus(rho: DensityMatrix, kappa_t: float) -> DensityMatrix:
     """
     cutoff = rho.layout.cutoff
     weights = damping_weights(cutoff, kappa_t)
-    trace_tol = rho.trace_tol + TRACE_PRESERVATION_TOL
     if rho.factors is None:
         out = kernels.apply_damping(rho.diagonals.T, weights, cutoff).T
         _check_preserved(fock.diagonal_populations(out).sum(), rho)
-        return DensityMatrix.from_diagonals(rho.layout, out, trace_tol)
+        return DensityMatrix._stored(rho.layout, out)
     count, _, rank = rho.factors.shape
     # output sector d + n sits n rows below input sector d; none reaches d >= cutoff
     start = rho.sectors.start
@@ -129,12 +129,12 @@ def apply_kraus(rho: DensityMatrix, kappa_t: float) -> DensityMatrix:
         images = weights[:, :, None] * kernels._lowered(rho.factors[i], cutoff)
         out[i:i + cutoff, :, i * rank:(i + 1) * rank] = images[:stop - start - i]
     _check_preserved(np.vdot(out, out).real, rho)
-    return DensityMatrix._stacked(rho.layout, range(start, stop), out, trace_tol)
+    return DensityMatrix._stored(rho.layout, out, range(start, stop))
 
 
 def _check_preserved(trace_out: complex, rho: DensityMatrix) -> None:
     drift = abs(trace_out - fock.trace(rho))
-    if drift > TRACE_PRESERVATION_TOL:
+    if not drift <= TRACE_PRESERVATION_TOL:
         raise IntegrationError(f"operator sum changed the trace by {drift:.3e}")
 
 
@@ -204,7 +204,7 @@ def lindblad_integrate(
     the trace of a trace-free map exactly, so an unstable step shows only
     in the populations.
     """
-    if kappa <= 0:
+    if not kappa > 0:
         raise ValueError(f"kappa must be > 0, got {kappa}")
     times = [float(t) for t in times]
     if any(not t >= 0 for t in times):
@@ -234,5 +234,5 @@ def lindblad_integrate(
         if not outside.max() <= TRACE_DRIFT_TOL:
             worst = pops[np.argmax(outside)]
             raise IntegrationError(f"population {worst:.6g} left [0, 1] over {n_steps} RK4 steps", time=t)
-        out[i] = DensityMatrix.from_diagonals(rho.layout, diagonals, rho.trace_tol + drift + 1e-12)
+        out[i] = DensityMatrix._stored(rho.layout, diagonals)
     return out

@@ -4,8 +4,8 @@ A single bosonic mode is truncated to occupations 0..cutoff-1.  Two-mode
 objects live on the tensor product of a "system" mode and a "tilde" partner
 of the same cutoff, ordered system-major: basis index = n_sys * cutoff +
 n_tilde.  Single-mode operators are plain complex128 arrays of shape
-(cutoff, cutoff), and single-mode pure states dense complex128 vectors.
-There are no dense two-mode operators or vectors: the two-mode operators
+(cutoff, cutoff); a pure state enters as its dense projector.  There are
+no dense two-mode operators or vectors: the two-mode operators
 the package needs (the squeeze unitary, E = exp(lambda a+ b+)) are built
 sector by sector in `states`, and a two-mode state is a density matrix
 stored by sector.
@@ -35,7 +35,11 @@ state with that n_sys, and zero in the columns beyond a sector's r_d; it
 is real when the state is.
 
 Hermiticity holds by construction in both storages (and positivity for two
-modes), so validation checks only finiteness and the trace.  Partial
+modes).  A state is checked once, where it enters the package: the dense
+constructor checks finiteness, hermiticity and the trace, from_factors
+finiteness and the trace, each against the trace_tol it is given.  The
+states derived from a checked one (damped images, reductions) are stored
+unchecked: each producer checks the trace it changes.  Partial
 traces return the populations as offset 0, the purity is a sum of squared
 entries, and a two-mode trace_distance is one batched QR and one batched
 eigvalsh over all sectors.  The dense matrix (DensityMatrix.mat) is
@@ -45,7 +49,7 @@ single-mode state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,7 +64,6 @@ TAIL_TARGET = 1e-14
 
 HERMITICITY_TOL = 1e-12
 DEFAULT_TRACE_TOL = 1e-9
-PSD_FLOOR = -1e-10
 
 
 class LayoutError(ValueError):
@@ -127,19 +130,18 @@ def diagonal_populations(diagonals: np.ndarray) -> np.ndarray:
 
 
 class DensityMatrix:
-    """Unit-trace (within trace_tol) state: by offset diagonal for one mode,
-    one factor per pair-number sector for two (see the module docstring).
+    """A state stored by offset diagonal for one mode, one factor per
+    pair-number sector for two (see the module docstring).
 
-    `DensityMatrix(layout, mat)` takes a dense single-mode matrix, checks
-    finiteness, hermiticity and the trace, and stores the diagonals of its
-    hermitian part.  `from_factors(layout, {d: F_d})` takes a two-mode
-    state as factors of shape (cutoff - |d|, r_d), rows in sector order (see
+    `DensityMatrix(layout, mat, trace_tol)` takes a dense single-mode
+    matrix, checks finiteness, hermiticity and that the trace is within
+    trace_tol of 1, and stores the diagonals of its hermitian part.
+    `from_factors(layout, {d: F_d}, trace_tol)` takes a two-mode state as
+    factors of shape (cutoff - |d|, r_d), rows in sector order (see
     sector_indices) and any r_d >= 0, and checks finiteness and the trace.
-    The arrays must not be modified afterwards.
-
-    trace_tol is carried with the instance because deliberately truncated
-    states (thermal tails cut at the top of the space) have a known trace
-    deficit that downstream operations must tolerate rather than reject.
+    A deliberately truncated state (a thermal tail cut at the top of the
+    space) enters with a trace_tol that admits its deficit; the tolerance
+    is not kept.  The arrays must not be modified afterwards.
     """
 
     diagonals: np.ndarray | None = None
@@ -163,9 +165,8 @@ class DensityMatrix:
         for k, line in enumerate(diagonals):
             # the hermitian part: exact on a hermitian matrix, real on offset 0
             line[:n - k] = 0.5 * (np.diagonal(mat, k) + np.diagonal(mat, -k).conj())
-        self.layout, self.trace_tol = layout, trace_tol
-        self.diagonals = np.ascontiguousarray(_real(diagonals))
-        self._check_trace()
+        self.layout, self.diagonals = layout, np.ascontiguousarray(_real(diagonals))
+        self._check_trace(trace_tol)
 
     @classmethod
     def from_factors(
@@ -185,27 +186,23 @@ class DensityMatrix:
         stack = np.zeros((hi - lo, n, rank), dtype=np.result_type(np.float64, *factors.values()))
         for d, f in factors.items():
             stack[d - lo, max(-d, 0):n - max(d, 0), :f.shape[1]] = f
-        return cls._stacked(layout, range(lo, hi), stack, trace_tol)
-
-    @classmethod
-    def _stacked(cls, layout: ModeLayout, sectors: range, factors: np.ndarray, trace_tol: float) -> "DensityMatrix":
-        """A two-mode state from its `factors` array (rows by system occupation)."""
-        rho = cls.__new__(cls)
-        rho.layout, rho.trace_tol = layout, trace_tol
-        rho.sectors, rho.factors = sectors, np.ascontiguousarray(_real(factors))
-        rho._check_trace()
+        rho = cls._stored(layout, stack, range(lo, hi))
+        rho._check_trace(trace_tol)
         return rho
 
     @classmethod
-    def from_diagonals(cls, layout: ModeLayout, diagonals: np.ndarray, trace_tol: float) -> "DensityMatrix":
-        """A single-mode state from its `diagonals` array, as the kernels
-        return it: offset 0 real, each offset k zero past cutoff - k."""
-        if layout.modes != 1:
-            raise LayoutError("diagonals describe a single-mode state")
+    def _stored(cls, layout: ModeLayout, array: np.ndarray, sectors: range | None = None) -> "DensityMatrix":
+        """An unchecked state from its stored array: the `diagonals` of a
+        single mode as the kernels return them (offset 0 real, each offset k
+        zero past cutoff - k), or the `factors` of two modes over `sectors`
+        (rows by system occupation).  The package's producers build their
+        states here, each checking the trace it changes itself."""
         rho = cls.__new__(cls)
-        rho.layout, rho.trace_tol = layout, trace_tol
-        rho.diagonals = np.ascontiguousarray(_real(diagonals))
-        rho._check_trace()
+        rho.layout = layout
+        if sectors is None:
+            rho.diagonals = np.ascontiguousarray(_real(array))
+        else:
+            rho.sectors, rho.factors = sectors, np.ascontiguousarray(_real(array))
         return rho
 
     def _trace(self) -> complex:
@@ -213,16 +210,15 @@ class DensityMatrix:
             return complex(self.diagonals[0].sum())
         return complex(np.vdot(self.factors, self.factors).real)
 
-    def _check_trace(self) -> None:
-        if self.factors is None and not np.isfinite(self.diagonals).all():
-            raise StateError("diagonals contain non-finite entries")
+    def _check_trace(self, trace_tol: float) -> None:
         tr = self._trace()
-        # a two-mode trace is a sum of squares, finite when every factor entry is
+        # a two-mode trace is a sum of squares, finite when every factor entry
+        # is; the dense constructor has checked its matrix already
         if not np.isfinite(tr):
             raise StateError("factors contain non-finite entries")
         err = abs(tr - 1.0)
-        if err > self.trace_tol:
-            raise StateError(f"trace {tr:.12g} deviates from 1 by {err:.3e} (tol {self.trace_tol:.3e})")
+        if err > trace_tol:
+            raise StateError(f"trace {tr:.12g} deviates from 1 by {err:.3e} (tol {trace_tol:.3e})")
 
     def factor(self, d: int) -> np.ndarray:
         """F_d of a two-mode state, rows in sector order; zero in the layout's
@@ -267,33 +263,6 @@ class DensityMatrix:
             raise LayoutError("a two-mode state is positive by construction")
         return float(np.linalg.eigvalsh(_real(self.mat)).min())
 
-    def check_positive(self, floor: float = PSD_FLOOR) -> float:
-        lo = self.min_eigenvalue()
-        if lo < floor:
-            raise StateError(f"not positive semidefinite: min eigenvalue {lo:.3e}")
-        return lo
-
-
-@dataclass(eq=False)
-class PureState:
-    """A normalized state vector of a single mode."""
-
-    layout: ModeLayout
-    vec: np.ndarray
-    norm_tol: float = field(default=DEFAULT_TRACE_TOL, compare=False)
-
-    def __post_init__(self) -> None:
-        _single_mode(self.layout, "PureState")
-        vec = np.ascontiguousarray(self.vec, dtype=np.complex128)
-        if vec.shape != (self.layout.dim,):
-            raise LayoutError(f"vector shape {vec.shape} does not match layout dim {self.layout.dim}")
-        if not np.all(np.isfinite(vec.view(np.float64))):
-            raise StateError("vector contains non-finite entries")
-        err = abs(np.vdot(vec, vec).real - 1.0)
-        if err > self.norm_tol:
-            raise StateError(f"squared norm deviates from 1 by {err:.3e} (tol {self.norm_tol:.3e})")
-        self.vec = vec
-
 
 # ---------------------------------------------------------------------------
 # constructors
@@ -322,17 +291,6 @@ def number(layout: ModeLayout) -> np.ndarray:
     """Occupation-number operator a+a of a single mode."""
     _single_mode(layout, "number")
     return np.diag(np.arange(layout.cutoff, dtype=np.complex128))
-
-
-def fock_state(layout: ModeLayout, occupation: int) -> PureState:
-    """Basis vector |n> of a single mode."""
-    if isinstance(occupation, tuple):
-        raise LayoutError("a single-mode layout takes a single occupation")
-    if not 0 <= occupation < layout.cutoff:
-        raise LayoutError(f"occupation {occupation} outside 0..{layout.cutoff - 1}")
-    vec = np.zeros(layout.dim, dtype=np.complex128)
-    vec[occupation] = 1.0
-    return PureState(layout, vec)
 
 
 # ---------------------------------------------------------------------------
@@ -375,12 +333,6 @@ def purity(rho: DensityMatrix) -> float:
     return float(np.vdot(gram, gram).real)
 
 
-def outer(psi: PureState) -> DensityMatrix:
-    """Projector |psi><psi| as a single-mode density matrix."""
-    tol = max(DEFAULT_TRACE_TOL, 2 * psi.norm_tol)
-    return DensityMatrix(psi.layout, np.outer(psi.vec, psi.vec.conj()), trace_tol=tol)
-
-
 def partial_trace(rho: DensityMatrix, over: str) -> DensityMatrix:
     """Trace out one mode of a two-mode density matrix.
 
@@ -407,7 +359,7 @@ def partial_trace(rho: DensityMatrix, over: str) -> DensityMatrix:
         # hold carry 0 and fall outside [0, n), so the bins start at -(n - 1)
         tilde = np.add.outer(np.arange(rho.sectors.start, rho.sectors.stop), np.arange(n - 1, 2 * n - 1))
         reduced = np.bincount(tilde[::-1].ravel(), weights=pops[::-1].ravel(), minlength=3 * n)[n - 1:2 * n - 1]
-    return DensityMatrix.from_diagonals(rho.layout.single(), reduced[None, :], rho.trace_tol)
+    return DensityMatrix._stored(rho.layout.single(), reduced[None, :])
 
 
 def _aligned(rho: DensityMatrix, sectors: range) -> np.ndarray:

@@ -35,7 +35,7 @@ class TruncationError(StateError):
 
 @dataclass(frozen=True)
 class ThermoParams:
-    """One thermal state, fixed by its dimensionless temperature tau >= 0.
+    """One thermal state, fixed by its dimensionless temperature: a finite tau >= 0.
 
     The squeeze angle theta and the Boltzmann weight q are derived from tau
     on each access, so no second copy of the temperature can disagree with
@@ -45,8 +45,8 @@ class ThermoParams:
     tau: float
 
     def __post_init__(self) -> None:
-        if not self.tau >= 0:
-            raise ValueError(f"tau must be >= 0, got {self.tau}")
+        if not 0 <= self.tau < math.inf:
+            raise ValueError(f"tau must be finite and >= 0, got {self.tau}")
 
     @property
     def theta(self) -> float:
@@ -69,8 +69,8 @@ def chaotic_state(params: ThermoParams, layout: ModeLayout) -> DensityMatrix:
     diagonal.
 
     The populations are the exact infinite-space values, so the trace falls
-    short of 1 by the tail weight q^cutoff; the instance carries that
-    deficit in its trace tolerance.
+    short of 1 by the tail weight q^cutoff, which the trace tolerance it is
+    checked against admits.
     """
     if layout.modes != 1:
         raise fock.LayoutError("chaotic_state is single-mode")
@@ -87,14 +87,13 @@ def thermal_vacuum(params: ThermoParams, layout: ModeLayout) -> DensityMatrix:
     |0(beta)> lies in pair-number sector 0, so the state is that sector's
     factor: the one real column sech(theta) tanh(theta)^n, read back with
     factor(0)[:, 0].  Its trace falls short of 1 by the tail weight
-    q^cutoff, which its trace tolerance admits.
+    q^cutoff.
     """
     if layout.modes != 2:
         raise fock.LayoutError("thermal_vacuum lives on a two-mode layout")
     n = layout.cutoff
     amps = (1.0 / math.cosh(params.theta)) * math.tanh(params.theta) ** np.arange(n)
-    tol = max(fock.DEFAULT_TRACE_TOL, 2 * (params.tail_weight(n) + 1e-12))
-    return DensityMatrix.from_factors(layout, {0: amps[:, None]}, trace_tol=tol)
+    return DensityMatrix._stored(layout, amps[None, :, None], range(0, 1))
 
 
 def pair_creation_block(layout: ModeLayout, d: int) -> np.ndarray:
@@ -161,7 +160,7 @@ def evolved_two_mode_state(
     """Build the damped thermal vacuum rho(t) on the truncated doubled space.
 
     lam and mu, fixed by theta and kappa t alone, are the lambda and mu of
-    the module docstring; a negative kappa_t raises ValueError.
+    the module docstring; a negative or NaN kappa_t raises ValueError.
 
     E conserves the pair-number difference, so E|0, m~> lies in sector m and
     each term sech^2 mu^m E|0, m~><0, m~|E+ is the block m of the result,
@@ -177,7 +176,7 @@ def evolved_two_mode_state(
     """
     if layout.modes != 2:
         raise fock.LayoutError("the evolved state lives on a two-mode layout")
-    if kappa_t < 0:
+    if not kappa_t >= 0:
         raise ValueError(f"kappa_t must be >= 0, got {kappa_t}")
     n = layout.cutoff
     th = math.tanh(params.theta)
@@ -193,8 +192,8 @@ def evolved_two_mode_state(
     factors = (np.sqrt((1.0 - th**2) * mu ** np.arange(n))[:, None] * amps)[:, :, None]
 
     deficit = 1.0 - np.vdot(factors, factors)
-    if deficit > deficit_tol:
+    if not deficit <= deficit_tol:
         raise TruncationError(
             f"trace deficit {deficit:.3e} exceeds {deficit_tol:.3e}; raise the cutoff"
         )
-    return DensityMatrix._stacked(layout, range(n), factors, abs(deficit) + 1e-12)
+    return DensityMatrix._stored(layout, factors, range(n))

@@ -58,8 +58,8 @@ def theta_from_tau(tau: float) -> float:
     form reaches atanh(1) once e^(-1/(2 tau)) rounds to 1.  1/(4 tau) is
     taken as 0.25 / tau, which cannot overflow to 1/inf = 0 at huge tau.
     """
-    if tau < 0:
-        raise ValueError(f"tau must be >= 0, got {tau}")
+    if not 0 <= tau < math.inf:
+        raise ValueError(f"tau must be finite and >= 0, got {tau}")
     if tau == 0:
         return 0.0
     # max() turns the -0.0 of a cold tau into 0.0
@@ -67,8 +67,8 @@ def theta_from_tau(tau: float) -> float:
 
 
 def tau_from_theta(theta: float) -> float:
-    if theta < 0:
-        raise ValueError(f"theta must be >= 0, got {theta}")
+    if not 0 <= theta < math.inf:
+        raise ValueError(f"theta must be finite and >= 0, got {theta}")
     if theta == 0:
         return 0.0
     return -1.0 / (2.0 * math.log(math.tanh(theta)))
@@ -77,8 +77,8 @@ def tau_from_theta(theta: float) -> float:
 def nbar_from_tau(tau: float) -> float:
     """Bose occupation 1 / (e^(1/tau) - 1), as q / (1 - q) with q = e^(-1/tau),
     which cannot overflow at small tau."""
-    if tau < 0:
-        raise ValueError(f"tau must be >= 0, got {tau}")
+    if not 0 <= tau < math.inf:
+        raise ValueError(f"tau must be finite and >= 0, got {tau}")
     if tau == 0:
         return 0.0
     return math.exp(-1.0 / tau) / -math.expm1(-1.0 / tau)
@@ -87,8 +87,8 @@ def nbar_from_tau(tau: float) -> float:
 def tau_from_nbar(nbar: float) -> float:
     """Temperature 1 / log(1 + 1/nbar); where 1/nbar overflows (nbar below
     about 5.6e-309) as 1 / (log1p(nbar) - log(nbar)), the same quantity."""
-    if nbar < 0:
-        raise ValueError(f"nbar must be >= 0, got {nbar}")
+    if not 0 <= nbar < math.inf:
+        raise ValueError(f"nbar must be finite and >= 0, got {nbar}")
     if nbar == 0:
         return 0.0
     # a Python float division overflows to inf without a numpy warning
@@ -112,9 +112,9 @@ def theta_prime(theta: float, kappa_t: float) -> float:
     cosh^2(theta') = 1 + e^(-2 kappa t) sinh^2(theta); disagreement beyond
     round-off means the evaluation lost precision and raises.
     """
-    if theta < 0:
+    if not theta >= 0:
         raise ValueError(f"theta must be >= 0, got {theta}")
-    if kappa_t < 0:
+    if not kappa_t >= 0:
         raise ValueError(f"kappa_t must be >= 0, got {kappa_t}")
     decay = math.exp(-kappa_t)
     th = math.tanh(theta)
@@ -138,9 +138,9 @@ def tau_after(tau0: float, kappa_t: float) -> float:
     2 kappa t = 700, where expm1 would overflow, g is taken as
     2 kappa t + log((1 - q) + q e^(-2 kappa t)), the same quantity.
     """
-    if tau0 <= 0:
-        raise ValueError(f"tau0 must be > 0, got {tau0}")
-    if kappa_t < 0:
+    if not 0 < tau0 < math.inf:
+        raise ValueError(f"tau0 must be finite and > 0, got {tau0}")
+    if not kappa_t >= 0:
         raise ValueError(f"kappa_t must be >= 0, got {kappa_t}")
     x = 2.0 * kappa_t
     q = math.exp(-1.0 / tau0)
@@ -249,14 +249,14 @@ def cooling_curve(
     # imported here because states imports this module
     from . import channel, states
 
-    if tau0 <= 0:
-        raise ValueError(f"tau0 must be > 0, got {tau0}")
-    if kappa <= 0:
+    if not 0 < tau0 < math.inf:
+        raise ValueError(f"tau0 must be finite and > 0, got {tau0}")
+    if not kappa > 0:
         raise ValueError(f"kappa must be > 0, got {kappa}")
     if method not in ("kraus", "lindblad"):
         raise ValueError(f"method must be kraus or lindblad, got {method!r}")
     times = [float(t) for t in times]
-    if any(t < 0 for t in times):
+    if any(not t >= 0 for t in times):
         raise ValueError("times must be >= 0")
 
     params = states.ThermoParams(tau0)

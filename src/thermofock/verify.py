@@ -75,7 +75,7 @@ def _partial_trace_tensor(cutoff: int | None) -> float:
     prod = np.sqrt(np.outer(np.diagonal(rho_a.mat).real, np.diagonal(rho_b.mat).real)).ravel()
     sectors = range(1 - layout.cutoff, layout.cutoff)
     factors = {d: np.diag(prod[fock.sector_indices(doubled, d)]) for d in sectors}
-    joint = fock.DensityMatrix.from_factors(doubled, factors, trace_tol=1e-9)
+    joint = fock.DensityMatrix.from_factors(doubled, factors)
     kept_sys = fock.partial_trace(joint, over=fock.TILDE)
     kept_til = fock.partial_trace(joint, over=fock.SYSTEM)
     tr_a = fock.trace(rho_a).real
@@ -142,7 +142,8 @@ def _evolved_series_vs_expm(cutoff: int | None) -> float:
             term = step @ term / k
             column += term
         factors[m] = math.sqrt((1.0 - th * th) * mu**m) * column[:, None]
-    via_expm = fock.DensityMatrix.from_factors(layout, factors, trace_tol=via_series.trace_tol)
+    deficit = abs(fock.trace(via_series) - 1)
+    via_expm = fock.DensityMatrix.from_factors(layout, factors, trace_tol=deficit + 1e-12)
     return fock.trace_distance(via_series, via_expm)
 
 
@@ -271,7 +272,7 @@ def _fit_rejects_offdiagonal(cutoff: int | None) -> float:
     layout = fock.ModeLayout(_cutoff(cutoff, default=8))
     vec = np.zeros(layout.dim, dtype=np.complex128)
     vec[0] = vec[1] = 1.0 / math.sqrt(2.0)
-    rho = fock.outer(fock.PureState(layout, vec))
+    rho = fock.DensityMatrix(layout, np.outer(vec, vec.conj()))
     try:
         thermo.fit_geometric(rho)
     except thermo.NotChaoticError:

@@ -148,7 +148,8 @@ def test_mean_occupation_decays_exponentially():
     num = fock.number(layout)
     initial_states = [
         states.chaotic_state(states.ThermoParams(1.0), layout),
-        fock.outer(fock.fock_state(layout, 2)),
+        # the projector |2><2|
+        fock.DensityMatrix(layout, np.diag(np.eye(layout.cutoff)[2])),
     ]
     worst = 0.0
     for rho in initial_states:

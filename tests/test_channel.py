@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermofock import channel, fock, states
-from test_kernels import random_density, random_sector_state
+from test_kernels import projector, random_density, random_sector_state
 
 
 def explicit_kraus_sum(rho_mat, ops):
@@ -172,15 +172,8 @@ def test_apply_kraus_asymptote_is_vacuum():
     "build",
     [
         lambda layout: states.chaotic_state(states.ThermoParams(1.0), layout),
-        lambda layout: fock.outer(fock.fock_state(layout, 2)),
-        lambda layout: fock.outer(
-            fock.PureState(
-                layout,
-                np.concatenate(
-                    [np.array([1, 0, 0, 1.0]) / math.sqrt(2), np.zeros(layout.cutoff - 4)]
-                ).astype(complex),
-            )
-        ),
+        lambda layout: projector(np.eye(layout.cutoff)[2]),
+        lambda layout: projector((np.eye(layout.cutoff)[0] + np.eye(layout.cutoff)[3]) / math.sqrt(2)),
     ],
     ids=["chaotic", "fock2", "superposition"],
 )
@@ -199,7 +192,7 @@ def test_damped_state_stays_positive():
     layout = fock.ModeLayout(20)
     rho = unit_trace_chaotic(1.5, layout)
     out = channel.apply_kraus(rho, 0.35)
-    assert out.check_positive() > -1e-12
+    assert out.min_eigenvalue() > -1e-12
     assert fock.trace(out).real == pytest.approx(1.0, abs=1e-13)
 
 
@@ -259,6 +252,38 @@ def test_lindblad_refuses_two_mode_states():
     rho = states.thermal_vacuum(states.ThermoParams(0.6), layout)
     with pytest.raises(fock.LayoutError, match="single-mode"):
         channel.lindblad_integrate(rho, kappa=2.0, times=[0.25])
+
+
+def test_a_state_entered_with_a_loose_tolerance_passes_every_producer():
+    # the trace is checked once, where a state enters; the states derived
+    # from it carry no tolerance and are not checked against one again
+    single = fock.ModeLayout(8)
+    rho = fock.DensityMatrix(single, np.diag(np.full(8, 0.9 / 8)), trace_tol=0.2)
+    damped = channel.apply_kraus(rho, 0.3)
+    integrated = channel.lindblad_integrate(rho, kappa=1.0, times=[0.1, 0.3])
+    derived = [damped, *integrated, channel.apply_kraus(integrated[-1], 0.2)]
+    derived += channel.lindblad_integrate(damped, kappa=1.0, times=[0.2])
+    # sector 0 has one column and sector 1 two, trace 0.5 + 0.4
+    two = single.doubled()
+    pair = fock.DensityMatrix.from_factors(
+        two, {0: np.full((8, 1), math.sqrt(0.5 / 8)), 1: np.full((7, 2), math.sqrt(0.2 / 7))}, trace_tol=0.2
+    )
+    damped_pair = channel.apply_kraus(pair, 0.3)
+    for state in (pair, damped_pair):
+        for over in (fock.SYSTEM, fock.TILDE):
+            reduced = fock.partial_trace(state, over=over)
+            derived += [reduced, channel.apply_kraus(reduced, 0.2)]
+            derived += channel.lindblad_integrate(reduced, kappa=1.0, times=[0.2])
+    derived += [damped_pair, channel.apply_kraus(damped_pair, 0.2)]
+    for state in derived:
+        assert fock.trace(state).real == pytest.approx(0.9, abs=1e-6)
+
+
+def test_operator_sum_rejects_a_non_finite_state():
+    # no checked entry admits one; the trace-preservation check still refuses it
+    nan_state = fock.DensityMatrix._stored(fock.ModeLayout(4), np.full((1, 4), np.nan))
+    with pytest.raises(channel.IntegrationError, match="changed the trace"):
+        channel.apply_kraus(nan_state, 0.3)
 
 
 @settings(max_examples=30, deadline=None)
@@ -341,9 +366,8 @@ def test_sector_storage_matches_dense_oracle(cutoff, tau0, kappa_t, thermal, see
     damped = channel.apply_kraus(rho, kappa_t)
     oracle = explicit_kraus_sum(rho.mat, two_mode_kraus(kappa_t, layout))
     np.testing.assert_allclose(damped.mat, oracle, rtol=0, atol=1e-14)
-    again = fock.DensityMatrix.from_factors(
-        layout, {d: damped.factor(d) for d in damped.sectors}, trace_tol=damped.trace_tol
-    )
+    factors = {d: damped.factor(d) for d in damped.sectors}
+    again = fock.DensityMatrix.from_factors(layout, factors, trace_tol=abs(fock.trace(damped) - 1) + 1e-12)
     np.testing.assert_array_equal(again.mat, damped.mat)
 
     assert_relative(fock.trace_distance(rho, damped), dense_trace_distance(rho.mat, oracle))

@@ -65,7 +65,7 @@ def test_apply_kraus_matches_the_explicit_operator_sum(drawn, kappa_t):
     # the channel keeps every offset and its dtype: nothing new is stored
     assert damped.diagonals.shape == rho.diagonals.shape
     assert damped.diagonals.dtype == rho.diagonals.dtype
-    # from_diagonals would demote a zero imaginary part, so check the kernel itself
+    # DensityMatrix._stored would demote a zero imaginary part, so check the kernel itself
     n = rho.layout.cutoff
     raw = kernels.apply_damping(rho.diagonals.T, channel.damping_weights(n, kappa_t), n)
     assert raw.dtype == rho.diagonals.dtype

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermofock import channel, fock, states
-from test_kernels import random_sector_state
+from test_kernels import projector, random_sector_state
 
 
 def test_layout_validation():
@@ -53,23 +53,6 @@ def test_number_equals_ladder_product():
     np.testing.assert_allclose(a.conj().T @ a, fock.number(layout), atol=1e-12)
 
 
-def test_fock_state_indexing():
-    layout = fock.ModeLayout(5)
-    vec = fock.fock_state(layout, 3).vec
-    assert vec[3] == 1.0
-    assert np.count_nonzero(vec) == 1
-    with pytest.raises(fock.LayoutError):
-        fock.fock_state(layout, 5)
-    with pytest.raises(fock.LayoutError):
-        fock.fock_state(layout, (1, 2))
-    # a two-mode state is a density matrix stored by sector, never a vector
-    two = layout.doubled()
-    with pytest.raises(fock.LayoutError, match="single-mode"):
-        fock.fock_state(two, 3)
-    with pytest.raises(fock.LayoutError):
-        fock.fock_state(two, (1, 4))
-
-
 def test_single_mode_objects_refuse_two_mode_layouts():
     # two-mode operators are built by sector in `states`; dense np.kron
     # embeddings exist only as test oracles
@@ -77,8 +60,6 @@ def test_single_mode_objects_refuse_two_mode_layouts():
     for build in (fock.annihilation, fock.creation, fock.number):
         with pytest.raises(fock.LayoutError, match="single-mode"):
             build(two)
-    with pytest.raises(fock.LayoutError, match="single-mode"):
-        fock.PureState(two, np.eye(16)[0])
 
 
 def test_ladder_operators_are_complex_arrays():
@@ -90,8 +71,7 @@ def test_ladder_operators_are_complex_arrays():
 
 
 def test_expectation_checks_observable_shape():
-    layout = fock.ModeLayout(4)
-    rho = fock.outer(fock.fock_state(layout, 1))
+    rho = projector(np.eye(4)[1])
     with pytest.raises(fock.LayoutError, match="shape"):
         fock.expectation(rho, np.eye(3))
     with pytest.raises(fock.LayoutError, match="shape"):
@@ -102,7 +82,8 @@ def test_density_matrix_validation():
     layout = fock.ModeLayout(4)
     good = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
     rho = fock.DensityMatrix(layout, good)
-    assert rho.trace_tol == fock.DEFAULT_TRACE_TOL
+    # the tolerance is checked on entry, not kept
+    assert not hasattr(rho, "trace_tol")
 
     bad_trace = np.diag([0.4, 0.3, 0.2, 0.2]).astype(complex)
     with pytest.raises(fock.StateError, match="trace"):
@@ -170,24 +151,13 @@ def test_density_matrix_positivity_check():
     layout = fock.ModeLayout(3)
     rho = fock.DensityMatrix(layout, np.diag([1.5, -0.5, 0.0]).astype(complex))
     assert rho.min_eigenvalue() == pytest.approx(-0.5)
-    with pytest.raises(fock.StateError, match="positive"):
-        rho.check_positive()
-
-
-def test_pure_state_norm_validation():
-    layout = fock.ModeLayout(4)
-    vec = np.zeros(4, dtype=complex)
-    vec[0] = 0.9
-    with pytest.raises(fock.StateError, match="norm"):
-        fock.PureState(layout, vec)
-    fock.PureState(layout, vec, norm_tol=0.2)
 
 
 def test_outer_builds_projector():
+    # a pure state enters as its dense projector
     layout = fock.ModeLayout(4)
     vec = np.array([0.6, 0.8j, 0.0, 0.0], dtype=complex)
-    psi = fock.PureState(layout, vec)
-    rho = fock.outer(psi)
+    rho = fock.DensityMatrix(layout, np.outer(vec, vec.conj()))
     np.testing.assert_allclose(rho.mat, np.outer(vec, vec.conj()), atol=1e-15)
     assert fock.purity(rho) == pytest.approx(1.0)
 
@@ -244,9 +214,8 @@ def test_expectation_refuses_two_mode_states():
 
 
 def test_trace_distance_of_basis_projectors():
-    layout = fock.ModeLayout(4)
-    p0 = fock.outer(fock.fock_state(layout, 0))
-    p1 = fock.outer(fock.fock_state(layout, 1))
+    p0 = projector(np.eye(4)[0])
+    p1 = projector(np.eye(4)[1])
     assert fock.trace_distance(p0, p1) == pytest.approx(1.0)
     assert fock.trace_distance(p0, p0) == pytest.approx(0.0, abs=1e-15)
 

@@ -81,6 +81,11 @@ def random_density(cutoff, rng):
     return m / m.trace()
 
 
+def projector(vec):
+    """|v><v| of a normalized vector, as a dense single-mode state."""
+    return fock.DensityMatrix(fock.ModeLayout(len(vec)), np.outer(vec, vec.conj()))
+
+
 def random_sector_density(n, seed):
     layout = fock.ModeLayout(n).doubled()
     return fock.DensityMatrix.from_factors(layout, random_sector_state(layout, np.random.default_rng(seed)))
@@ -203,12 +208,12 @@ def test_table_steps_the_stored_diagonals():
     layout = fock.ModeLayout(6)
     vec = np.zeros(6, dtype=complex)
     vec[[0, 3]] = 1 / np.sqrt(2)
-    projector = fock.outer(fock.PureState(layout, vec))
-    assert projector.diagonals.shape == (4, 6)
-    table = kernels.lindblad_table(projector.diagonals, 1.0)
+    superposition = projector(vec)
+    assert superposition.diagonals.shape == (4, 6)
+    table = kernels.lindblad_table(superposition.diagonals, 1.0)
     reachable = np.zeros((6, 6), dtype=bool)
     reachable[[0, 1, 2, 3, 0, 3], [0, 1, 2, 3, 3, 0]] = True
-    out = dense_of(kernels.rk4_evolve(projector.diagonals, table, 1e-3, 50))
+    out = dense_of(kernels.rk4_evolve(superposition.diagonals, table, 1e-3, 50))
     np.testing.assert_array_equal(out != 0, reachable)
 
 

@@ -78,6 +78,59 @@ def test_tau_after_limits_and_errors():
         thermo.tau_after(1.0, -0.5)
 
 
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        pytest.param(lambda: channel.damping_weights(8, NAN), "kappa_t", id="damping_weights-kappa_t-nan"),
+        pytest.param(lambda: channel.kraus_operators(NAN, fock.ModeLayout(8)), "kappa_t", id="kraus_operators-nan"),
+        pytest.param(
+            lambda: states.evolved_two_mode_state(states.ThermoParams(1.0), NAN, fock.ModeLayout(8).doubled()),
+            "kappa_t",
+            id="evolved_two_mode_state-kappa_t-nan",
+        ),
+        pytest.param(lambda: thermo.tau_after(1.0, NAN), "kappa_t", id="tau_after-kappa_t-nan"),
+        pytest.param(lambda: thermo.theta_prime(0.5, NAN), "kappa_t", id="theta_prime-kappa_t-nan"),
+        pytest.param(lambda: thermo.cooling_curve(1.0, NAN, [0.0, 1.0]), "kappa", id="cooling_curve-kappa-nan"),
+        pytest.param(lambda: thermo.cooling_curve(1.0, 1.0, [0.0, NAN]), "times", id="cooling_curve-times-nan"),
+        pytest.param(
+            lambda: channel.lindblad_integrate(fock.DensityMatrix(fock.ModeLayout(2), np.eye(2) / 2), NAN, [0.1]),
+            "kappa",
+            id="lindblad_integrate-kappa-nan",
+        ),
+        *(
+            pytest.param(lambda fn=fn, x=x: fn(x), name, id=f"{label}-{x}")
+            for label, fn, name in (
+                ("theta_from_tau", thermo.theta_from_tau, "tau"),
+                ("tau_from_theta", thermo.tau_from_theta, "theta"),
+                ("nbar_from_tau", thermo.nbar_from_tau, "tau"),
+                ("tau_from_nbar", thermo.tau_from_nbar, "nbar"),
+                ("tau_after-tau0", lambda tau0: thermo.tau_after(tau0, 0.5), "tau0"),
+                ("ThermoParams", states.ThermoParams, "tau"),
+            )
+            for x in (NAN, INF)
+        ),
+    ],
+)
+def test_boundaries_reject_nan_and_inf(call, name):
+    with pytest.raises(ValueError, match=name):
+        call()
+
+
+def test_infinite_kappa_t_is_the_long_time_limit():
+    assert thermo.tau_after(1.0, INF) == 0.0
+    assert thermo.theta_prime(0.5, INF) == 0.0
+    # the system mode is emptied; the tilde mode keeps its thermal state
+    layout = fock.ModeLayout(16).doubled()
+    params = states.ThermoParams(0.5)
+    rho = states.evolved_two_mode_state(params, INF, layout)
+    assert fock.partial_trace(rho, over=fock.TILDE).diagonals[0, 0] == pytest.approx(1.0, abs=1e-12)
+    reference = states.chaotic_state(params, layout.single())
+    np.testing.assert_allclose(fock.partial_trace(rho, over=fock.SYSTEM).mat, reference.mat, rtol=0, atol=1e-15)
+
+
 def test_tau_after_equals_nbar_route():
     for tau0 in np.geomspace(0.05, 20.0, 10):
         for kappa_t in np.linspace(0.0, 5.0, 10):
@@ -142,7 +195,7 @@ def test_fit_geometric_weights_noisy_populations_by_mass():
 
 def test_fit_geometric_vacuum_is_cold():
     layout = fock.ModeLayout(10)
-    rho = fock.outer(fock.fock_state(layout, 0))
+    rho = fock.DensityMatrix(layout, np.diag(np.eye(10)[0]))
     fit = thermo.fit_geometric(rho)
     assert fit.q == 0.0
     assert fit.nbar == 0.0
@@ -153,7 +206,7 @@ def test_fit_geometric_rejects_coherences():
     layout = fock.ModeLayout(8)
     vec = np.zeros(8, dtype=complex)
     vec[0] = vec[1] = 1 / math.sqrt(2)
-    rho = fock.outer(fock.PureState(layout, vec))
+    rho = fock.DensityMatrix(layout, np.outer(vec, vec.conj()))
     with pytest.raises(thermo.NotChaoticError, match="off-diagonal"):
         thermo.fit_geometric(rho)
     # a generous tolerance admits the same state and reads its diagonal
