@@ -116,21 +116,62 @@ def thermo_squeeze_operator(theta: float, layout: ModeLayout) -> dict[int, np.nd
     """Unitary exp[theta (a+ b+ - a b)] mixing the system and tilde modes.
 
     The generator keeps the pair-number difference d, so the unitary is
-    block diagonal; it is returned as {d: U_d}, U_d acting on sector d in
-    sector order (see fock.sector_indices).  With S = pair_creation_block,
-    theta (S - S^T) is real antisymmetric, and U_d = V exp(-i w) V^+ from one
-    eigh of the hermitian i theta (S - S^T) = V diag(w) V^+.  Sectors d and
-    -d share one array.
+    block diagonal; it is returned as {d: U_d}, U_d a real orthogonal
+    float64 array acting on sector d in sector order (see
+    fock.sector_indices).  Sectors d and -d share one array.
+
+    In sector d the generator theta (S - S^T), S = pair_creation_block, is
+    real antisymmetric and couples state p only to p +- 1, with weight
+    t_p = theta sqrt((p + 1)(p + 1 + |d|)).  With the even states first and
+    the odd ones after, it is [[0, M], [-M^T, 0]] for the lower-bidiagonal
+    M[i, i] = -t_(2i), M[i, i - 1] = t_(2i - 1), and from the full SVD
+    M = X diag(s) Y^T its exponential is
+
+        [[ X cos(s) X^T,  X sin(s) Y^T],
+         [-Y sin(s) X^T,  Y cos(s) Y^T]],
+
+    where a zero singular value (an odd sector's extra even state) gives
+    cos 1 and sin 0.  All sectors share one batched SVD, each M zero-padded
+    to the shape of sector 0's: the padding only adds zero singular values
+    whose vectors span the padded rows, so each sector's own rows of the
+    three products are those of its unpadded M.  A theta that is negative,
+    NaN or infinite raises ValueError.
     """
     if layout.modes != 2:
         raise fock.LayoutError("the squeeze operator lives on a two-mode layout")
-    if theta < 0:
-        raise ValueError(f"theta must be >= 0, got {theta}")
+    if not 0 <= theta < math.inf:
+        raise ValueError(f"theta must be finite and >= 0, got {theta}")
+    n = layout.cutoff
+    n_even, n_odd = (n + 1) // 2, n // 2
+    # t[d, p] couples p and p + 1 in sector d, whose n - d states end at p = n - d - 1
+    sector = np.arange(n)[:, None]
+    p = np.arange(n - 1)
+    t = np.where(p + 1 < n - sector, theta * np.sqrt((p + 1.0) * (p + 1.0 + sector)), 0.0)
+    m = np.zeros((n, n_even, n_odd))
+    i = np.arange(n_odd)
+    m[:, i, i] = -t[:, 2 * i]
+    i = np.arange(1, n_even)
+    m[:, i, i - 1] = t[:, 2 * i - 1]
+    x, s, yt = np.linalg.svd(m)
+    cos_x = np.ones((n, n_even))
+    cos_x[:, :n_odd] = np.cos(s)
+    # each padded stack is dropped once read, so at most five are held
+    del m
+    even = (x * cos_x[:, None, :]) @ x.transpose(0, 2, 1)
+    cross = (x[:, :, :n_odd] * np.sin(s)[:, None, :]) @ yt
+    del x
+    odd = (yt.transpose(0, 2, 1) * np.cos(s)[:, None, :]) @ yt
+    del yt
     unitaries = {}
-    for d in range(layout.cutoff):
-        pair_up = pair_creation_block(layout, d)
-        w, v = np.linalg.eigh(1j * theta * (pair_up - pair_up.T))
-        unitaries[d] = unitaries[-d] = (v * np.exp(-1j * w)) @ v.conj().T
+    for d in range(n):
+        size = n - d
+        ev, od = (size + 1) // 2, size // 2
+        block = np.empty((size, size))
+        block[0::2, 0::2] = even[d, :ev, :ev]
+        block[0::2, 1::2] = cross[d, :ev, :od]
+        block[1::2, 0::2] = -cross[d, :ev, :od].T
+        block[1::2, 1::2] = odd[d, :od, :od]
+        unitaries[d] = unitaries[-d] = block
     return unitaries
 
 

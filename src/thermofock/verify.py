@@ -93,9 +93,11 @@ def _partial_trace_tensor(cutoff: int | None) -> float:
 def _squeeze_unitarity(cutoff: int | None) -> float:
     layout = fock.ModeLayout(_cutoff(cutoff, default=33)).doubled()
     unitaries = states.thermo_squeeze_operator(thermo.theta_from_tau(1.0), layout)
-    # U+ U and the identity are zero between sectors, so the largest
-    # deviation lies in the gram of one sector's block
-    return max(float(np.abs(u.conj().T @ u - np.eye(len(u))).max()) for u in unitaries.values())
+    # the blocks are real, and U^T U and the identity are zero between
+    # sectors, so the largest deviation lies in the gram of one sector's
+    # block; d and -d share theirs
+    blocks = (unitaries[d] for d in range(layout.cutoff))
+    return max(float(np.abs(u.T @ u - np.eye(len(u))).max()) for u in blocks)
 
 
 def _squeeze_generates_thermal_vacuum(cutoff: int | None) -> float:
@@ -121,27 +123,40 @@ def _tfd_identity(cutoff: int | None) -> float:
     return worst
 
 
+def _pair_series_columns(layout: fock.ModeLayout, lam: float) -> np.ndarray:
+    """Row m holds E|0, m~> = exp(lam a+ b+)|0, m~> in sector m's order,
+    zero-padded to the cutoff, summed term by term from the operator.
+
+    |0, m~> is index 0 of sector m, where lam a+ b+ is the nilpotent block
+    lam S_m, so the Taylor series of exp(lam S_m) applied to it ends after
+    cutoff - m terms.  S_m moves index p to p + 1 only, so applying lam S_m
+    to every sector at once is one product of the stacked subdiagonals with
+    the terms shifted by one, per order.
+    """
+    n = layout.cutoff
+    raise_pair = np.zeros((n, n - 1))
+    for m in range(n):
+        raise_pair[m, : n - m - 1] = np.diagonal(lam * states.pair_creation_block(layout, m), -1)
+    terms = np.zeros((n, n))
+    terms[:, 0] = 1.0
+    columns = terms.copy()
+    for k in range(1, n):
+        terms[:, 1:] = raise_pair * terms[:, :-1] / k
+        terms[:, 0] = 0.0
+        columns += terms
+    return columns
+
+
 def _evolved_series_vs_expm(cutoff: int | None) -> float:
     n = _cutoff(cutoff, default=33)
     layout = fock.ModeLayout(n).doubled()
     params, kappa_t = states.ThermoParams(1.0), 0.7
     via_series = states.evolved_two_mode_state(params, kappa_t, layout)
-    # E|0, m~> from the operator itself: |0, m~> is index 0 of sector m, where
-    # lam a+ b+ is the nilpotent block lam S_m, so the Taylor series of
-    # exp(lam S_m) applied to it ends after n - m terms
     th = math.tanh(params.theta)
     lam = math.exp(-kappa_t) * th
     mu = (1.0 - math.exp(-2.0 * kappa_t)) * th * th
-    factors = {}
-    for m in range(n):
-        step = lam * states.pair_creation_block(layout, m)
-        term = np.zeros(n - m)
-        term[0] = 1.0
-        column = term.copy()
-        for k in range(1, n - m):
-            term = step @ term / k
-            column += term
-        factors[m] = math.sqrt((1.0 - th * th) * mu**m) * column[:, None]
+    columns = _pair_series_columns(layout, lam)
+    factors = {m: math.sqrt((1.0 - th * th) * mu**m) * columns[m, : n - m, None] for m in range(n)}
     deficit = abs(fock.trace(via_series) - 1)
     via_expm = fock.DensityMatrix.from_factors(layout, factors, trace_tol=deficit + 1e-12)
     return fock.trace_distance(via_series, via_expm)

@@ -109,6 +109,11 @@ NAN, INF = math.nan, math.inf
                 ("tau_from_nbar", thermo.tau_from_nbar, "nbar"),
                 ("tau_after-tau0", lambda tau0: thermo.tau_after(tau0, 0.5), "tau0"),
                 ("ThermoParams", states.ThermoParams, "tau"),
+                (
+                    "thermo_squeeze_operator",
+                    lambda theta: states.thermo_squeeze_operator(theta, fock.ModeLayout(8).doubled()),
+                    "theta",
+                ),
             )
             for x in (NAN, INF)
         ),
