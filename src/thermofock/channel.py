@@ -78,9 +78,9 @@ def damping_weights(cutoff: int, kappa_t: float) -> np.ndarray:
 
 
 def kraus_operators(kappa_t: float, layout: ModeLayout) -> list[np.ndarray]:
-    """Materialize the single-mode Kraus family as dense complex128 matrices.
+    """Materialize the single-mode Kraus family as dense float64 matrices.
 
-    Built from the ladder operator as the running product K_0 =
+    Built from the (real) ladder operator as the running product K_0 =
     e^(-kappa t a+a), K_n = K_(n-1) sqrt(V / n) a, which is sqrt(V^n / n!)
     e^(-kappa t a+a) a^n with every entry in [0, 1]: V^n / n! alone
     underflows from cutoff 190 on.  apply_kraus does not call this (it uses
@@ -91,8 +91,8 @@ def kraus_operators(kappa_t: float, layout: ModeLayout) -> list[np.ndarray]:
     if layout.modes != 1:
         raise fock.LayoutError("kraus_operators builds the single-mode family")
     v = _jump_weight(kappa_t)
-    a = fock.annihilation(layout)
-    ops = [np.diag(np.exp(-kappa_t * np.arange(layout.cutoff))).astype(np.complex128)]
+    a = fock.annihilation(layout).real
+    ops = [np.diag(np.exp(-kappa_t * np.arange(layout.cutoff)))]
     for n in range(1, layout.cutoff):
         ops.append(ops[-1] @ (math.sqrt(v / n) * a))
     return ops

@@ -106,10 +106,13 @@ def pair_creation_block(layout: ModeLayout, d: int) -> np.ndarray:
     """
     if layout.modes != 2:
         raise fock.LayoutError("a+ b+ lives on a two-mode layout")
-    p = np.arange(layout.cutoff - abs(d) - 1)
-    block = np.zeros((p.size + 1, p.size + 1))
-    block[p + 1, p] = np.sqrt((p + 1.0) * (p + 1.0 + abs(d)))
-    return block
+    p = np.arange(1.0, layout.cutoff - abs(d))
+    return np.diag(np.sqrt(p * (p + abs(d))), -1)
+
+
+# sectors d < n/4, n/4 <= d < n/2, ... of a cutoff n share one SVD each: a
+# batch is padded only to its own largest sector
+SQUEEZE_BATCH_SPLITS = (0.25, 0.5, 0.75)
 
 
 def thermo_squeeze_operator(theta: float, layout: ModeLayout) -> dict[int, np.ndarray]:
@@ -131,48 +134,59 @@ def thermo_squeeze_operator(theta: float, layout: ModeLayout) -> dict[int, np.nd
          [-Y sin(s) X^T,  Y cos(s) Y^T]],
 
     where a zero singular value (an odd sector's extra even state) gives
-    cos 1 and sin 0.  All sectors share one batched SVD, each M zero-padded
-    to the shape of sector 0's: the padding only adds zero singular values
-    whose vectors span the padded rows, so each sector's own rows of the
-    three products are those of its unpadded M.  A theta that is negative,
-    NaN or infinite raises ValueError.
+    cos 1 and sin 0.  The sectors are split into batches at the fractions
+    SQUEEZE_BATCH_SPLITS of the cutoff, and each batch takes one batched
+    SVD, each M zero-padded to the shape of the batch's largest: the
+    padding only adds zero singular values whose vectors span the padded
+    rows, so each sector's own rows of the three products are those of its
+    unpadded M.  A theta that is negative, NaN or infinite raises
+    ValueError.
     """
     if layout.modes != 2:
         raise fock.LayoutError("the squeeze operator lives on a two-mode layout")
     if not 0 <= theta < math.inf:
         raise ValueError(f"theta must be finite and >= 0, got {theta}")
     n = layout.cutoff
-    n_even, n_odd = (n + 1) // 2, n // 2
-    # t[d, p] couples p and p + 1 in sector d, whose n - d states end at p = n - d - 1
-    sector = np.arange(n)[:, None]
-    p = np.arange(n - 1)
+    edges = sorted({0, n, *(int(f * n) for f in SQUEEZE_BATCH_SPLITS)})
+    unitaries = {}
+    for lo, hi in zip(edges, edges[1:]):
+        for d, block in zip(range(lo, hi), _squeeze_batch(theta, n, lo, hi)):
+            unitaries[d] = unitaries[-d] = block
+    return unitaries
+
+
+def _squeeze_batch(theta: float, n: int, lo: int, hi: int) -> list[np.ndarray]:
+    """The blocks U_d of sectors lo <= d < hi at cutoff n, from one batched
+    SVD of their M zero-padded to sector lo's shape (see
+    thermo_squeeze_operator)."""
+    size = n - lo
+    n_even, n_odd = (size + 1) // 2, size // 2
+    # t[k, p] couples p and p + 1 in sector d = lo + k, whose n - d states end at p = n - d - 1
+    sector = np.arange(lo, hi)[:, None]
+    p = np.arange(size - 1)
     t = np.where(p + 1 < n - sector, theta * np.sqrt((p + 1.0) * (p + 1.0 + sector)), 0.0)
-    m = np.zeros((n, n_even, n_odd))
+    m = np.zeros((hi - lo, n_even, n_odd))
     i = np.arange(n_odd)
     m[:, i, i] = -t[:, 2 * i]
     i = np.arange(1, n_even)
     m[:, i, i - 1] = t[:, 2 * i - 1]
     x, s, yt = np.linalg.svd(m)
-    cos_x = np.ones((n, n_even))
+    cos_x = np.ones((hi - lo, n_even))
     cos_x[:, :n_odd] = np.cos(s)
-    # each padded stack is dropped once read, so at most five are held
+    # each padded stack is dropped once read
     del m
-    even = (x * cos_x[:, None, :]) @ x.transpose(0, 2, 1)
+    blocks = np.empty((hi - lo, size, size))
+    blocks[:, 0::2, 0::2] = (x * cos_x[:, None, :]) @ x.transpose(0, 2, 1)
     cross = (x[:, :, :n_odd] * np.sin(s)[:, None, :]) @ yt
     del x
-    odd = (yt.transpose(0, 2, 1) * np.cos(s)[:, None, :]) @ yt
-    del yt
-    unitaries = {}
-    for d in range(n):
-        size = n - d
-        ev, od = (size + 1) // 2, size // 2
-        block = np.empty((size, size))
-        block[0::2, 0::2] = even[d, :ev, :ev]
-        block[0::2, 1::2] = cross[d, :ev, :od]
-        block[1::2, 0::2] = -cross[d, :ev, :od].T
-        block[1::2, 1::2] = odd[d, :od, :od]
-        unitaries[d] = unitaries[-d] = block
-    return unitaries
+    blocks[:, 0::2, 1::2] = cross
+    blocks[:, 1::2, 0::2] = -cross.transpose(0, 2, 1)
+    del cross
+    blocks[:, 1::2, 1::2] = (yt.transpose(0, 2, 1) * np.cos(s)[:, None, :]) @ yt
+    # padded even state i sits at row 2i and odd state j at row 2j + 1, so
+    # each sector's block is the leading corner of its padded one, copied
+    # out so that it owns its memory
+    return [blocks[d - lo, : n - d, : n - d].copy() for d in range(lo, hi)]
 
 
 def tfd_expectation_identity(obs: np.ndarray, params: ThermoParams) -> tuple[complex, complex]:

@@ -11,6 +11,7 @@ failed, with observed value inf, and the rest of the suite still runs.
 
 from __future__ import annotations
 
+import contextvars
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -34,8 +35,25 @@ _GRID_TAU0 = (0.3, 1.0, 3.0)
 _GRID_KAPPA_T = (0.1, 0.5, 1.0, 2.0, 5.0)
 
 
+# the squeeze unitaries built during the current run_checks call, by
+# (theta, layout); None outside a call, so a check run on its own builds its own
+_RUN_SQUEEZE: contextvars.ContextVar[dict | None] = contextvars.ContextVar("run_squeeze", default=None)
+
+
 def _cutoff(cutoff: int | None, default: int = 32) -> int:
     return default if cutoff is None else cutoff
+
+
+def _squeeze_operator(theta: float, layout: fock.ModeLayout) -> dict[int, np.ndarray]:
+    """states.thermo_squeeze_operator, built once per run_checks call for
+    the checks that share it."""
+    shared = _RUN_SQUEEZE.get()
+    if shared is None:
+        return states.thermo_squeeze_operator(theta, layout)
+    key = (theta, layout)
+    if key not in shared:
+        shared[key] = states.thermo_squeeze_operator(theta, layout)
+    return shared[key]
 
 
 # ---------------------------------------------------------------------------
@@ -66,16 +84,17 @@ def _number_from_ladders(cutoff: int | None) -> float:
 
 def _partial_trace_tensor(cutoff: int | None) -> float:
     layout = fock.ModeLayout(_cutoff(cutoff))
-    doubled = layout.doubled()
     rho_a = states.chaotic_state(states.ThermoParams(1.0), layout)
     rho_b = states.chaotic_state(states.ThermoParams(0.5), layout)
     # both states are diagonal, so their product is too: its entry
-    # n * cutoff + m is rho_a[n, n] rho_b[m, m], and the factor of each
-    # sector is the diagonal of square roots, one column per state
-    prod = np.sqrt(np.outer(np.diagonal(rho_a.mat).real, np.diagonal(rho_b.mat).real)).ravel()
+    # (n, m~) is rho_a[n, n] rho_b[m, m], and the factor of each sector is
+    # the diagonal of square roots, one column per state.  Sector d holds
+    # (n_sys, n_tilde) = (p, p + d) for d >= 0 and (p - d, p) below, the
+    # diagonal d of the outer product
+    outer = np.sqrt(np.outer(np.diagonal(rho_a.mat).real, np.diagonal(rho_b.mat).real))
     sectors = range(1 - layout.cutoff, layout.cutoff)
-    factors = {d: np.diag(prod[fock.sector_indices(doubled, d)]) for d in sectors}
-    joint = fock.DensityMatrix.from_factors(doubled, factors)
+    factors = {d: np.diag(np.diagonal(outer, d)) for d in sectors}
+    joint = fock.DensityMatrix.from_factors(layout.doubled(), factors)
     kept_sys = fock.partial_trace(joint, over=fock.TILDE)
     kept_til = fock.partial_trace(joint, over=fock.SYSTEM)
     tr_a = fock.trace(rho_a).real
@@ -92,7 +111,7 @@ def _partial_trace_tensor(cutoff: int | None) -> float:
 
 def _squeeze_unitarity(cutoff: int | None) -> float:
     layout = fock.ModeLayout(_cutoff(cutoff, default=33)).doubled()
-    unitaries = states.thermo_squeeze_operator(thermo.theta_from_tau(1.0), layout)
+    unitaries = _squeeze_operator(thermo.theta_from_tau(1.0), layout)
     # the blocks are real, and U^T U and the identity are zero between
     # sectors, so the largest deviation lies in the gram of one sector's
     # block; d and -d share theirs
@@ -103,7 +122,7 @@ def _squeeze_unitarity(cutoff: int | None) -> float:
 def _squeeze_generates_thermal_vacuum(cutoff: int | None) -> float:
     layout = fock.ModeLayout(_cutoff(cutoff, default=33)).doubled()
     params = states.ThermoParams(1.0)
-    unitaries = states.thermo_squeeze_operator(params.theta, layout)
+    unitaries = _squeeze_operator(params.theta, layout)
     # |0, 0~> is index 0 of sector 0; its image and the thermal vacuum both
     # lie in sector 0
     squeezed = unitaries[0][:, 0]
@@ -136,7 +155,7 @@ def _pair_series_columns(layout: fock.ModeLayout, lam: float) -> np.ndarray:
     n = layout.cutoff
     raise_pair = np.zeros((n, n - 1))
     for m in range(n):
-        raise_pair[m, : n - m - 1] = np.diagonal(lam * states.pair_creation_block(layout, m), -1)
+        raise_pair[m, : n - m - 1] = lam * np.diagonal(states.pair_creation_block(layout, m), -1)
     terms = np.zeros((n, n))
     terms[:, 0] = 1.0
     columns = terms.copy()
@@ -180,9 +199,9 @@ def _evolved_tilde_reduction_thermal(cutoff: int | None) -> float:
 def _kraus_completeness(cutoff: int | None) -> float:
     layout = fock.ModeLayout(_cutoff(cutoff))
     ops = channel.kraus_operators(0.5, layout)
-    acc = np.zeros((layout.dim, layout.dim), dtype=np.complex128)
+    acc = np.zeros((layout.dim, layout.dim))
     for op in ops:
-        acc += op.conj().T @ op
+        acc += op.T @ op
     return float(np.abs(acc - np.eye(layout.dim)).max())
 
 
@@ -224,9 +243,11 @@ def _structured_vs_explicit(cutoff: int | None) -> float:
     kappa_t = 0.8
     rho = states.chaotic_state(states.ThermoParams(1.0), layout)
     fast = channel.apply_kraus(rho, kappa_t).mat
-    slow = np.zeros_like(fast)
+    # the chaotic state and the Kraus family are real
+    mat = rho.mat.real
+    slow = np.zeros_like(mat)
     for op in channel.kraus_operators(kappa_t, layout):
-        slow += op @ rho.mat @ op.conj().T
+        slow += op @ mat @ op.T
     return float(np.abs(fast - slow).max())
 
 
@@ -357,7 +378,8 @@ def run_checks(
     """Run the named suite; tol_overrides must name checks in that suite.
 
     A check that raises one of CHECK_ERRORS is reported as failed with
-    observed value inf.
+    observed value inf.  The checks of one call share one squeeze unitary
+    per (theta, layout), released when the call returns.
     """
     checks = select_checks(suite)
     overrides = dict(tol_overrides or {})
@@ -366,12 +388,17 @@ def run_checks(
     if unknown:
         raise ValueError(f"tolerance override for unknown check(s): {', '.join(unknown)}")
     results = []
-    for check in checks:
-        tol = overrides.get(check.name, check.tol)
-        try:
-            observed = check.fn(cutoff)
-        except CHECK_ERRORS:
-            # a check that cannot run at this cutoff fails on its own line
-            observed = math.inf
-        results.append(CheckResult(check.name, observed, tol, observed < tol))
+    token = _RUN_SQUEEZE.set({})
+    try:
+        for check in checks:
+            tol = overrides.get(check.name, check.tol)
+            try:
+                observed = check.fn(cutoff)
+            except CHECK_ERRORS:
+                # a check that cannot run at this cutoff fails on its own line
+                observed = math.inf
+            results.append(CheckResult(check.name, observed, tol, observed < tol))
+    finally:
+        # no unitary outlives the call
+        _RUN_SQUEEZE.reset(token)
     return results

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermofock import channel, fock, states
+from thermofock import channel, fock, states, verify
 from test_kernels import projector, random_density, random_sector_state
 
 
@@ -102,6 +102,14 @@ def test_kraus_family_stays_complete_above_cutoff_190():
     weights = channel.damping_weights(200, 0.5)
     for n in (0, 1, 150, 199):
         np.testing.assert_allclose(np.diagonal(ops[n], n), weights[n, :200 - n], rtol=1e-12, atol=0)
+
+
+def test_kraus_family_is_real_and_complete_at_cutoff_256():
+    ops = channel.kraus_operators(0.5, fock.ModeLayout(256))
+    assert all(op.dtype == np.float64 for op in ops)
+    check = next(c for c in verify.CHECKS if c.name == "kraus_completeness")
+    assert check.tol == 1e-12
+    assert check.fn(256) < check.tol
 
 
 def test_apply_kraus_matches_explicit_operator_sum():

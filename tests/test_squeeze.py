@@ -11,6 +11,12 @@ from thermofock import fock, states, thermo, verify
 
 THETAS = [0.0, 0.3, thermo.theta_from_tau(1.0), 2.0]
 
+# cutoffs at the edges of the SVD batches (split at SQUEEZE_BATCH_SPLITS):
+# batches of one sector each (4), batches that start on odd sector sizes
+# (9, 17, 65) or on both parities (5, 10), and a last batch that pads the
+# sector of size 1 (5, 9); at cutoffs 2 and 3 split points coincide
+BATCH_EDGE_CUTOFFS = [4, 5, 9, 10, 17, 65]
+
 
 def eigh_squeeze(theta, layout):
     # U_d = V exp(-i w) V^+ from one complex eigh of the hermitian
@@ -24,7 +30,7 @@ def eigh_squeeze(theta, layout):
 
 
 @pytest.mark.parametrize("theta", THETAS)
-@pytest.mark.parametrize("cutoff", [2, 3, 8, 33, 48, 128])
+@pytest.mark.parametrize("cutoff", [2, 3, 8, 33, 48, 128, *BATCH_EDGE_CUTOFFS])
 def test_svd_route_matches_per_sector_eigh(cutoff, theta):
     layout = fock.ModeLayout(cutoff).doubled()
     got = states.thermo_squeeze_operator(theta, layout)
@@ -43,7 +49,7 @@ def test_zero_angle_is_the_exact_identity(cutoff):
 
 
 @pytest.mark.parametrize("theta", THETAS)
-@pytest.mark.parametrize("cutoff", [2, 7, 33])
+@pytest.mark.parametrize("cutoff", [2, 3, 7, 33, *BATCH_EDGE_CUTOFFS])
 def test_blocks_are_real_orthogonal_and_own_their_memory(cutoff, theta):
     u = states.thermo_squeeze_operator(theta, fock.ModeLayout(cutoff).doubled())
     for d in range(cutoff):
@@ -73,3 +79,23 @@ def test_batched_pair_series_matches_per_sector_loop(cutoff):
         # add the same single product to exact zeros
         np.testing.assert_array_equal(got[m, : cutoff - m], column)
         np.testing.assert_array_equal(got[m, cutoff - m:], 0.0)
+
+
+def test_verify_builds_the_squeeze_once_per_run_and_keeps_none(monkeypatch):
+    calls = []
+    build = states.thermo_squeeze_operator
+
+    def counted(theta, layout):
+        calls.append((theta, layout))
+        return build(theta, layout)
+
+    monkeypatch.setattr(states, "thermo_squeeze_operator", counted)
+    # both squeeze checks of one run share one build
+    assert all(res.passed for res in verify.run_checks("states"))
+    assert len(calls) == 1
+    # the next run builds its own
+    verify.run_checks("states")
+    assert len(calls) == 2
+    # and so does a check called on its own
+    verify._squeeze_generates_thermal_vacuum(None)
+    assert len(calls) == 3
