@@ -18,6 +18,7 @@ from .fock import (
     creation,
     default_cutoff,
     expectation,
+    mean_occupation,
     number,
     partial_trace,
     purity,
@@ -32,6 +33,7 @@ from .states import (
     tfd_expectation_identity,
     thermal_vacuum,
     thermo_squeeze_operator,
+    truncation_cutoff,
 )
 from .thermo import (
     CoolingCurveError,

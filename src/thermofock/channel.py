@@ -83,13 +83,15 @@ def kraus_operators(kappa_t: float, layout: ModeLayout) -> list[np.ndarray]:
     Built from the (real) ladder operator as the running product K_0 =
     e^(-kappa t a+a), K_n = K_(n-1) sqrt(V / n) a, which is sqrt(V^n / n!)
     e^(-kappa t a+a) a^n with every entry in [0, 1]: V^n / n! alone
-    underflows from cutoff 190 on.  apply_kraus does not call this (it uses
+    underflows from cutoff 190 on.  kappa t is clamped at KAPPA_T_SATURATION,
+    as in damping_weights.  apply_kraus does not call this (it uses
     the weight table), so the two can check each other.  A two-mode layout
     raises LayoutError: its family would be cutoff dense matrices of
     cutoff^4 entries, and apply_kraus damps two-mode states by sector.
     """
     if layout.modes != 1:
         raise fock.LayoutError("kraus_operators builds the single-mode family")
+    kappa_t = min(kappa_t, KAPPA_T_SATURATION)
     v = _jump_weight(kappa_t)
     a = fock.annihilation(layout).real
     ops = [np.diag(np.exp(-kappa_t * np.arange(layout.cutoff)))]

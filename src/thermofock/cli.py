@@ -51,7 +51,6 @@ TWO_MODE_HEADER = [
 ECHO_MAX = 60
 
 CROSS_METHOD_TOL = 1e-5
-DEFICIT_TOL = 1e-6
 # Most RK4 steps a `cool --method lindblad|both` grid may take, and most grid
 # intervals any grid may have, since each grid point costs at least one kernel
 # call; a larger kappa * t-max or steps is refused with exit 2.  The steps of
@@ -302,6 +301,19 @@ def svg_line_plot(
     return "\n".join(parts) + "\n"
 
 
+def _write_curve(
+    cfg: argparse.Namespace, header: list[str], rows: list[tuple], taus: tuple[str, str], y_label: str, title: str
+) -> None:
+    """A curve command's CSV, and its SVG when asked for: against kappa t (the
+    first column), the closed-form tau as the line and the numeric tau as
+    markers, the two columns `taus` names in that order."""
+    _write_text(cfg.out, format_csv(header, rows))
+    if cfg.svg:
+        line, marks = ([row[header.index(name)] for row in rows] for name in taus)
+        xs = [row[0] for row in rows]
+        _write_text(cfg.svg, svg_line_plot(xs, line, marks, "kappa * t", y_label, f"{title}, tau0 = {cfg.tau0:g}"))
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -310,7 +322,7 @@ def svg_line_plot(
 def cmd_cool(cfg: argparse.Namespace) -> int:
     times = _time_grid(cfg)
     primary = "kraus" if cfg.method == "both" else cfg.method
-    limits = {"cutoff": cfg.cutoff, "deficit_tol": cfg.tolerances.get("deficit", DEFICIT_TOL)}
+    limits = {"cutoff": cfg.cutoff, "deficit_tol": cfg.tolerances.get("deficit", fock.DEFICIT_TOL)}
     curve = thermo.cooling_curve(cfg.tau0, cfg.kappa, times, method=primary, **limits)
 
     if cfg.method == "both":
@@ -324,70 +336,34 @@ def cmd_cool(cfg: argparse.Namespace) -> int:
                 at / cfg.kappa, at, RuntimeError(f"kraus and lindblad temperatures differ by {worst:.3e}")
             )
 
-    rows = [
-        (p.kappa_t, p.tau_closed, p.tau_numeric, p.nbar, p.trace_error)
-        for p in curve
-    ]
-    _write_text(cfg.out, format_csv(COOL_HEADER, rows))
-    if cfg.svg:
-        xs = [p.kappa_t for p in curve]
-        _write_text(
-            cfg.svg,
-            svg_line_plot(
-                xs,
-                [p.tau_closed for p in curve],
-                [p.tau_numeric for p in curve],
-                "kappa * t",
-                "tau",
-                f"cooling of a thermal mode, tau0 = {cfg.tau0:g}",
-            ),
-        )
+    rows = [(p.kappa_t, p.tau_closed, p.tau_numeric, p.nbar, p.trace_error) for p in curve]
+    _write_curve(cfg, COOL_HEADER, rows, ("tau_closed", "tau_numeric"), "tau", "cooling of a thermal mode")
     return 0
 
 
 def cmd_two_mode(cfg: argparse.Namespace) -> int:
     params = states.ThermoParams(cfg.tau0)
-    layout = fock.ModeLayout(cfg.cutoff).doubled()
-    deficit_tol = cfg.tolerances.get("deficit", DEFICIT_TOL)
-
+    deficit_tol = cfg.tolerances.get("deficit", fock.DEFICIT_TOL)
+    layout = fock.ModeLayout(states.truncation_cutoff(params, cfg.cutoff, deficit_tol)).doubled()
     rho0 = states.thermal_vacuum(params, layout)
-    number_single = fock.number(layout.single())
 
     rows = []
-    svg_x, svg_line, svg_marks = [], [], []
-    times = _time_grid(cfg)
-    for t in times:
+    for t in _time_grid(cfg):
         kappa_t = cfg.kappa * t
         try:
-            analytic = states.evolved_two_mode_state(params, kappa_t, layout, deficit_tol=deficit_tol)
+            analytic = states.evolved_two_mode_state(params, kappa_t, layout)
             evolved = channel.apply_kraus(rho0, kappa_t)
             dist = fock.trace_distance(analytic, evolved)
             sys_side = fock.partial_trace(evolved, over=fock.TILDE)
             tilde_side = fock.partial_trace(evolved, over=fock.SYSTEM)
             sys_tau_numeric = thermo.effective_temperature(sys_side)
-            tilde_nbar = fock.expectation(tilde_side, number_single).real
+            tilde_nbar = fock.mean_occupation(tilde_side)
             total_purity = fock.purity(evolved)
         except (thermo.NotChaoticError, channel.IntegrationError, fock.StateError) as exc:
             raise thermo.CoolingCurveError(t, kappa_t, exc) from exc
         sys_tau_closed = thermo.tau_after(cfg.tau0, kappa_t)
         rows.append((kappa_t, dist, sys_tau_numeric, sys_tau_closed, tilde_nbar, total_purity))
-        svg_x.append(kappa_t)
-        svg_line.append(sys_tau_closed)
-        svg_marks.append(sys_tau_numeric)
-
-    _write_text(cfg.out, format_csv(TWO_MODE_HEADER, rows))
-    if cfg.svg:
-        _write_text(
-            cfg.svg,
-            svg_line_plot(
-                svg_x,
-                svg_line,
-                svg_marks,
-                "kappa * t",
-                "system tau",
-                f"damped thermal vacuum, tau0 = {cfg.tau0:g}",
-            ),
-        )
+    _write_curve(cfg, TWO_MODE_HEADER, rows, ("sys_tau_closed", "sys_tau_numeric"), "system tau", "damped thermal vacuum")
     return 0
 
 

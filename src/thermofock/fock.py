@@ -61,6 +61,8 @@ TILDE = "tilde"
 CUTOFF_MIN = 8
 CUTOFF_MAX = 128
 TAIL_TARGET = 1e-14
+# largest thermal tail q^cutoff a curve command admits (states.truncation_cutoff)
+DEFICIT_TOL = 1e-6
 
 HERMITICITY_TOL = 1e-12
 DEFAULT_TRACE_TOL = 1e-9
@@ -320,6 +322,14 @@ def expectation(rho: DensityMatrix, obs: np.ndarray) -> complex:
         line = line[:dim - k]
         total += np.dot(line, np.diagonal(obs, -k)) + np.dot(line.conj(), np.diagonal(obs, k))
     return complex(total)
+
+
+def mean_occupation(rho: DensityMatrix) -> float:
+    """Tr(rho a+a) of a single-mode state, sum_p p rho[p, p], read off its
+    populations."""
+    _single_mode(rho.layout, "mean_occupation")
+    pops = diagonal_populations(rho.diagonals)
+    return float(np.dot(np.arange(len(pops)), pops))
 
 
 def purity(rho: DensityMatrix) -> float:

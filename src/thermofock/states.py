@@ -63,6 +63,25 @@ class ThermoParams:
         return self.q**cutoff
 
 
+def truncation_cutoff(params: ThermoParams, cutoff: int | None, deficit_tol: float = fock.DEFICIT_TOL) -> int:
+    """The cutoff that holds params' thermal state: cutoff, or
+    fock.default_cutoff when it is None.
+
+    Every state built from params at that cutoff (the chaotic state, the
+    thermal vacuum and its damped images) falls short of trace 1 by the
+    tail weight q^cutoff, which would bias a temperature read off it; a
+    tail above deficit_tol raises TruncationError.
+    """
+    if cutoff is None:
+        cutoff = fock.default_cutoff(params.theta)
+    tail = params.tail_weight(cutoff)
+    if not tail <= deficit_tol:
+        raise TruncationError(
+            f"thermal tail weight {tail:.3e} at cutoff {cutoff} exceeds {deficit_tol:.3e}; raise the cutoff"
+        )
+    return cutoff
+
+
 def chaotic_state(params: ThermoParams, layout: ModeLayout) -> DensityMatrix:
     """Single-mode thermal state diag((1 - q) q^n) on the truncated space,
     built through the checked dense constructor, which stores its one real
@@ -206,12 +225,7 @@ def tfd_expectation_identity(obs: np.ndarray, params: ThermoParams) -> tuple[com
     return pure_side, mixed_side
 
 
-def evolved_two_mode_state(
-    params: ThermoParams,
-    kappa_t: float,
-    layout: ModeLayout,
-    deficit_tol: float = 1e-6,
-) -> DensityMatrix:
+def evolved_two_mode_state(params: ThermoParams, kappa_t: float, layout: ModeLayout) -> DensityMatrix:
     """Build the damped thermal vacuum rho(t) on the truncated doubled space.
 
     lam and mu, fixed by theta and kappa t alone, are the lambda and mu of
@@ -225,9 +239,11 @@ def evolved_two_mode_state(
     lam sqrt((m + n) / n) of successive terms: one running product over n
     for all sectors at once.
 
-    The exact state keeps a fraction tanh^2(theta)^cutoff of its weight above
-    the truncation; a measured trace deficit beyond deficit_tol raises
-    TruncationError instead of returning a visibly leaky state.
+    Damping leaves the tilde reduction thermal at the initial temperature,
+    and every stored state has n_tilde >= n_sys, so the cut n_tilde < cutoff
+    drops exactly the tilde tail: the trace falls short of 1 by the tail
+    weight q^cutoff at every kappa t, as for chaotic_state and
+    thermal_vacuum (truncation_cutoff bounds it).
     """
     if layout.modes != 2:
         raise fock.LayoutError("the evolved state lives on a two-mode layout")
@@ -245,10 +261,4 @@ def evolved_two_mode_state(
     ratios = np.where(m + k < n, lam * np.sqrt((m + k) / k), 0.0)
     amps = np.cumprod(np.hstack([np.ones((n, 1)), ratios]), axis=1)
     factors = (np.sqrt((1.0 - th**2) * mu ** np.arange(n))[:, None] * amps)[:, :, None]
-
-    deficit = 1.0 - np.vdot(factors, factors)
-    if not deficit <= deficit_tol:
-        raise TruncationError(
-            f"trace deficit {deficit:.3e} exceeds {deficit_tol:.3e}; raise the cutoff"
-        )
     return DensityMatrix._stored(layout, factors, range(n))

@@ -234,17 +234,19 @@ def cooling_curve(
     times,
     cutoff: int | None = None,
     method: str = "kraus",
-    deficit_tol: float = 1e-6,
+    deficit_tol: float = fock.DEFICIT_TOL,
 ) -> list[CoolingPoint]:
     """Evaluate the cooling law along a time grid and check it numerically.
 
     For each t the closed-form tau_after is paired with the temperature
     read off the numerically damped state: the Kraus operator sum at each
-    t, or one RK4 Lindblad integration stepped from grid time to grid time.
+    t, or one RK4 Lindblad integration stepped from grid time to grid time;
+    nbar is the damped state's mean occupation.
 
-    The thermal state must fit below the cutoff: a tail weight q^cutoff
-    above deficit_tol, which would bias the fitted temperature, raises
-    states.TruncationError.
+    The cutoff (fock.default_cutoff when None) passes
+    states.truncation_cutoff before any state is built: a thermal tail
+    q^cutoff above deficit_tol, which would bias the fitted temperature,
+    raises states.TruncationError.
     """
     # imported here because states imports this module
     from . import channel, states
@@ -260,14 +262,7 @@ def cooling_curve(
         raise ValueError("times must be >= 0")
 
     params = states.ThermoParams(tau0)
-    if cutoff is None:
-        cutoff = fock.default_cutoff(params.theta)
-    layout = fock.ModeLayout(cutoff)
-    tail = params.tail_weight(cutoff)
-    if tail > deficit_tol:
-        raise states.TruncationError(
-            f"thermal tail weight {tail:.3e} at cutoff {cutoff} exceeds {deficit_tol:.3e}; raise the cutoff"
-        )
+    layout = fock.ModeLayout(states.truncation_cutoff(params, cutoff, deficit_tol))
     rho0 = states.chaotic_state(params, layout)
     if method == "lindblad":
         # one integration steps through the whole grid
@@ -275,7 +270,6 @@ def cooling_curve(
             integrated = channel.lindblad_integrate(rho0, kappa, times)
         except channel.IntegrationError as exc:
             raise CoolingCurveError(exc.time, kappa * exc.time, exc) from exc
-    num_op = fock.number(layout)
     points: list[CoolingPoint] = []
     for i, t in enumerate(times):
         kt = kappa * t
@@ -292,7 +286,7 @@ def cooling_curve(
                 kappa_t=kt,
                 tau_closed=tau_after(tau0, kt),
                 tau_numeric=tau_n,
-                nbar=float(fock.expectation(evolved, num_op).real),
+                nbar=fock.mean_occupation(evolved),
                 trace_error=abs(fock.trace(evolved) - 1.0),
             )
         )

@@ -167,9 +167,9 @@ def _pair_series_columns(layout: fock.ModeLayout, lam: float) -> np.ndarray:
 
 
 def _evolved_series_vs_expm(cutoff: int | None) -> float:
-    n = _cutoff(cutoff, default=33)
-    layout = fock.ModeLayout(n).doubled()
     params, kappa_t = states.ThermoParams(1.0), 0.7
+    n = states.truncation_cutoff(params, _cutoff(cutoff, default=33))
+    layout = fock.ModeLayout(n).doubled()
     via_series = states.evolved_two_mode_state(params, kappa_t, layout)
     th = math.tanh(params.theta)
     lam = math.exp(-kappa_t) * th
@@ -182,9 +182,8 @@ def _evolved_series_vs_expm(cutoff: int | None) -> float:
 
 
 def _evolved_tilde_reduction_thermal(cutoff: int | None) -> float:
-    n = _cutoff(cutoff, default=33)
-    layout = fock.ModeLayout(n).doubled()
     params = states.ThermoParams(1.0)
+    layout = fock.ModeLayout(states.truncation_cutoff(params, _cutoff(cutoff, default=33))).doubled()
     evolved = states.evolved_two_mode_state(params, 0.9, layout)
     tilde_side = fock.partial_trace(evolved, over=fock.SYSTEM)
     reference = states.chaotic_state(params, layout.single())

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -54,6 +55,22 @@ def test_damping_weights_saturate_at_large_kappa_t(kappa_t):
     expected = np.zeros((16, 16))
     expected[:, 0] = 1.0
     np.testing.assert_array_equal(table, expected)
+
+
+def test_kraus_family_saturates_at_infinite_kappa_t():
+    # kappa t = inf is the long-time limit: the family equals the one at an
+    # overflowing finite kappa t, K_0 the vacuum projector, with no nan from
+    # -inf * 0 and no numpy warning
+    layout = fock.ModeLayout(12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        at_inf = channel.kraus_operators(math.inf, layout)
+        at_huge = channel.kraus_operators(1e307, layout)
+    for got, want in zip(at_inf, at_huge, strict=True):
+        np.testing.assert_array_equal(got, want)
+    vacuum = np.zeros((12, 12))
+    vacuum[0, 0] = 1.0
+    np.testing.assert_array_equal(at_inf[0], vacuum)
 
 
 def test_weight_table_matches_literal_kraus_entries():

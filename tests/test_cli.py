@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from thermofock import cli, thermo, verify
+from thermofock import cli, states, thermo, verify
 
 TAU_AFTER_1_HALF = 0.576260710432279098
 NBAR_TAU1 = 0.581976706869326424
@@ -370,6 +370,22 @@ def test_cool_refuses_a_truncated_thermal_tail(argv, capsys):
     assert captured.out == ""
     assert captured.err.startswith("numerical failure: thermal tail weight ")
     assert captured.err.count("\n") == 1
+
+
+def test_two_mode_refuses_a_truncated_thermal_tail_before_building_a_state(monkeypatch, capsys):
+    # the same rule and line as `cool`, decided once from q^N before the
+    # thermal vacuum or any damped state exists
+    def never(*args):
+        raise AssertionError("a state was built")
+
+    monkeypatch.setattr(states, "thermal_vacuum", never)
+    monkeypatch.setattr(states, "evolved_two_mode_state", never)
+    assert run_cli(["two-mode", "--cutoff", "8", "--tau0", "3", "--steps", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "numerical failure: thermal tail weight 6.948e-02 at cutoff 8 exceeds 1.000e-06; raise the cutoff\n"
+    )
 
 
 def test_cool_deficit_tolerance_admits_a_truncated_tail(capsys):

@@ -204,6 +204,16 @@ def test_expectation_and_trace():
     assert fock.trace(rho).real == pytest.approx(1.0)
 
 
+def test_mean_occupation_reads_the_populations():
+    layout = fock.ModeLayout(40)
+    params = states.ThermoParams(1.3)
+    for rho in (states.chaotic_state(params, layout), channel.apply_kraus(states.chaotic_state(params, layout), 0.6)):
+        via_number = fock.expectation(rho, fock.number(layout)).real
+        assert fock.mean_occupation(rho) == pytest.approx(via_number, rel=1e-15, abs=0)
+    with pytest.raises(fock.LayoutError):
+        fock.mean_occupation(states.thermal_vacuum(params, layout.doubled()))
+
+
 def test_expectation_refuses_two_mode_states():
     # the dense two-mode matrix it would read holds cutoff^4 entries
     two = fock.ModeLayout(4).doubled()
@@ -230,7 +240,7 @@ def test_trace_distance_of_a_state_to_itself_is_zero():
     for rho in (
         fock.DensityMatrix(single, m @ m.conj().T / np.trace(m @ m.conj().T)),
         fock.DensityMatrix.from_factors(layout, random_sector_state(layout, rng)),
-        states.evolved_two_mode_state(params, 0.4, layout, deficit_tol=1e-3),
+        states.evolved_two_mode_state(params, 0.4, layout),
         damped,
     ):
         assert fock.trace_distance(rho, rho) == 0.0

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thermofock import channel, fock, states, thermo
@@ -83,7 +83,7 @@ def test_thermal_vacuum_amplitudes(tau0, cutoff):
     # the damped closed form at kappa t = 0 is the same column; trace_distance
     # adds the round-off of a QR and an eigvalsh at unit scale (at most
     # 1.19e-15 on the same grid)
-    at_zero = states.evolved_two_mode_state(params, 0.0, layout.doubled(), deficit_tol=1)
+    at_zero = states.evolved_two_mode_state(params, 0.0, layout.doubled())
     assert at_zero.sectors == range(cutoff) and not at_zero.factors[1:].any()
     assert np.abs(rho.factor(0) - at_zero.factor(0)).max() < 1e-15
     assert fock.trace_distance(rho, at_zero) < 2e-15
@@ -226,8 +226,7 @@ def test_block_exponentials_match_dense_oracle():
     got = sector_operator(layout, states.thermo_squeeze_operator(theta, layout))
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
-    # a small cutoff holds less of the thermal tail than the default bound
-    got = states.evolved_two_mode_state(params, 0.5, layout, deficit_tol=1.0).mat
+    got = states.evolved_two_mode_state(params, 0.5, layout).mat
     np.testing.assert_allclose(got, dense_evolved_state(params, 0.5, layout), rtol=0, atol=1e-13)
 
 
@@ -280,13 +279,36 @@ def test_evolved_state_reductions():
 
 
 def test_evolved_state_trace_deficit_guard():
-    # tanh^2(theta)^8 ~ 3e-4 at tau0 = 1: an 8-level space leaks visibly
-    layout = fock.ModeLayout(8).doubled()
+    # tanh^2(theta)^8 ~ 3e-4 at tau0 = 1: an 8-level space leaks visibly, and
+    # the one truncation rule refuses it before any state is built
     params = states.ThermoParams(1.0)
-    with pytest.raises(states.TruncationError, match="deficit"):
-        states.evolved_two_mode_state(params, 0.3, layout)
-    # widening the bound admits the same construction
-    states.evolved_two_mode_state(params, 0.3, layout, deficit_tol=1e-3)
+    with pytest.raises(states.TruncationError, match=r"^thermal tail weight 3\.355e-04 at cutoff 8 exceeds 1\.000e-06; "):
+        states.truncation_cutoff(params, 8)
+    # widening the bound admits the same cutoff
+    assert states.truncation_cutoff(params, 8, deficit_tol=1e-3) == 8
+    # no cutoff means the automatic one, whose tail is far below the default bound
+    assert states.truncation_cutoff(params, None) == fock.default_cutoff(params.theta)
+    # a NaN bound refuses rather than switching the rule off
+    with pytest.raises(states.TruncationError):
+        states.truncation_cutoff(params, 64, deficit_tol=math.nan)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    tau0=st.floats(0.05, 4.0),
+    cutoff=st.integers(2, 128),
+    kappa_t=st.one_of(st.just(0.0), st.just(math.inf), st.floats(0.0, 1e3)),
+)
+@example(tau0=1.0, cutoff=8, kappa_t=0.3)
+def test_evolved_state_deficit_is_the_thermal_tail(tau0, cutoff, kappa_t):
+    # damping leaves the tilde reduction thermal at tau0 and every stored
+    # state has n_tilde >= n_sys, so the cut drops exactly the tilde tail
+    # q^cutoff at every kappa t; the trace is a sum of about cutoff^2 / 2
+    # squares, whose round-off reached 1.18e-15 on a 40 x 43 x 8 grid of
+    # tau0 <= 4, cutoff <= 128 and kappa t
+    params = states.ThermoParams(tau0)
+    evolved = states.evolved_two_mode_state(params, kappa_t, fock.ModeLayout(cutoff).doubled())
+    assert abs(1.0 - fock.trace(evolved).real - params.tail_weight(cutoff)) < 2e-15
 
 
 def test_layout_mode_count_is_enforced():
