@@ -77,26 +77,32 @@ def damping_weights(cutoff: int, kappa_t: float) -> np.ndarray:
     return np.cumprod(steps, axis=0)
 
 
-def kraus_operators(kappa_t: float, layout: ModeLayout) -> list[np.ndarray]:
-    """Materialize the single-mode Kraus family as dense float64 matrices.
+def kraus_operators(kappa_t: float, layout: ModeLayout) -> np.ndarray:
+    """Materialize the single-mode Kraus family as one float64 array of
+    shape (cutoff, cutoff, cutoff), K_n = ops[n].
 
     Built from the (real) ladder operator as the running product K_0 =
     e^(-kappa t a+a), K_n = K_(n-1) sqrt(V / n) a, which is sqrt(V^n / n!)
     e^(-kappa t a+a) a^n with every entry in [0, 1]: V^n / n! alone
-    underflows from cutoff 190 on.  kappa t is clamped at KAPPA_T_SATURATION,
-    as in damping_weights.  apply_kraus does not call this (it uses
-    the weight table), so the two can check each other.  A two-mode layout
-    raises LayoutError: its family would be cutoff dense matrices of
-    cutoff^4 entries, and apply_kraus damps two-mode states by sector.
+    underflows from cutoff 190 on.  Each product is written into its own
+    slice of the stack.  Viewed as (cutoff^2, cutoff), the stack is the
+    column of all K_n, so sum_n K_n^T K_n is one product of that view with
+    itself.  kappa t is clamped at KAPPA_T_SATURATION, as in
+    damping_weights.  apply_kraus does not call this (it uses the weight
+    table), so the two can check each other.  A two-mode layout raises
+    LayoutError: its family would be cutoff dense matrices of cutoff^4
+    entries, and apply_kraus damps two-mode states by sector.
     """
     if layout.modes != 1:
         raise fock.LayoutError("kraus_operators builds the single-mode family")
     kappa_t = min(kappa_t, KAPPA_T_SATURATION)
     v = _jump_weight(kappa_t)
     a = fock.annihilation(layout).real
-    ops = [np.diag(np.exp(-kappa_t * np.arange(layout.cutoff)))]
-    for n in range(1, layout.cutoff):
-        ops.append(ops[-1] @ (math.sqrt(v / n) * a))
+    n_ops = layout.cutoff
+    ops = np.empty((n_ops, n_ops, n_ops))
+    ops[0] = np.diag(np.exp(-kappa_t * np.arange(n_ops)))
+    for n in range(1, n_ops):
+        np.matmul(ops[n - 1], math.sqrt(v / n) * a, out=ops[n])
     return ops
 
 

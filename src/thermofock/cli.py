@@ -23,8 +23,9 @@ configuration error, from a flag or a file, prints one `error:` line and
 exits 2; a user value longer than ECHO_MAX characters is cut in the middle
 there.  That includes a non-finite `--tol` value, a time grid or damping
 exponent kappa * t-max that overflows, `steps` above LINDBLAD_STEP_BUDGET
-for every method, a Lindblad grid above LINDBLAD_STEP_BUDGET RK4 steps, and
-a `cool` or `two-mode` grid whose work exceeds WORK_BUDGET.
+for every method, a Lindblad grid above LINDBLAD_STEP_BUDGET RK4 steps, a
+`cool` or `two-mode` grid whose work exceeds WORK_BUDGET, and an `--out` or
+`--svg` path that cannot be written.
 """
 
 from __future__ import annotations
@@ -233,8 +234,11 @@ def _write_text(path: str, text: str) -> None:
     if path == "-":
         sys.stdout.write(text)
         return
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def svg_line_plot(

@@ -137,7 +137,8 @@ class DensityMatrix:
 
     `DensityMatrix(layout, mat, trace_tol)` takes a dense single-mode
     matrix, checks finiteness, hermiticity and that the trace is within
-    trace_tol of 1, and stores the diagonals of its hermitian part.
+    trace_tol of 1, and stores the diagonals of its hermitian part; a real
+    matrix is checked as float64, a complex one as complex128.
     `from_factors(layout, {d: F_d}, trace_tol)` takes a two-mode state as
     factors of shape (cutoff - |d|, r_d), rows in sector order (see
     sector_indices) and any r_d >= 0, and checks finiteness and the trace.
@@ -153,7 +154,9 @@ class DensityMatrix:
     def __init__(self, layout: ModeLayout, mat, trace_tol: float = DEFAULT_TRACE_TOL) -> None:
         if layout.modes != 1:
             raise LayoutError("a two-mode state is built from its sector factors: DensityMatrix.from_factors")
-        mat = np.ascontiguousarray(mat, dtype=np.complex128)
+        # a real matrix is checked and scanned in real arithmetic
+        mat = np.asarray(mat)
+        mat = np.ascontiguousarray(mat, dtype=np.complex128 if np.iscomplexobj(mat) else np.float64)
         if mat.shape != (layout.dim, layout.dim):
             raise LayoutError(f"matrix shape {mat.shape} does not match layout dim {layout.dim}")
         if not np.all(np.isfinite(mat.view(np.float64))):
@@ -163,7 +166,7 @@ class DensityMatrix:
             raise StateError(f"not hermitian: max |rho - rho^dagger| = {defect:.3e}")
         n = layout.cutoff
         rows, cols = np.nonzero(mat)
-        diagonals = np.zeros((int(np.abs(cols - rows).max(initial=0)) + 1, n), dtype=np.complex128)
+        diagonals = np.zeros((int(np.abs(cols - rows).max(initial=0)) + 1, n), dtype=mat.dtype)
         for k, line in enumerate(diagonals):
             # the hermitian part: exact on a hermitian matrix, real on offset 0
             line[:n - k] = 0.5 * (np.diagonal(mat, k) + np.diagonal(mat, -k).conj())

@@ -115,9 +115,23 @@ def thermal_vacuum(params: ThermoParams, layout: ModeLayout) -> DensityMatrix:
     return DensityMatrix._stored(layout, amps[None, :, None], range(0, 1))
 
 
+def pair_creation_weights(cutoff: int) -> np.ndarray:
+    """The nonzero entries of a+ b+ in every sector m = |d| at once: row m
+    holds sqrt(p (p + m)) for p = 1..cutoff - m - 1, then zeros, in an
+    array of shape (cutoff, cutoff - 1).
+
+    Entry p - 1 of row m is S[p, p - 1] of pair_creation_block(layout, m):
+    the weight with which a+ b+ raises sector index p - 1 to p.
+    """
+    m = np.arange(cutoff)[:, None]
+    p = np.arange(1.0, cutoff)
+    return np.where(p + m < cutoff, np.sqrt(p * (p + m)), 0.0)
+
+
 def pair_creation_block(layout: ModeLayout, d: int) -> np.ndarray:
     """a+ b+ restricted to sector d, in sector order: the real matrix with
-    S[p+1, p] = sqrt((n_p + 1)(m_p + 1)) for the state p = (n_p, m_p~).
+    S[p+1, p] = sqrt((n_p + 1)(m_p + 1)) for the state p = (n_p, m_p~),
+    read from pair_creation_weights.
 
     a+ b+ raises both occupations, so it keeps d = n_tilde - n_sys and moves
     sector index p to p + 1; the block has cutoff - |d| states and is the
@@ -125,8 +139,8 @@ def pair_creation_block(layout: ModeLayout, d: int) -> np.ndarray:
     """
     if layout.modes != 2:
         raise fock.LayoutError("a+ b+ lives on a two-mode layout")
-    p = np.arange(1.0, layout.cutoff - abs(d))
-    return np.diag(np.sqrt(p * (p + abs(d))), -1)
+    size = layout.cutoff - abs(d)
+    return np.diag(pair_creation_weights(layout.cutoff)[abs(d), : size - 1], -1)
 
 
 # sectors d < n/4, n/4 <= d < n/2, ... of a cutoff n share one SVD each: a
@@ -144,7 +158,8 @@ def thermo_squeeze_operator(theta: float, layout: ModeLayout) -> dict[int, np.nd
 
     In sector d the generator theta (S - S^T), S = pair_creation_block, is
     real antisymmetric and couples state p only to p +- 1, with weight
-    t_p = theta sqrt((p + 1)(p + 1 + |d|)).  With the even states first and
+    t_p = theta sqrt((p + 1)(p + 1 + |d|)), theta times row |d| of
+    pair_creation_weights.  With the even states first and
     the odd ones after, it is [[0, M], [-M^T, 0]] for the lower-bidiagonal
     M[i, i] = -t_(2i), M[i, i - 1] = t_(2i - 1), and from the full SVD
     M = X diag(s) Y^T its exponential is
@@ -167,23 +182,23 @@ def thermo_squeeze_operator(theta: float, layout: ModeLayout) -> dict[int, np.nd
         raise ValueError(f"theta must be finite and >= 0, got {theta}")
     n = layout.cutoff
     edges = sorted({0, n, *(int(f * n) for f in SQUEEZE_BATCH_SPLITS)})
+    coupling = theta * pair_creation_weights(n)
     unitaries = {}
     for lo, hi in zip(edges, edges[1:]):
-        for d, block in zip(range(lo, hi), _squeeze_batch(theta, n, lo, hi)):
+        for d, block in zip(range(lo, hi), _squeeze_batch(coupling, lo, hi)):
             unitaries[d] = unitaries[-d] = block
     return unitaries
 
 
-def _squeeze_batch(theta: float, n: int, lo: int, hi: int) -> list[np.ndarray]:
-    """The blocks U_d of sectors lo <= d < hi at cutoff n, from one batched
-    SVD of their M zero-padded to sector lo's shape (see
-    thermo_squeeze_operator)."""
+def _squeeze_batch(coupling: np.ndarray, lo: int, hi: int) -> list[np.ndarray]:
+    """The blocks U_d of sectors lo <= d < hi, from one batched SVD of
+    their M zero-padded to sector lo's shape (see thermo_squeeze_operator);
+    coupling[d, p] = t_p of sector d, zero past the sector."""
+    n = len(coupling)
     size = n - lo
     n_even, n_odd = (size + 1) // 2, size // 2
     # t[k, p] couples p and p + 1 in sector d = lo + k, whose n - d states end at p = n - d - 1
-    sector = np.arange(lo, hi)[:, None]
-    p = np.arange(size - 1)
-    t = np.where(p + 1 < n - sector, theta * np.sqrt((p + 1.0) * (p + 1.0 + sector)), 0.0)
+    t = coupling[lo:hi, : size - 1]
     m = np.zeros((hi - lo, n_even, n_odd))
     i = np.arange(n_odd)
     m[:, i, i] = -t[:, 2 * i]

@@ -7,6 +7,15 @@ the squeeze unitary and E = exp(lambda a+ b+) are all built by pair-number
 sector, never as dense cutoff^2 x cutoff^2 matrices.  A check that raises
 one of the package's numerical errors at some cutoff is reported as
 failed, with observed value inf, and the rest of the suite still runs.
+
+The checks of one run_checks call share the inputs that several of them
+build from the same arguments: the chaotic states, the Kraus image
+apply_kraus(rho, 0.5), the ladder and number operators and the squeeze
+unitary, each built once through _shared and released when the call
+returns.  An input that only one check builds (a Kraus family, the
+E-series factors) is built by that check and dropped with it.  The Kraus
+oracles take the family as one (cutoff, cutoff, cutoff) stack, whose
+completeness sum is one product of the stack with itself.
 """
 
 from __future__ import annotations
@@ -35,25 +44,29 @@ _GRID_TAU0 = (0.3, 1.0, 3.0)
 _GRID_KAPPA_T = (0.1, 0.5, 1.0, 2.0, 5.0)
 
 
-# the squeeze unitaries built during the current run_checks call, by
-# (theta, layout); None outside a call, so a check run on its own builds its own
-_RUN_SQUEEZE: contextvars.ContextVar[dict | None] = contextvars.ContextVar("run_squeeze", default=None)
+# the shared inputs built during the current run_checks call, by (builder,
+# arguments); None outside a call, so a check run on its own builds its own
+_RUN_INPUTS: contextvars.ContextVar[dict | None] = contextvars.ContextVar("run_inputs", default=None)
 
 
 def _cutoff(cutoff: int | None, default: int = 32) -> int:
     return default if cutoff is None else cutoff
 
 
-def _squeeze_operator(theta: float, layout: fock.ModeLayout) -> dict[int, np.ndarray]:
-    """states.thermo_squeeze_operator, built once per run_checks call for
-    the checks that share it."""
-    shared = _RUN_SQUEEZE.get()
-    if shared is None:
-        return states.thermo_squeeze_operator(theta, layout)
-    key = (theta, layout)
-    if key not in shared:
-        shared[key] = states.thermo_squeeze_operator(theta, layout)
-    return shared[key]
+def _shared(build: Callable, *args):
+    """build(*args), built once per run_checks call for the checks that
+    share it.  The checks only read what it returns."""
+    store = _RUN_INPUTS.get()
+    if store is None:
+        return build(*args)
+    key = (build, args)
+    if key not in store:
+        store[key] = build(*args)
+    return store[key]
+
+
+def _chaotic(tau: float, layout: fock.ModeLayout) -> fock.DensityMatrix:
+    return _shared(states.chaotic_state, states.ThermoParams(tau), layout)
 
 
 # ---------------------------------------------------------------------------
@@ -63,38 +76,45 @@ def _squeeze_operator(theta: float, layout: fock.ModeLayout) -> dict[int, np.nda
 
 def _ladder_adjoint(cutoff: int | None) -> float:
     layout = fock.ModeLayout(_cutoff(cutoff))
-    a = fock.annihilation(layout)
-    return float(np.abs(fock.creation(layout) - a.conj().T).max())
+    a = _shared(fock.annihilation, layout)
+    return float(np.abs(_shared(fock.creation, layout) - a.conj().T).max())
 
 
 def _commutator_interior(cutoff: int | None) -> float:
     n = _cutoff(cutoff)
     layout = fock.ModeLayout(n)
-    a = fock.annihilation(layout)
-    ad = fock.creation(layout)
+    a = _shared(fock.annihilation, layout)
+    ad = _shared(fock.creation, layout)
     comm = a @ ad - ad @ a
     return float(np.abs(comm[: n - 1, : n - 1] - np.eye(n - 1)).max())
 
 
 def _number_from_ladders(cutoff: int | None) -> float:
     layout = fock.ModeLayout(_cutoff(cutoff))
-    a = fock.annihilation(layout)
-    return float(np.abs(a.conj().T @ a - fock.number(layout)).max())
+    a = _shared(fock.annihilation, layout)
+    return float(np.abs(a.conj().T @ a - _shared(fock.number, layout)).max())
 
 
 def _partial_trace_tensor(cutoff: int | None) -> float:
     layout = fock.ModeLayout(_cutoff(cutoff))
-    rho_a = states.chaotic_state(states.ThermoParams(1.0), layout)
-    rho_b = states.chaotic_state(states.ThermoParams(0.5), layout)
+    rho_a = _chaotic(1.0, layout)
+    rho_b = _chaotic(0.5, layout)
     # both states are diagonal, so their product is too: its entry
     # (n, m~) is rho_a[n, n] rho_b[m, m], and the factor of each sector is
     # the diagonal of square roots, one column per state.  Sector d holds
     # (n_sys, n_tilde) = (p, p + d) for d >= 0 and (p - d, p) below, the
-    # diagonal d of the outer product
+    # diagonal d of the outer product.  The factors are written straight
+    # into the stored stack (rows by system occupation), with the trace
+    # check of from_factors, so no second copy of the joint state is made
+    n = layout.cutoff
     outer = np.sqrt(np.outer(np.diagonal(rho_a.mat).real, np.diagonal(rho_b.mat).real))
-    sectors = range(1 - layout.cutoff, layout.cutoff)
-    factors = {d: np.diag(np.diagonal(outer, d)) for d in sectors}
-    joint = fock.DensityMatrix.from_factors(layout.doubled(), factors)
+    sectors = range(1 - n, n)
+    factors = np.zeros((len(sectors), n, n))
+    for i, d in enumerate(sectors):
+        p = np.arange(n - abs(d))
+        factors[i, p + max(-d, 0), p] = np.diagonal(outer, d)
+    joint = fock.DensityMatrix._stored(layout.doubled(), factors, sectors)
+    joint._check_trace(fock.DEFAULT_TRACE_TOL)
     kept_sys = fock.partial_trace(joint, over=fock.TILDE)
     kept_til = fock.partial_trace(joint, over=fock.SYSTEM)
     tr_a = fock.trace(rho_a).real
@@ -111,7 +131,7 @@ def _partial_trace_tensor(cutoff: int | None) -> float:
 
 def _squeeze_unitarity(cutoff: int | None) -> float:
     layout = fock.ModeLayout(_cutoff(cutoff, default=33)).doubled()
-    unitaries = _squeeze_operator(thermo.theta_from_tau(1.0), layout)
+    unitaries = _shared(states.thermo_squeeze_operator, thermo.theta_from_tau(1.0), layout)
     # the blocks are real, and U^T U and the identity are zero between
     # sectors, so the largest deviation lies in the gram of one sector's
     # block; d and -d share theirs
@@ -122,7 +142,7 @@ def _squeeze_unitarity(cutoff: int | None) -> float:
 def _squeeze_generates_thermal_vacuum(cutoff: int | None) -> float:
     layout = fock.ModeLayout(_cutoff(cutoff, default=33)).doubled()
     params = states.ThermoParams(1.0)
-    unitaries = _squeeze_operator(params.theta, layout)
+    unitaries = _shared(states.thermo_squeeze_operator, params.theta, layout)
     # |0, 0~> is index 0 of sector 0; its image and the thermal vacuum both
     # lie in sector 0
     squeezed = unitaries[0][:, 0]
@@ -134,9 +154,9 @@ def _tfd_identity(cutoff: int | None) -> float:
     layout = fock.ModeLayout(_cutoff(cutoff, default=33))
     params = states.ThermoParams(1.0)
     worst = 0.0
-    a = fock.annihilation(layout)
+    a = _shared(fock.annihilation, layout)
     quad = a + a.conj().T
-    for obs in (fock.number(layout), quad):
+    for obs in (_shared(fock.number, layout), quad):
         pure, mixed = states.tfd_expectation_identity(obs, params)
         worst = max(worst, abs(pure - mixed))
     return worst
@@ -149,13 +169,11 @@ def _pair_series_columns(layout: fock.ModeLayout, lam: float) -> np.ndarray:
     |0, m~> is index 0 of sector m, where lam a+ b+ is the nilpotent block
     lam S_m, so the Taylor series of exp(lam S_m) applied to it ends after
     cutoff - m terms.  S_m moves index p to p + 1 only, so applying lam S_m
-    to every sector at once is one product of the stacked subdiagonals with
-    the terms shifted by one, per order.
+    to every sector at once is one product of the subdiagonals of all S_m,
+    states.pair_creation_weights, with the terms shifted by one, per order.
     """
     n = layout.cutoff
-    raise_pair = np.zeros((n, n - 1))
-    for m in range(n):
-        raise_pair[m, : n - m - 1] = lam * np.diagonal(states.pair_creation_block(layout, m), -1)
+    raise_pair = lam * states.pair_creation_weights(n)
     terms = np.zeros((n, n))
     terms[:, 0] = 1.0
     columns = terms.copy()
@@ -186,7 +204,7 @@ def _evolved_tilde_reduction_thermal(cutoff: int | None) -> float:
     layout = fock.ModeLayout(states.truncation_cutoff(params, _cutoff(cutoff, default=33))).doubled()
     evolved = states.evolved_two_mode_state(params, 0.9, layout)
     tilde_side = fock.partial_trace(evolved, over=fock.SYSTEM)
-    reference = states.chaotic_state(params, layout.single())
+    reference = _chaotic(params.tau, layout.single())
     return float(np.abs(tilde_side.mat - reference.mat).max())
 
 
@@ -197,16 +215,15 @@ def _evolved_tilde_reduction_thermal(cutoff: int | None) -> float:
 
 def _kraus_completeness(cutoff: int | None) -> float:
     layout = fock.ModeLayout(_cutoff(cutoff))
-    ops = channel.kraus_operators(0.5, layout)
-    acc = np.zeros((layout.dim, layout.dim))
-    for op in ops:
-        acc += op.T @ op
-    return float(np.abs(acc - np.eye(layout.dim)).max())
+    # row n * cutoff + i of the stacked family is row i of K_n, so
+    # sum_n K_n^T K_n is the gram of the stack viewed as (cutoff^2, cutoff)
+    stacked = channel.kraus_operators(0.5, layout).reshape(-1, layout.dim)
+    return float(np.abs(stacked.T @ stacked - np.eye(layout.dim)).max())
 
 
 def _trace_preservation(cutoff: int | None) -> float:
     layout = fock.ModeLayout(_cutoff(cutoff))
-    rho = states.chaotic_state(states.ThermoParams(1.0), layout)
+    rho = _chaotic(1.0, layout)
     out = channel.apply_kraus(rho, 0.37)
     return abs(fock.trace(out) - fock.trace(rho))
 
@@ -214,9 +231,9 @@ def _trace_preservation(cutoff: int | None) -> float:
 def _mean_photon_decay(cutoff: int | None) -> float:
     layout = fock.ModeLayout(_cutoff(cutoff))
     kappa_t = 0.5
-    rho = states.chaotic_state(states.ThermoParams(1.0), layout)
-    out = channel.apply_kraus(rho, kappa_t)
-    num = fock.number(layout)
+    rho = _chaotic(1.0, layout)
+    out = _shared(channel.apply_kraus, rho, kappa_t)
+    num = _shared(fock.number, layout)
     before = fock.expectation(rho, num).real
     after = fock.expectation(out, num).real
     return abs(after - math.exp(-2.0 * kappa_t) * before)
@@ -224,23 +241,23 @@ def _mean_photon_decay(cutoff: int | None) -> float:
 
 def _kraus_vs_lindblad(cutoff: int | None) -> float:
     layout = fock.ModeLayout(_cutoff(cutoff))
-    rho = states.chaotic_state(states.ThermoParams(1.0), layout)
-    via_kraus = channel.apply_kraus(rho, 0.5)
+    rho = _chaotic(1.0, layout)
+    via_kraus = _shared(channel.apply_kraus, rho, 0.5)
     via_ode = channel.lindblad_integrate(rho, kappa=1.0, times=[0.5])[0]
     return fock.trace_distance(via_kraus, via_ode)
 
 
 def _damped_state_positive(cutoff: int | None) -> float:
     layout = fock.ModeLayout(_cutoff(cutoff))
-    rho = states.chaotic_state(states.ThermoParams(1.0), layout)
-    out = channel.apply_kraus(rho, 0.5)
+    rho = _chaotic(1.0, layout)
+    out = _shared(channel.apply_kraus, rho, 0.5)
     return max(0.0, -out.min_eigenvalue())
 
 
 def _structured_vs_explicit(cutoff: int | None) -> float:
     layout = fock.ModeLayout(_cutoff(cutoff, default=24))
     kappa_t = 0.8
-    rho = states.chaotic_state(states.ThermoParams(1.0), layout)
+    rho = _chaotic(1.0, layout)
     fast = channel.apply_kraus(rho, kappa_t).mat
     # the chaotic state and the Kraus family are real
     mat = rho.mat.real
@@ -293,13 +310,13 @@ def _cooling_denominator_margin(cutoff: int | None) -> float:
 def _fit_geometric_roundtrip(cutoff: int | None) -> float:
     layout = fock.ModeLayout(_cutoff(cutoff, default=40))
     params = states.ThermoParams(1.7)
-    fit = thermo.fit_geometric(states.chaotic_state(params, layout))
+    fit = thermo.fit_geometric(_chaotic(params.tau, layout))
     return abs(fit.q - params.q)
 
 
 def _effective_temperature_roundtrip(cutoff: int | None) -> float:
     layout = fock.ModeLayout(_cutoff(cutoff, default=33))
-    rho = states.chaotic_state(states.ThermoParams(1.0), layout)
+    rho = _chaotic(1.0, layout)
     return abs(thermo.effective_temperature(rho) - 1.0)
 
 
@@ -377,8 +394,10 @@ def run_checks(
     """Run the named suite; tol_overrides must name checks in that suite.
 
     A check that raises one of CHECK_ERRORS is reported as failed with
-    observed value inf.  The checks of one call share one squeeze unitary
-    per (theta, layout), released when the call returns.
+    observed value inf.  The checks of one call share each input that
+    several of them build from the same arguments (see the module
+    docstring): one build per builder and arguments, released when the
+    call returns.
     """
     checks = select_checks(suite)
     overrides = dict(tol_overrides or {})
@@ -387,7 +406,7 @@ def run_checks(
     if unknown:
         raise ValueError(f"tolerance override for unknown check(s): {', '.join(unknown)}")
     results = []
-    token = _RUN_SQUEEZE.set({})
+    token = _RUN_INPUTS.set({})
     try:
         for check in checks:
             tol = overrides.get(check.name, check.tol)
@@ -398,6 +417,6 @@ def run_checks(
                 observed = math.inf
             results.append(CheckResult(check.name, observed, tol, observed < tol))
     finally:
-        # no unitary outlives the call
-        _RUN_SQUEEZE.reset(token)
+        # no shared input outlives the call
+        _RUN_INPUTS.reset(token)
     return results

@@ -121,6 +121,28 @@ def test_kraus_family_stays_complete_above_cutoff_190():
         np.testing.assert_allclose(np.diagonal(ops[n], n), weights[n, :200 - n], rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("cutoff", [2, 8, 32, 128])
+def test_stacked_kraus_family_is_the_per_operator_running_product(cutoff):
+    layout = fock.ModeLayout(cutoff)
+    kappa_t = 0.5
+    v = -math.expm1(-2.0 * kappa_t)
+    a = fock.annihilation(layout).real
+    ops = [np.diag(np.exp(-kappa_t * np.arange(cutoff)))]
+    for n in range(1, cutoff):
+        ops.append(ops[-1] @ (math.sqrt(v / n) * a))
+    stack = channel.kraus_operators(kappa_t, layout)
+    assert stack.shape == (cutoff, cutoff, cutoff) and stack.dtype == np.float64
+    np.testing.assert_array_equal(stack, np.array(ops))
+    # the completeness sum as one product of the stack viewed as
+    # (cutoff^2, cutoff), against the sum over operators
+    column = stack.reshape(-1, cutoff)
+    assert np.shares_memory(column, stack)
+    per_operator = np.zeros((cutoff, cutoff))
+    for op in ops:
+        per_operator += op.T @ op
+    np.testing.assert_allclose(column.T @ column, per_operator, rtol=0, atol=1e-15)
+
+
 def test_kraus_family_is_real_and_complete_at_cutoff_256():
     ops = channel.kraus_operators(0.5, fock.ModeLayout(256))
     assert all(op.dtype == np.float64 for op in ops)

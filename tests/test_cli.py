@@ -250,6 +250,18 @@ def test_missing_config_file_is_error(tmp_path):
     assert run_cli(["cool", "--config", str(tmp_path / "absent.cfg")]) == 2
 
 
+@pytest.mark.parametrize("command, flag", [("cool", "--out"), ("two-mode", "--svg")])
+def test_unwritable_output_path_is_one_config_error_line(tmp_path, command, flag):
+    path = tmp_path / "absent" / "x.out"
+    proc = run_python("-m", "thermofock", command, "--steps", "1", flag, str(path))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    # the path is echoed, cut in the middle when long
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error: cannot write ")
+    assert line.endswith(": No such file or directory")
+
+
 def test_invalid_numbers_are_config_errors(capsys):
     assert run_cli(["cool", "--tau0", "0"]) == 2
     assert run_cli(["cool", "--kappa", "-1"]) == 2

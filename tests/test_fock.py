@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermofock import channel, fock, states
+from thermofock import channel, fock, kernels, states
 from test_kernels import projector, random_sector_state
 
 
@@ -95,6 +95,37 @@ def test_density_matrix_validation():
     skew[0, 1] = 0.1j
     with pytest.raises(fock.StateError, match="hermitian"):
         fock.DensityMatrix(layout, skew)
+
+
+def test_a_real_matrix_is_checked_and_stored_as_float64(monkeypatch):
+    checked = []
+    defect = kernels.hermiticity_defect
+    monkeypatch.setattr(kernels, "hermiticity_defect", lambda mat: checked.append(mat.dtype) or defect(mat))
+    layout = fock.ModeLayout(5)
+    real = np.diag([0.4, 0.3, 0.2, 0.05, 0.05])
+    real[1, 3] = real[3, 1] = 0.01
+    rho = fock.DensityMatrix(layout, real)
+    as_complex = fock.DensityMatrix(layout, real.astype(complex))
+    assert checked == [np.float64, np.complex128]
+    # both routes store the same real diagonals, bit for bit
+    assert rho.diagonals.dtype == as_complex.diagonals.dtype == np.float64
+    np.testing.assert_array_equal(rho.diagonals, as_complex.diagonals)
+    # and the chaotic state's populations are those of the complex route
+    params = states.ThermoParams(1.3)
+    chaotic = states.chaotic_state(params, fock.ModeLayout(32))
+    pops = (1.0 - params.q) * params.q ** np.arange(32)
+    via_complex = fock.DensityMatrix(fock.ModeLayout(32), np.diag(pops).astype(complex), trace_tol=1e-3)
+    assert chaotic.diagonals.dtype == np.float64
+    np.testing.assert_array_equal(chaotic.diagonals, via_complex.diagonals)
+
+    asymmetric = real.copy()
+    asymmetric[0, 2] = 0.1
+    with pytest.raises(fock.StateError, match="hermitian"):
+        fock.DensityMatrix(layout, asymmetric)
+    nan = real.copy()
+    nan[2, 2] = np.nan
+    with pytest.raises(fock.StateError, match="non-finite"):
+        fock.DensityMatrix(layout, nan)
 
 
 def test_sector_blocks_are_validated():

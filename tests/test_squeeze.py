@@ -1,13 +1,15 @@
 """The squeeze unitary and the pair-creation series, against per-sector
-oracles written out here.  No scipy: this module also runs where only
-numpy is installed."""
+oracles written out here, and the inputs verify shares within one run.
+No scipy: this module also runs where only numpy is installed."""
 
+import collections
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from thermofock import fock, states, thermo, verify
+from thermofock import channel, fock, states, thermo, verify
 
 THETAS = [0.0, 0.3, thermo.theta_from_tau(1.0), 2.0]
 
@@ -81,21 +83,75 @@ def test_batched_pair_series_matches_per_sector_loop(cutoff):
         np.testing.assert_array_equal(got[m, cutoff - m:], 0.0)
 
 
+# the builders whose results one verify run shares between its checks
+SHARED_BUILDERS = [
+    (states, "chaotic_state"),
+    (channel, "apply_kraus"),
+    (fock, "annihilation"),
+    (fock, "creation"),
+    (fock, "number"),
+    (states, "thermo_squeeze_operator"),
+]
+
+
+def count_verify_builds(monkeypatch):
+    """Patch each shared builder to count the calls verify makes itself,
+    by (name, arguments); a builder's calls from other modules (the chaotic
+    state of states.tfd_expectation_identity, the ladder of
+    channel.kraus_operators) are not counted."""
+    calls = collections.Counter()
+    for module, name in SHARED_BUILDERS:
+
+        def counted(*args, build=getattr(module, name), name=name):
+            if sys._getframe(1).f_globals["__name__"] == verify.__name__:
+                calls[name, args] += 1
+            return build(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def test_verify_builds_the_squeeze_once_per_run_and_keeps_none(monkeypatch):
-    calls = []
-    build = states.thermo_squeeze_operator
-
-    def counted(theta, layout):
-        calls.append((theta, layout))
-        return build(theta, layout)
-
-    monkeypatch.setattr(states, "thermo_squeeze_operator", counted)
-    # both squeeze checks of one run share one build
-    assert all(res.passed for res in verify.run_checks("states"))
-    assert len(calls) == 1
-    # the next run builds its own
-    verify.run_checks("states")
-    assert len(calls) == 2
-    # and so does a check called on its own
+    calls = count_verify_builds(monkeypatch)
+    for _ in range(2):
+        # each shared input is built once per distinct arguments in a run
+        calls.clear()
+        assert all(res.passed for res in verify.run_checks("all"))
+        assert max(calls.values()) == 1
+        built = collections.Counter(name for name, _ in calls)
+        assert built == {
+            "chaotic_state": 5,
+            "apply_kraus": 3,
+            "annihilation": 2,
+            "creation": 1,
+            "number": 2,
+            "thermo_squeeze_operator": 1,
+        }
+        # and no store outlives the run
+        assert verify._RUN_INPUTS.get() is None
+    # a check called on its own builds its own inputs, each time
+    calls.clear()
     verify._squeeze_generates_thermal_vacuum(None)
-    assert len(calls) == 3
+    verify._squeeze_generates_thermal_vacuum(None)
+    verify._mean_photon_decay(None)
+    verify._mean_photon_decay(None)
+    assert collections.Counter(name for name, _ in calls.elements()) == {
+        "thermo_squeeze_operator": 2,
+        "chaotic_state": 2,
+        "apply_kraus": 2,
+        "number": 2,
+    }
+
+
+def observed_alone(check, cutoff):
+    try:
+        return check.fn(cutoff)
+    except verify.CHECK_ERRORS:
+        return math.inf
+
+
+@pytest.mark.parametrize("cutoff", [None, 8])
+def test_sharing_inputs_changes_no_observed_value(cutoff):
+    shared = {res.name: res.observed for res in verify.run_checks("all", cutoff=cutoff)}
+    alone = {check.name: observed_alone(check, cutoff) for check in verify.CHECKS}
+    assert shared == alone
