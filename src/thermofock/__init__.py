@@ -6,7 +6,7 @@ the closed-form cooling law tau -> tau' that damping induces on thermal
 states.
 """
 
-from .channel import IntegrationError, apply_kraus, kraus_operators, lindblad_integrate
+from .channel import IntegrationError, apply_kraus, lindblad_integrate
 from .fock import (
     SYSTEM,
     TILDE,
@@ -14,12 +14,8 @@ from .fock import (
     LayoutError,
     ModeLayout,
     StateError,
-    annihilation,
-    creation,
     default_cutoff,
-    expectation,
     mean_occupation,
-    number,
     partial_trace,
     purity,
     trace,
@@ -30,9 +26,7 @@ from .states import (
     TruncationError,
     chaotic_state,
     evolved_two_mode_state,
-    tfd_expectation_identity,
     thermal_vacuum,
-    thermo_squeeze_operator,
     truncation_cutoff,
 )
 from .thermo import (

@@ -1,14 +1,12 @@
-"""Truncated Fock spaces: ladder operators as arrays, states stored by structure.
+"""Truncated Fock spaces: states stored by structure.
 
 A single bosonic mode is truncated to occupations 0..cutoff-1.  Two-mode
 objects live on the tensor product of a "system" mode and a "tilde" partner
 of the same cutoff, ordered system-major: basis index = n_sys * cutoff +
-n_tilde.  Single-mode operators are plain complex128 arrays of shape
-(cutoff, cutoff); a pure state enters as its dense projector.  There are
-no dense two-mode operators or vectors: the two-mode operators
-the package needs (the squeeze unitary, E = exp(lambda a+ b+)) are built
-sector by sector in `states`, and a two-mode state is a density matrix
-stored by sector.
+n_tilde.  A pure single-mode state enters as its dense projector; a
+two-mode state is a density matrix stored by sector.  The dense operators
+(the ladder operators, the Kraus family, the squeeze unitary) are oracles
+that `verify` builds for its checks.
 
 A single-mode density matrix is stored by offset diagonal.  The damping
 channel keeps the offset k = c - r of every entry (r, c), and the thermal
@@ -269,62 +267,8 @@ class DensityMatrix:
         return float(np.linalg.eigvalsh(_real(self.mat)).min())
 
 
-# ---------------------------------------------------------------------------
-# constructors
-# ---------------------------------------------------------------------------
-
-
-def annihilation(layout: ModeLayout) -> np.ndarray:
-    """Lowering operator a of a single mode: a|n> = sqrt(n)|n-1>."""
-    _single_mode(layout, "annihilation")
-    n = layout.cutoff
-    core = np.zeros((n, n), dtype=np.complex128)
-    core[np.arange(n - 1), np.arange(1, n)] = np.sqrt(np.arange(1, n))
-    return core
-
-
-def creation(layout: ModeLayout) -> np.ndarray:
-    """Raising operator a+ of a single mode."""
-    _single_mode(layout, "creation")
-    n = layout.cutoff
-    core = np.zeros((n, n), dtype=np.complex128)
-    core[np.arange(1, n), np.arange(n - 1)] = np.sqrt(np.arange(1, n))
-    return core
-
-
-def number(layout: ModeLayout) -> np.ndarray:
-    """Occupation-number operator a+a of a single mode."""
-    _single_mode(layout, "number")
-    return np.diag(np.arange(layout.cutoff, dtype=np.complex128))
-
-
-# ---------------------------------------------------------------------------
-# algebra
-# ---------------------------------------------------------------------------
-
-
 def trace(rho: DensityMatrix) -> complex:
     return rho._trace()
-
-
-def expectation(rho: DensityMatrix, obs: np.ndarray) -> complex:
-    """Tr(rho A) against a dense (dim, dim) observable.
-
-    Offset k of rho meets offset -k of A: each stored diagonal is summed
-    against the matching diagonals of A, in O(stored entries).  A two-mode
-    density matrix is refused: its dense form would hold cutoff^4 entries
-    (4.3 GB at cutoff 128).
-    """
-    dim = rho.layout.dim
-    if obs.shape != (dim, dim):
-        raise LayoutError(f"observable shape {obs.shape} does not match layout dim {dim}")
-    if rho.layout.modes == 2:
-        raise LayoutError("expectation takes a single-mode density matrix")
-    total = np.dot(rho.diagonals[0], np.diagonal(obs))
-    for k, line in enumerate(rho.diagonals[1:], start=1):
-        line = line[:dim - k]
-        total += np.dot(line, np.diagonal(obs, -k)) + np.dot(line.conj(), np.diagonal(obs, k))
-    return complex(total)
 
 
 def mean_occupation(rho: DensityMatrix) -> float:

@@ -115,131 +115,6 @@ def thermal_vacuum(params: ThermoParams, layout: ModeLayout) -> DensityMatrix:
     return DensityMatrix._stored(layout, amps[None, :, None], range(0, 1))
 
 
-def pair_creation_weights(cutoff: int) -> np.ndarray:
-    """The nonzero entries of a+ b+ in every sector m = |d| at once: row m
-    holds sqrt(p (p + m)) for p = 1..cutoff - m - 1, then zeros, in an
-    array of shape (cutoff, cutoff - 1).
-
-    Entry p - 1 of row m is S[p, p - 1] of pair_creation_block(layout, m):
-    the weight with which a+ b+ raises sector index p - 1 to p.
-    """
-    m = np.arange(cutoff)[:, None]
-    p = np.arange(1.0, cutoff)
-    return np.where(p + m < cutoff, np.sqrt(p * (p + m)), 0.0)
-
-
-def pair_creation_block(layout: ModeLayout, d: int) -> np.ndarray:
-    """a+ b+ restricted to sector d, in sector order: the real matrix with
-    S[p+1, p] = sqrt((n_p + 1)(m_p + 1)) for the state p = (n_p, m_p~),
-    read from pair_creation_weights.
-
-    a+ b+ raises both occupations, so it keeps d = n_tilde - n_sys and moves
-    sector index p to p + 1; the block has cutoff - |d| states and is the
-    same for d and -d.
-    """
-    if layout.modes != 2:
-        raise fock.LayoutError("a+ b+ lives on a two-mode layout")
-    size = layout.cutoff - abs(d)
-    return np.diag(pair_creation_weights(layout.cutoff)[abs(d), : size - 1], -1)
-
-
-# sectors d < n/4, n/4 <= d < n/2, ... of a cutoff n share one SVD each: a
-# batch is padded only to its own largest sector
-SQUEEZE_BATCH_SPLITS = (0.25, 0.5, 0.75)
-
-
-def thermo_squeeze_operator(theta: float, layout: ModeLayout) -> dict[int, np.ndarray]:
-    """Unitary exp[theta (a+ b+ - a b)] mixing the system and tilde modes.
-
-    The generator keeps the pair-number difference d, so the unitary is
-    block diagonal; it is returned as {d: U_d}, U_d a real orthogonal
-    float64 array acting on sector d in sector order (see
-    fock.sector_indices).  Sectors d and -d share one array.
-
-    In sector d the generator theta (S - S^T), S = pair_creation_block, is
-    real antisymmetric and couples state p only to p +- 1, with weight
-    t_p = theta sqrt((p + 1)(p + 1 + |d|)), theta times row |d| of
-    pair_creation_weights.  With the even states first and
-    the odd ones after, it is [[0, M], [-M^T, 0]] for the lower-bidiagonal
-    M[i, i] = -t_(2i), M[i, i - 1] = t_(2i - 1), and from the full SVD
-    M = X diag(s) Y^T its exponential is
-
-        [[ X cos(s) X^T,  X sin(s) Y^T],
-         [-Y sin(s) X^T,  Y cos(s) Y^T]],
-
-    where a zero singular value (an odd sector's extra even state) gives
-    cos 1 and sin 0.  The sectors are split into batches at the fractions
-    SQUEEZE_BATCH_SPLITS of the cutoff, and each batch takes one batched
-    SVD, each M zero-padded to the shape of the batch's largest: the
-    padding only adds zero singular values whose vectors span the padded
-    rows, so each sector's own rows of the three products are those of its
-    unpadded M.  A theta that is negative, NaN or infinite raises
-    ValueError.
-    """
-    if layout.modes != 2:
-        raise fock.LayoutError("the squeeze operator lives on a two-mode layout")
-    if not 0 <= theta < math.inf:
-        raise ValueError(f"theta must be finite and >= 0, got {theta}")
-    n = layout.cutoff
-    edges = sorted({0, n, *(int(f * n) for f in SQUEEZE_BATCH_SPLITS)})
-    coupling = theta * pair_creation_weights(n)
-    unitaries = {}
-    for lo, hi in zip(edges, edges[1:]):
-        for d, block in zip(range(lo, hi), _squeeze_batch(coupling, lo, hi)):
-            unitaries[d] = unitaries[-d] = block
-    return unitaries
-
-
-def _squeeze_batch(coupling: np.ndarray, lo: int, hi: int) -> list[np.ndarray]:
-    """The blocks U_d of sectors lo <= d < hi, from one batched SVD of
-    their M zero-padded to sector lo's shape (see thermo_squeeze_operator);
-    coupling[d, p] = t_p of sector d, zero past the sector."""
-    n = len(coupling)
-    size = n - lo
-    n_even, n_odd = (size + 1) // 2, size // 2
-    # t[k, p] couples p and p + 1 in sector d = lo + k, whose n - d states end at p = n - d - 1
-    t = coupling[lo:hi, : size - 1]
-    m = np.zeros((hi - lo, n_even, n_odd))
-    i = np.arange(n_odd)
-    m[:, i, i] = -t[:, 2 * i]
-    i = np.arange(1, n_even)
-    m[:, i, i - 1] = t[:, 2 * i - 1]
-    x, s, yt = np.linalg.svd(m)
-    cos_x = np.ones((hi - lo, n_even))
-    cos_x[:, :n_odd] = np.cos(s)
-    # each padded stack is dropped once read
-    del m
-    blocks = np.empty((hi - lo, size, size))
-    blocks[:, 0::2, 0::2] = (x * cos_x[:, None, :]) @ x.transpose(0, 2, 1)
-    cross = (x[:, :, :n_odd] * np.sin(s)[:, None, :]) @ yt
-    del x
-    blocks[:, 0::2, 1::2] = cross
-    blocks[:, 1::2, 0::2] = -cross.transpose(0, 2, 1)
-    del cross
-    blocks[:, 1::2, 1::2] = (yt.transpose(0, 2, 1) * np.cos(s)[:, None, :]) @ yt
-    # padded even state i sits at row 2i and odd state j at row 2j + 1, so
-    # each sector's block is the leading corner of its padded one, copied
-    # out so that it owns its memory
-    return [blocks[d - lo, : n - d, : n - d].copy() for d in range(lo, hi)]
-
-
-def tfd_expectation_identity(obs: np.ndarray, params: ThermoParams) -> tuple[complex, complex]:
-    """Evaluate <0(beta)| A (x) 1 |0(beta)> and Tr(A rho_thermal) side by side.
-
-    A is a (cutoff, cutoff) system observable.  On the untruncated space the
-    two are equal for every system observable; on the truncated space they
-    agree up to the thermal tail weight.  |0(beta)> pairs each |n> with its
-    own |n~>, so the pure side is sum_n f_n^2 A_nn over the amplitudes f_n
-    of the thermal vacuum.
-    """
-    layout = ModeLayout(obs.shape[0])
-    # fock.expectation checks the shape of A before its diagonal is read
-    mixed_side = fock.expectation(chaotic_state(params, layout), obs)
-    amps = thermal_vacuum(params, layout.doubled()).factor(0)[:, 0]
-    pure_side = complex(np.dot(amps * amps, np.diagonal(obs)))
-    return pure_side, mixed_side
-
-
 def evolved_two_mode_state(params: ThermoParams, kappa_t: float, layout: ModeLayout) -> DensityMatrix:
     """Build the damped thermal vacuum rho(t) on the truncated doubled space.
 

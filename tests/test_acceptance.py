@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from thermofock import channel, cli, fock, states, thermo
+from thermofock import channel, cli, fock, states, thermo, verify
 
 # -1 / ln(e^-1 q / (1 - (1 - e^-1) q)), q = e^-1, evaluated at 30 digits
 COOLED_TAU_1_HALF = 0.576260710432279098
@@ -45,7 +45,7 @@ def test_thermal_vacuum_reduction_matches_chaotic_state():
 def test_squeeze_route_matches_closed_amplitudes_at_cutoff_32():
     layout = fock.ModeLayout(32).doubled()
     params = states.ThermoParams(1.0)
-    u = states.thermo_squeeze_operator(params.theta, layout)
+    u = verify.thermo_squeeze_operator(params.theta, layout)
     # |0, 0~> is index 0 of sector 0, so its image is column 0 of that
     # block; the thermal vacuum is the one column of sector 0's factor
     squeezed = u[0][:, 0]
@@ -70,7 +70,7 @@ def test_damping_operator_family_is_complete():
     worst = 0.0
     for kappa_t in (0.1, 0.5, 2.0):
         acc = np.zeros((32, 32), dtype=complex)
-        for op in channel.kraus_operators(kappa_t, layout):
+        for op in verify.kraus_operators(kappa_t, layout):
             acc += op.conj().T @ op
         worst = max(worst, float(np.abs(acc - np.eye(32)).max()))
     report("damping operator family resolves the identity", worst, 1e-10)
@@ -145,7 +145,7 @@ def test_undamped_partner_state_is_time_invariant():
 
 def test_mean_occupation_decays_exponentially():
     layout = fock.ModeLayout(32)
-    num = fock.number(layout)
+    num = verify.number(layout)
     initial_states = [
         states.chaotic_state(states.ThermoParams(1.0), layout),
         # the projector |2><2|
@@ -153,10 +153,10 @@ def test_mean_occupation_decays_exponentially():
     ]
     worst = 0.0
     for rho in initial_states:
-        before = fock.expectation(rho, num).real
+        before = verify.expectation(rho, num).real
         for kappa_t in (0.3, 1.0):
             evolved = channel.apply_kraus(rho, kappa_t)
-            after = fock.expectation(evolved, num).real
+            after = verify.expectation(evolved, num).real
             worst = max(worst, abs(after - math.exp(-2.0 * kappa_t) * before))
     report("mean occupation decays at twice the rate", worst, 1e-8)
     assert worst < 1e-8

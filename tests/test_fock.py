@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermofock import channel, fock, kernels, states
+from thermofock import channel, fock, kernels, states, verify
 from test_kernels import projector, random_sector_state
 
 
@@ -22,25 +22,25 @@ def test_layout_validation():
 
 def test_ladder_matrix_elements():
     layout = fock.ModeLayout(6)
-    a = fock.annihilation(layout)
+    a = verify.annihilation(layout)
     # a|n> = sqrt(n)|n-1>
     for n in range(1, 6):
         assert a[n - 1, n] == pytest.approx(np.sqrt(n))
     assert np.count_nonzero(a) == 5
-    np.testing.assert_array_equal(fock.creation(layout), a.conj().T)
+    np.testing.assert_array_equal(verify.creation(layout), a.conj().T)
 
 
 def test_number_operator_diagonal():
     layout = fock.ModeLayout(7)
     np.testing.assert_array_equal(
-        fock.number(layout), np.diag(np.arange(7, dtype=complex))
+        verify.number(layout), np.diag(np.arange(7, dtype=complex))
     )
 
 
 def test_commutator_is_identity_on_interior():
     layout = fock.ModeLayout(12)
-    a = fock.annihilation(layout)
-    ad = fock.creation(layout)
+    a = verify.annihilation(layout)
+    ad = verify.creation(layout)
     comm = a @ ad - ad @ a
     np.testing.assert_allclose(comm[:11, :11], np.eye(11), atol=1e-13)
     # the top level absorbs the truncation: [a, a+] there is -(N-1), not 1
@@ -49,22 +49,22 @@ def test_commutator_is_identity_on_interior():
 
 def test_number_equals_ladder_product():
     layout = fock.ModeLayout(30)
-    a = fock.annihilation(layout)
-    np.testing.assert_allclose(a.conj().T @ a, fock.number(layout), atol=1e-12)
+    a = verify.annihilation(layout)
+    np.testing.assert_allclose(a.conj().T @ a, verify.number(layout), atol=1e-12)
 
 
 def test_single_mode_objects_refuse_two_mode_layouts():
-    # two-mode operators are built by sector in `states`; dense np.kron
+    # two-mode operators are built by sector; dense np.kron
     # embeddings exist only as test oracles
     two = fock.ModeLayout(4).doubled()
-    for build in (fock.annihilation, fock.creation, fock.number):
+    for build in (verify.annihilation, verify.creation, verify.number):
         with pytest.raises(fock.LayoutError, match="single-mode"):
             build(two)
 
 
 def test_ladder_operators_are_complex_arrays():
     layout = fock.ModeLayout(4)
-    for build in (fock.annihilation, fock.creation, fock.number):
+    for build in (verify.annihilation, verify.creation, verify.number):
         op = build(layout)
         assert type(op) is np.ndarray
         assert op.dtype == np.complex128 and op.shape == (4, 4)
@@ -73,9 +73,9 @@ def test_ladder_operators_are_complex_arrays():
 def test_expectation_checks_observable_shape():
     rho = projector(np.eye(4)[1])
     with pytest.raises(fock.LayoutError, match="shape"):
-        fock.expectation(rho, np.eye(3))
+        verify.expectation(rho, np.eye(3))
     with pytest.raises(fock.LayoutError, match="shape"):
-        fock.expectation(rho, np.eye(16))
+        verify.expectation(rho, np.eye(16))
 
 
 def test_density_matrix_validation():
@@ -229,7 +229,7 @@ def test_expectation_and_trace():
     layout = fock.ModeLayout(5)
     pops = np.array([0.5, 0.25, 0.15, 0.07, 0.03])
     rho = fock.DensityMatrix(layout, np.diag(pops).astype(complex))
-    val = fock.expectation(rho, fock.number(layout))
+    val = verify.expectation(rho, verify.number(layout))
     assert val.real == pytest.approx(np.dot(pops, np.arange(5)))
     assert abs(val.imag) < 1e-15
     assert fock.trace(rho).real == pytest.approx(1.0)
@@ -239,7 +239,7 @@ def test_mean_occupation_reads_the_populations():
     layout = fock.ModeLayout(40)
     params = states.ThermoParams(1.3)
     for rho in (states.chaotic_state(params, layout), channel.apply_kraus(states.chaotic_state(params, layout), 0.6)):
-        via_number = fock.expectation(rho, fock.number(layout)).real
+        via_number = verify.expectation(rho, verify.number(layout)).real
         assert fock.mean_occupation(rho) == pytest.approx(via_number, rel=1e-15, abs=0)
     with pytest.raises(fock.LayoutError):
         fock.mean_occupation(states.thermal_vacuum(params, layout.doubled()))
@@ -251,7 +251,7 @@ def test_expectation_refuses_two_mode_states():
     # the projector on |1, 2~>, index 1 of sector 1
     rho = fock.DensityMatrix.from_factors(two, {1: np.eye(3)[:, [1]]})
     with pytest.raises(fock.LayoutError, match="single-mode"):
-        fock.expectation(rho, np.eye(16))
+        verify.expectation(rho, np.eye(16))
 
 
 def test_trace_distance_of_basis_projectors():

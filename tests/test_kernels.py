@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermofock import channel, fock, kernels, states
+from thermofock import channel, fock, kernels, states, verify
 
 
 def random_hermitian(n, seed):
@@ -156,7 +156,7 @@ def test_lindblad_rhs_backends_match_bracket_form(n):
     table = kernels.lindblad_table(diagonals, kappa)
     assert table.shape == (n, n, n)
     got = dense_of(apply_generator(table, diagonals))
-    expected = bracket(rho, fock.annihilation(fock.ModeLayout(n)), kappa)
+    expected = bracket(rho, verify.annihilation(fock.ModeLayout(n)), kappa)
     np.testing.assert_allclose(got, expected, atol=1e-13)
     # the generator is trace-free
     assert abs(got.trace()) < 1e-14
@@ -186,7 +186,7 @@ def test_rk4_backends_agree():
         # a valid density matrix, so the trajectory stays bounded
         rho = random_density(n, np.random.default_rng(7))
         got = evolve(rho, 1.0, 1e-3, 200)
-        expected = reference_rk4(rho, fock.annihilation(fock.ModeLayout(n)), 1.0, 1e-3, 200)
+        expected = reference_rk4(rho, verify.annihilation(fock.ModeLayout(n)), 1.0, 1e-3, 200)
         np.testing.assert_allclose(got, expected, atol=1e-13)
         # the generator is trace-free, so integration must keep the trace
         assert abs(got.trace() - 1.0) < 1e-10
@@ -231,7 +231,7 @@ def test_pruned_rk4_matches_bracket_form_on_sparse_states(cutoff, density, seed)
     mask = rng.random((cutoff, cutoff)) < density
     rho = np.where(mask | mask.T, rho, 0)
     got = evolve(rho, 1.0, 1e-3, 50)
-    expected = reference_rk4(rho, fock.annihilation(fock.ModeLayout(cutoff)), 1.0, 1e-3, 50)
+    expected = reference_rk4(rho, verify.annihilation(fock.ModeLayout(cutoff)), 1.0, 1e-3, 50)
     np.testing.assert_allclose(got, expected, atol=1e-13)
     # the textbook integration leaves every offset beyond the stored ones at exactly 0
     stored = np.abs(np.subtract.outer(np.arange(cutoff), np.arange(cutoff))) < diagonals_of(rho).shape[0]
@@ -254,7 +254,7 @@ def test_powered_rk4_matches_textbook_steps(cutoff, n_steps, dt, sparse, seed):
         mask = rng.random((cutoff, cutoff)) < 0.3
         rho = np.where(mask | mask.T, rho, 0)
     got = evolve(rho, 1.0, dt, n_steps)
-    expected = reference_rk4(rho, fock.annihilation(fock.ModeLayout(cutoff)), 1.0, dt, n_steps)
+    expected = reference_rk4(rho, verify.annihilation(fock.ModeLayout(cutoff)), 1.0, dt, n_steps)
     np.testing.assert_allclose(got, expected, atol=1e-13)
 
 

@@ -4,7 +4,6 @@ No scipy: this module also runs where only numpy is installed."""
 
 import collections
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -13,11 +12,26 @@ from thermofock import channel, fock, states, thermo, verify
 
 THETAS = [0.0, 0.3, thermo.theta_from_tau(1.0), 2.0]
 
-# cutoffs at the edges of the SVD batches (split at SQUEEZE_BATCH_SPLITS):
+# cutoffs at the edges of the SVD batches (split at verify.SQUEEZE_BATCH_SPLITS):
 # batches of one sector each (4), batches that start on odd sector sizes
 # (9, 17, 65) or on both parities (5, 10), and a last batch that pads the
 # sector of size 1 (5, 9); at cutoffs 2 and 3 split points coincide
 BATCH_EDGE_CUTOFFS = [4, 5, 9, 10, 17, 65]
+
+
+def pair_creation_block(layout, d):
+    """a+ b+ restricted to sector d, in sector order: the real matrix with
+    S[p+1, p] = sqrt((n_p + 1)(m_p + 1)) for the state p = (n_p, m_p~),
+    read from verify.pair_creation_weights.
+
+    a+ b+ raises both occupations, so it keeps d = n_tilde - n_sys and moves
+    sector index p to p + 1; the block has cutoff - |d| states and is the
+    same for d and -d.
+    """
+    if layout.modes != 2:
+        raise fock.LayoutError("a+ b+ lives on a two-mode layout")
+    size = layout.cutoff - abs(d)
+    return np.diag(verify.pair_creation_weights(layout.cutoff)[abs(d), : size - 1], -1)
 
 
 def eigh_squeeze(theta, layout):
@@ -25,7 +39,7 @@ def eigh_squeeze(theta, layout):
     # i theta (S_d - S_d^T) per sector
     blocks = {}
     for d in range(layout.cutoff):
-        pair_up = states.pair_creation_block(layout, d)
+        pair_up = pair_creation_block(layout, d)
         w, v = np.linalg.eigh(1j * theta * (pair_up - pair_up.T))
         blocks[d] = (v * np.exp(-1j * w)) @ v.conj().T
     return blocks
@@ -35,7 +49,7 @@ def eigh_squeeze(theta, layout):
 @pytest.mark.parametrize("cutoff", [2, 3, 8, 33, 48, 128, *BATCH_EDGE_CUTOFFS])
 def test_svd_route_matches_per_sector_eigh(cutoff, theta):
     layout = fock.ModeLayout(cutoff).doubled()
-    got = states.thermo_squeeze_operator(theta, layout)
+    got = verify.thermo_squeeze_operator(theta, layout)
     want = eigh_squeeze(theta, layout)
     assert sorted(got) == list(range(1 - cutoff, cutoff))
     for d in range(cutoff):
@@ -45,7 +59,7 @@ def test_svd_route_matches_per_sector_eigh(cutoff, theta):
 
 @pytest.mark.parametrize("cutoff", [2, 3, 8, 33])
 def test_zero_angle_is_the_exact_identity(cutoff):
-    u = states.thermo_squeeze_operator(0.0, fock.ModeLayout(cutoff).doubled())
+    u = verify.thermo_squeeze_operator(0.0, fock.ModeLayout(cutoff).doubled())
     for d in range(cutoff):
         np.testing.assert_array_equal(u[d], np.eye(cutoff - d))
 
@@ -53,7 +67,7 @@ def test_zero_angle_is_the_exact_identity(cutoff):
 @pytest.mark.parametrize("theta", THETAS)
 @pytest.mark.parametrize("cutoff", [2, 3, 7, 33, *BATCH_EDGE_CUTOFFS])
 def test_blocks_are_real_orthogonal_and_own_their_memory(cutoff, theta):
-    u = states.thermo_squeeze_operator(theta, fock.ModeLayout(cutoff).doubled())
+    u = verify.thermo_squeeze_operator(theta, fock.ModeLayout(cutoff).doubled())
     for d in range(cutoff):
         block = u[d]
         assert block.dtype == np.float64
@@ -70,7 +84,7 @@ def test_batched_pair_series_matches_per_sector_loop(cutoff):
     got = verify._pair_series_columns(layout, lam)
     assert got.shape == (cutoff, cutoff)
     for m in range(cutoff):
-        step = lam * states.pair_creation_block(layout, m)
+        step = lam * pair_creation_block(layout, m)
         term = np.zeros(cutoff - m)
         term[0] = 1.0
         column = term.copy()
@@ -87,24 +101,20 @@ def test_batched_pair_series_matches_per_sector_loop(cutoff):
 SHARED_BUILDERS = [
     (states, "chaotic_state"),
     (channel, "apply_kraus"),
-    (fock, "annihilation"),
-    (fock, "creation"),
-    (fock, "number"),
-    (states, "thermo_squeeze_operator"),
+    (verify, "annihilation"),
+    (verify, "creation"),
+    (verify, "number"),
+    (verify, "thermo_squeeze_operator"),
 ]
 
 
 def count_verify_builds(monkeypatch):
-    """Patch each shared builder to count the calls verify makes itself,
-    by (name, arguments); a builder's calls from other modules (the chaotic
-    state of states.tfd_expectation_identity, the ladder of
-    channel.kraus_operators) are not counted."""
+    """Patch each shared builder to count its calls, by (name, arguments)."""
     calls = collections.Counter()
     for module, name in SHARED_BUILDERS:
 
         def counted(*args, build=getattr(module, name), name=name):
-            if sys._getframe(1).f_globals["__name__"] == verify.__name__:
-                calls[name, args] += 1
+            calls[name, args] += 1
             return build(*args)
 
         monkeypatch.setattr(module, name, counted)
@@ -122,7 +132,7 @@ def test_verify_builds_the_squeeze_once_per_run_and_keeps_none(monkeypatch):
         assert built == {
             "chaotic_state": 5,
             "apply_kraus": 3,
-            "annihilation": 2,
+            "annihilation": 3,
             "creation": 1,
             "number": 2,
             "thermo_squeeze_operator": 1,

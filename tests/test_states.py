@@ -7,7 +7,8 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from thermofock import channel, fock, states, thermo
+from thermofock import channel, fock, states, thermo, verify
+from test_squeeze import pair_creation_block
 
 # atanh(exp(-1/2)), high-precision reference
 THETA_TAU1 = 0.703414556873647626
@@ -111,7 +112,7 @@ def sector_operator(layout, sector_blocks):
 
 def test_squeeze_operator_is_unitary():
     layout = fock.ModeLayout(20).doubled()
-    u = states.thermo_squeeze_operator(0.6, layout)
+    u = verify.thermo_squeeze_operator(0.6, layout)
     assert sorted(u) == list(range(-19, 20))
     assert all(u[d] is u[-d] for d in range(20))
     dense = sector_operator(layout, u)
@@ -122,7 +123,7 @@ def test_squeeze_generates_thermal_vacuum_at_ample_cutoff():
     # tanh(theta)^cutoff sets the truncation floor; 48 leaves it near 2e-11
     layout = fock.ModeLayout(48).doubled()
     params = states.ThermoParams(1.0)
-    u = states.thermo_squeeze_operator(params.theta, layout)
+    u = verify.thermo_squeeze_operator(params.theta, layout)
     # |0, 0~> is index 0 of sector 0, so its image is column 0 of that
     # block; the thermal vacuum is the one column of sector 0's factor
     squeezed = u[0][:, 0]
@@ -133,12 +134,12 @@ def test_squeeze_generates_thermal_vacuum_at_ample_cutoff():
 def test_tfd_expectation_identity_matches_thermal_average():
     layout = fock.ModeLayout(33)
     params = states.ThermoParams(1.0)
-    a = fock.annihilation(layout)
-    observables = [fock.number(layout), a + a.conj().T, fock.number(layout) @ fock.number(layout)]
+    a = verify.annihilation(layout)
+    observables = [verify.number(layout), a + a.conj().T, verify.number(layout) @ verify.number(layout)]
     for obs in observables:
-        pure, mixed = states.tfd_expectation_identity(obs, params)
+        pure, mixed = verify.tfd_expectation_identity(obs, params)
         assert pure == pytest.approx(mixed, abs=1e-10)
-    num_pure, _ = states.tfd_expectation_identity(fock.number(layout), params)
+    num_pure, _ = verify.tfd_expectation_identity(verify.number(layout), params)
     assert num_pure.real == pytest.approx(NBAR_TAU1, abs=1e-10)
 
 
@@ -147,7 +148,7 @@ def test_tfd_identity_rejects_non_square_observable():
     params = states.ThermoParams(1.0)
     for obs in (np.eye(8)[:, :7], np.zeros(8), np.zeros((8, 8, 8))):
         with pytest.raises(fock.LayoutError, match="shape"):
-            states.tfd_expectation_identity(obs, params)
+            verify.tfd_expectation_identity(obs, params)
 
 
 def test_evolved_state_weights_are_lambda_and_mu():
@@ -174,7 +175,7 @@ def test_evolved_state_weights_are_lambda_and_mu():
 
 def dense_pair_creation(layout):
     # a+ b+ as the tensor product of the two raising operators, system-major
-    raise_one = fock.creation(layout.single())
+    raise_one = verify.creation(layout.single())
     return np.kron(raise_one, raise_one)
 
 
@@ -216,14 +217,14 @@ def test_block_exponentials_match_dense_oracle():
     n = 12
     layout = fock.ModeLayout(n).doubled()
     pair_up = dense_pair_creation(layout)
-    blocks = {d: states.pair_creation_block(layout, d) for d in range(1 - n, n)}
+    blocks = {d: pair_creation_block(layout, d) for d in range(1 - n, n)}
     # sqrt((n+1)(m+1)) against sqrt(n+1) sqrt(m+1): equal up to one rounding
     np.testing.assert_allclose(sector_operator(layout, blocks), pair_up, rtol=1e-15, atol=0)
 
     params = states.ThermoParams(0.5)
     theta = params.theta
     want = scipy.linalg.expm(theta * (pair_up - pair_up.conj().T))
-    got = sector_operator(layout, states.thermo_squeeze_operator(theta, layout))
+    got = sector_operator(layout, verify.thermo_squeeze_operator(theta, layout))
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
     got = states.evolved_two_mode_state(params, 0.5, layout).mat
@@ -317,7 +318,7 @@ def test_layout_mode_count_is_enforced():
     with pytest.raises(fock.LayoutError):
         states.thermal_vacuum(params, single)
     with pytest.raises(fock.LayoutError):
-        states.thermo_squeeze_operator(0.5, single)
+        verify.thermo_squeeze_operator(0.5, single)
     with pytest.raises(fock.LayoutError):
         states.evolved_two_mode_state(params, 0.1, single)
     with pytest.raises(fock.LayoutError):

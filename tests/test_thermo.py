@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermofock import channel, fock, kernels, states, thermo
+from thermofock import channel, fock, kernels, states, thermo, verify
 
 # high-precision references, evaluated independently at 30 digits
 THETA_TAU1 = 0.703414556873647626
@@ -85,7 +85,7 @@ NAN, INF = math.nan, math.inf
     "call, name",
     [
         pytest.param(lambda: channel.damping_weights(8, NAN), "kappa_t", id="damping_weights-kappa_t-nan"),
-        pytest.param(lambda: channel.kraus_operators(NAN, fock.ModeLayout(8)), "kappa_t", id="kraus_operators-nan"),
+        pytest.param(lambda: verify.kraus_operators(NAN, fock.ModeLayout(8)), "kappa_t", id="kraus_operators-nan"),
         pytest.param(
             lambda: states.evolved_two_mode_state(states.ThermoParams(1.0), NAN, fock.ModeLayout(8).doubled()),
             "kappa_t",
@@ -111,7 +111,7 @@ NAN, INF = math.nan, math.inf
                 ("ThermoParams", states.ThermoParams, "tau"),
                 (
                     "thermo_squeeze_operator",
-                    lambda theta: states.thermo_squeeze_operator(theta, fock.ModeLayout(8).doubled()),
+                    lambda theta: verify.thermo_squeeze_operator(theta, fock.ModeLayout(8).doubled()),
                     "theta",
                 ),
             )
