@@ -128,7 +128,7 @@ def _config_flags(path: str, keys: set[str]) -> list[str]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     flags = []
     for lineno, raw in enumerate(lines, start=1):

@@ -250,6 +250,16 @@ def test_missing_config_file_is_error(tmp_path):
     assert run_cli(["cool", "--config", str(tmp_path / "absent.cfg")]) == 2
 
 
+def test_config_file_that_is_not_utf8_is_one_config_error_line(tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"tau0 = 2\n\xff\n")
+    proc = run_python("-m", "thermofock", "cool", "--config", str(cfg))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error: cannot read config file ")
+
+
 @pytest.mark.parametrize("command, flag", [("cool", "--out"), ("two-mode", "--svg")])
 def test_unwritable_output_path_is_one_config_error_line(tmp_path, command, flag):
     path = tmp_path / "absent" / "x.out"

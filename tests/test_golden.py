@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from thermofock import cli
+from thermofock import channel, cli, fock, kernels, states, thermo, verify
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -93,6 +93,41 @@ def test_cli_output_matches_golden(name, tmp_path):
         compare_csv(out, want)
     if CASES[name][1]:
         assert svg.read_bytes() == (GOLDEN / f"{name}.svg").read_bytes()
+
+
+# verify's dense oracles; the curve commands never build them
+ORACLES = (
+    "annihilation",
+    "creation",
+    "number",
+    "expectation",
+    "kraus_operators",
+    "pair_creation_weights",
+    "thermo_squeeze_operator",
+    "_squeeze_batch",
+    "tfd_expectation_identity",
+)
+
+
+@pytest.mark.parametrize("name", ["cool", "cool_both", "cool_lindblad_steps16", "two_mode"])
+def test_curve_commands_never_build_an_oracle(name, tmp_path, monkeypatch):
+    for oracle in ORACLES:
+
+        def refuse(*args, oracle=oracle, **kwargs):
+            raise AssertionError(f"a curve command built verify.{oracle}")
+
+        monkeypatch.setattr(verify, oracle, refuse)
+    argv, has_svg = CASES[name]
+    csv, svg = tmp_path / "curve.csv", tmp_path / "plot.svg"
+    assert cli.main(argv + ["--out", str(csv)] + (["--svg", str(svg)] if has_svg else [])) == 0
+    compare_csv(csv.read_text(encoding="utf-8"), (GOLDEN / f"{name}.txt").read_text(encoding="utf-8"))
+    if has_svg:
+        assert svg.read_bytes() == (GOLDEN / f"{name}.svg").read_bytes()
+
+
+def test_curve_modules_hold_no_oracle():
+    for module in (fock, states, channel, thermo, kernels):
+        assert not {*ORACLES, "SQUEEZE_BATCH_SPLITS", "pair_creation_block"} & set(vars(module)), module.__name__
 
 
 if __name__ == "__main__":
