@@ -55,8 +55,12 @@ class ThermoParams:
 
     @property
     def q(self) -> float:
-        """Boltzmann weight per quantum, tanh^2(theta)."""
-        return math.tanh(self.theta) ** 2
+        """Boltzmann weight per quantum, e^(-1/tau) = tanh^2(theta); 0 at tau = 0.
+
+        Taken from tau itself, so it keeps its digits where tanh(theta) is
+        far below 1, down to the coldest tau whose weight is a normal float.
+        """
+        return math.exp(-1.0 / self.tau) if self.tau > 0 else 0.0
 
     def tail_weight(self, cutoff: int) -> float:
         """Thermal weight beyond the cutoff: q^cutoff."""

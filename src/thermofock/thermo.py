@@ -53,17 +53,22 @@ class CoolingCurveError(RuntimeError):
 def theta_from_tau(tau: float) -> float:
     """Squeeze angle of the thermal purification: tanh(theta) = e^(-1/(2 tau)).
 
-    Evaluated as -log(tanh(1/(4 tau))) / 2, which equals
-    atanh(e^(-1/(2 tau))) but stays finite for every finite tau: the atanh
-    form reaches atanh(1) once e^(-1/(2 tau)) rounds to 1.  1/(4 tau) is
-    taken as 0.25 / tau, which cannot overflow to 1/inf = 0 at huge tau.
+    Where x = e^(-1/(2 tau)) is below 1/2 (tau below about 0.72) it is
+    atanh(x), exact to round-off down to the coldest tau; -log(tanh(1/(4
+    tau))) / 2 loses the digits of a small x, and reads 0 once tanh(1/(4
+    tau)) rounds to 1 (tau below about 0.0134).  Above, it is that log-tanh
+    form, which stays finite for every finite tau, where the atanh form
+    reaches atanh(1) once x rounds to 1.  1/(4 tau) is taken as 0.25 / tau,
+    which cannot overflow to 1/inf = 0 at huge tau.
     """
     if not 0 <= tau < math.inf:
         raise ValueError(f"tau must be finite and >= 0, got {tau}")
     if tau == 0:
         return 0.0
-    # max() turns the -0.0 of a cold tau into 0.0
-    return max(0.0, -0.5 * math.log(math.tanh(0.25 / tau)))
+    half = math.exp(-0.5 / tau)
+    if half < 0.5:
+        return math.atanh(half)
+    return -0.5 * math.log(math.tanh(0.25 / tau))
 
 
 def tau_from_theta(theta: float) -> float:

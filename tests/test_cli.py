@@ -375,6 +375,25 @@ def test_cool_extreme_temperatures_exit_cleanly(tau0, code, capsys):
         assert all(math.isfinite(x) for row in rows for x in row)
 
 
+@pytest.mark.parametrize("tau0", ["0.03", "0.02", "0.015", "0.01", "0.0015"])
+def test_cold_temperatures_print_the_closed_form(tau0, capsys):
+    # q = e^(-1/tau) and tanh(theta) = e^(-1/(2 tau)) keep their digits
+    # where tanh(1/(4 tau)) is 1 to within round-off (tau below about 0.03)
+    nbar = f"{thermo.nbar_from_tau(float(tau0)):.12g}"
+    assert run_cli(["cool", "--tau0", tau0, "--steps", "1"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert len(rows) == 2
+    for _, tau_closed, tau_numeric, _, _ in rows:
+        assert tau_numeric == tau_closed
+    assert rows[0][3] == nbar
+    assert run_cli(["two-mode", "--tau0", tau0, "--steps", "2"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert len(rows) == 3
+    for _, _, sys_tau_numeric, sys_tau_closed, tilde_nbar, _ in rows:
+        assert sys_tau_numeric == sys_tau_closed
+        assert tilde_nbar == nbar
+
+
 @pytest.mark.parametrize(
     "argv",
     [
