@@ -16,7 +16,7 @@ every factor of which is <= 1, so the table is built by a stable recurrence
 and the operator sum is applied from the table instead of explicit matrix
 products: on each stored offset diagonal for a single mode (see kernels),
 and on the sector factors for two modes, where K_n takes sector d to
-sector d + n.
+sector d + n.  The explicit matrices are an oracle that verify builds.
 
 The Lindblad route integrates d rho / dt = kappa (2 a rho a+ - {a+a, rho})
 for a single mode with fixed-step RK4, taken as powers of the step matrix
@@ -34,7 +34,7 @@ import math
 import numpy as np
 
 from . import fock, kernels
-from .fock import DensityMatrix, ModeLayout
+from .fock import DensityMatrix
 
 TRACE_PRESERVATION_TOL = 1e-10
 TRACE_DRIFT_TOL = 1e-6

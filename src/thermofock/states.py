@@ -5,7 +5,8 @@ geometric populations p_n = (1 - q) q^n with q = e^(-1/tau).  Its
 purification is the thermal vacuum |0(beta)> = sech(theta) sum_n
 tanh(theta)^n |n, n~| on the doubled space, generated from the two-mode
 ground state by the squeeze operator exp[theta (a+ b+ - a b)] where b acts
-on the tilde partner.
+on the tilde partner.  The thermal vacuum is built from its closed
+amplitudes; verify builds the squeeze operator as an oracle.
 
 Damping the system mode of the thermal vacuum for a time t (rate kappa)
 gives a two-mode state with the closed form

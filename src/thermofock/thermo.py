@@ -53,13 +53,13 @@ class CoolingCurveError(RuntimeError):
 def theta_from_tau(tau: float) -> float:
     """Squeeze angle of the thermal purification: tanh(theta) = e^(-1/(2 tau)).
 
-    Where x = e^(-1/(2 tau)) is below 1/2 (tau below about 0.72) it is
-    atanh(x), exact to round-off down to the coldest tau; -log(tanh(1/(4
-    tau))) / 2 loses the digits of a small x, and reads 0 once tanh(1/(4
-    tau)) rounds to 1 (tau below about 0.0134).  Above, it is that log-tanh
-    form, which stays finite for every finite tau, where the atanh form
-    reaches atanh(1) once x rounds to 1.  1/(4 tau) is taken as 0.25 / tau,
-    which cannot overflow to 1/inf = 0 at huge tau.
+    Where x = e^(-1/(2 tau)) is below 1/2 (tau below about 0.72), theta is
+    atanh(x), accurate down to the coldest tau.  Above, it is
+    -log(tanh(1/(4 tau))) / 2, which stays finite for every finite tau,
+    where atanh(x) reaches atanh(1) once x rounds to 1.  At a cold tau
+    that form would lose the digits of x, since tanh(1/(4 tau)) rounds to
+    1 (below tau of about 0.0134 it reads 0).  1/(4 tau) is taken as
+    0.25 / tau, which cannot overflow to 1/inf = 0 at huge tau.
     """
     if not 0 <= tau < math.inf:
         raise ValueError(f"tau must be finite and >= 0, got {tau}")

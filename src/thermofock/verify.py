@@ -280,7 +280,8 @@ def tfd_expectation_identity(obs: np.ndarray, params: states.ThermoParams) -> tu
     two are equal for every system observable; on the truncated space they
     agree up to the thermal tail weight.  |0(beta)> pairs each |n> with its
     own |n~>, so the pure side is sum_n f_n^2 A_nn over the amplitudes f_n
-    of the thermal vacuum.
+    of the thermal vacuum.  The chaotic state is the run's shared one (see
+    _chaotic).
     """
     layout = fock.ModeLayout(obs.shape[0])
     # expectation checks the shape of A before its diagonal is read
@@ -384,11 +385,12 @@ def kraus_operators(kappa_t: float, layout: fock.ModeLayout) -> np.ndarray:
     underflows from cutoff 190 on.  Each product is written into its own
     slice of the stack.  Viewed as (cutoff^2, cutoff), the stack is the
     column of all K_n, so sum_n K_n^T K_n is one product of that view with
-    itself.  kappa t is clamped at channel.KAPPA_T_SATURATION, as in
-    channel.damping_weights.  apply_kraus does not call this (it uses the weight
-    table), so the two can check each other.  A two-mode layout raises
-    LayoutError: its family would be cutoff dense matrices of cutoff^4
-    entries, and apply_kraus damps two-mode states by sector.
+    itself.  The ladder is the run's shared one (see _shared).  kappa t is
+    clamped at channel.KAPPA_T_SATURATION, as in channel.damping_weights.
+    channel.apply_kraus does not call this (it uses the weight table), so
+    the two can check each other.  A two-mode layout raises LayoutError:
+    its family would be cutoff dense matrices of cutoff^4 entries, and
+    apply_kraus damps two-mode states by sector.
     """
     if layout.modes != 1:
         raise fock.LayoutError("kraus_operators builds the single-mode family")
