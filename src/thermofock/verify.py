@@ -20,9 +20,16 @@ build from the same arguments: the chaotic states, the Kraus image
 apply_kraus(rho, 0.5), the ladder and number operators and the squeeze
 unitary, each built once through _shared and released when the call
 returns.  An input that only one check builds (a Kraus family, the
-E-series factors) is built by that check and dropped with it.  The Kraus
-oracles take the family as one (cutoff, cutoff, cutoff) stack, whose
-completeness sum is one product of the stack with itself.
+E-series factors) is built by that check and dropped with it.
+
+The oracles are whole-array operations.  The Kraus oracles take the
+family as one (cutoff, cutoff, cutoff) stack, whose completeness sum is
+one product of the stack with itself.  The product state of two chaotic
+states is one scatter into its stored (2 cutoff - 1, cutoff, cutoff)
+stack.  The E-series sums one column per order for every sector at once
+and is scaled into its stored stack as one (cutoff, cutoff) array.  The
+squeeze gram is one batched product per SVD batch, each block padded with
+the identity to its batch's largest.
 """
 
 from __future__ import annotations
@@ -146,26 +153,35 @@ def _number_from_ladders(cutoff: int | None) -> float:
     return float(np.abs(a.conj().T @ a - _shared(number, layout)).max())
 
 
+def _product_state(rho_a: fock.DensityMatrix, rho_b: fock.DensityMatrix) -> fock.DensityMatrix:
+    """rho_a (x) rho_b of two diagonal single-mode states, as a two-mode
+    state stored by sector, with the trace check of from_factors.
+
+    The product is diagonal too: its entry (n, m~) is rho_a[n, n]
+    rho_b[m, m], and the factor of each sector is the diagonal of square
+    roots, one column per state.  Sector d = m - n holds (n, m~) at index
+    p = min(n, m), so every entry of the outer product of the populations
+    lands at [d + cutoff - 1, n, p] of the stored stack (rows by system
+    occupation) in one scatter, and no second copy of the joint state is
+    made.
+    """
+    layout = rho_a.layout
+    n = layout.cutoff
+    pops_a = fock.diagonal_populations(rho_a.diagonals)
+    pops_b = fock.diagonal_populations(rho_b.diagonals)
+    sys_occ, til_occ = np.indices((n, n))
+    factors = np.zeros((2 * n - 1, n, n))
+    factors[til_occ - sys_occ + n - 1, sys_occ, np.minimum(sys_occ, til_occ)] = np.sqrt(np.outer(pops_a, pops_b))
+    joint = fock.DensityMatrix._stored(layout.doubled(), factors, range(1 - n, n))
+    joint._check_trace(fock.DEFAULT_TRACE_TOL)
+    return joint
+
+
 def _partial_trace_tensor(cutoff: int | None) -> float:
     layout = fock.ModeLayout(_cutoff(cutoff))
     rho_a = _chaotic(1.0, layout)
     rho_b = _chaotic(0.5, layout)
-    # both states are diagonal, so their product is too: its entry
-    # (n, m~) is rho_a[n, n] rho_b[m, m], and the factor of each sector is
-    # the diagonal of square roots, one column per state.  Sector d holds
-    # (n_sys, n_tilde) = (p, p + d) for d >= 0 and (p - d, p) below, the
-    # diagonal d of the outer product.  The factors are written straight
-    # into the stored stack (rows by system occupation), with the trace
-    # check of from_factors, so no second copy of the joint state is made
-    n = layout.cutoff
-    outer = np.sqrt(np.outer(np.diagonal(rho_a.mat).real, np.diagonal(rho_b.mat).real))
-    sectors = range(1 - n, n)
-    factors = np.zeros((len(sectors), n, n))
-    for i, d in enumerate(sectors):
-        p = np.arange(n - abs(d))
-        factors[i, p + max(-d, 0), p] = np.diagonal(outer, d)
-    joint = fock.DensityMatrix._stored(layout.doubled(), factors, sectors)
-    joint._check_trace(fock.DEFAULT_TRACE_TOL)
+    joint = _product_state(rho_a, rho_b)
     kept_sys = fock.partial_trace(joint, over=fock.TILDE)
     kept_til = fock.partial_trace(joint, over=fock.SYSTEM)
     tr_a = fock.trace(rho_a).real
@@ -231,13 +247,19 @@ def thermo_squeeze_operator(theta: float, layout: fock.ModeLayout) -> dict[int, 
     if not 0 <= theta < math.inf:
         raise ValueError(f"theta must be finite and >= 0, got {theta}")
     n = layout.cutoff
-    edges = sorted({0, n, *(int(f * n) for f in SQUEEZE_BATCH_SPLITS)})
     coupling = theta * pair_creation_weights(n)
     unitaries = {}
-    for lo, hi in zip(edges, edges[1:]):
+    for lo, hi in _squeeze_batches(n):
         for d, block in zip(range(lo, hi), _squeeze_batch(coupling, lo, hi)):
             unitaries[d] = unitaries[-d] = block
     return unitaries
+
+
+def _squeeze_batches(cutoff: int) -> list[tuple[int, int]]:
+    """The sectors lo <= d < hi of each SVD batch, split at the fractions
+    SQUEEZE_BATCH_SPLITS of the cutoff; sector lo is the batch's largest."""
+    edges = sorted({0, cutoff, *(int(f * cutoff) for f in SQUEEZE_BATCH_SPLITS)})
+    return list(zip(edges, edges[1:]))
 
 
 def _squeeze_batch(coupling: np.ndarray, lo: int, hi: int) -> list[np.ndarray]:
@@ -296,9 +318,23 @@ def _squeeze_unitarity(cutoff: int | None) -> float:
     unitaries = _shared(thermo_squeeze_operator, thermo.theta_from_tau(1.0), layout)
     # the blocks are real, and U^T U and the identity are zero between
     # sectors, so the largest deviation lies in the gram of one sector's
-    # block; d and -d share theirs
-    blocks = (unitaries[d] for d in range(layout.cutoff))
-    return max(float(np.abs(u.T @ u - np.eye(len(u))).max()) for u in blocks)
+    # block; d and -d share theirs.  The blocks of one SVD batch are padded
+    # with the identity to the batch's largest, whose gram is that of the
+    # block beside an exact identity, with exact zeros between them, so
+    # each batch takes one product
+    n = layout.cutoff
+    worst = 0.0
+    for lo, hi in _squeeze_batches(n):
+        size = n - lo
+        padded = np.zeros((hi - lo, size, size))
+        padded[:, range(size), range(size)] = 1.0
+        for d in range(lo, hi):
+            padded[d - lo, : n - d, : n - d] = unitaries[d]
+        gram = padded.transpose(0, 2, 1) @ padded
+        del padded
+        gram -= np.eye(size)
+        worst = max(worst, float(np.abs(gram, out=gram).max()))
+    return worst
 
 
 def _squeeze_generates_thermal_vacuum(cutoff: int | None) -> float:
@@ -330,19 +366,18 @@ def _pair_series_columns(layout: fock.ModeLayout, lam: float) -> np.ndarray:
 
     |0, m~> is index 0 of sector m, where lam a+ b+ is the nilpotent block
     lam S_m, so the Taylor series of exp(lam S_m) applied to it ends after
-    cutoff - m terms.  S_m moves index p to p + 1 only, so applying lam S_m
-    to every sector at once is one product of the subdiagonals of all S_m,
-    pair_creation_weights, with the terms shifted by one, per order.
+    cutoff - m terms.  S_m moves index p to p + 1 only, so the term of
+    order k lies at index k alone, where no other term adds to it: column k
+    is column k - 1 times column k - 1 of the subdiagonals of all lam S_m
+    (pair_creation_weights), divided by k, one column per order for every
+    sector at once.
     """
     n = layout.cutoff
     raise_pair = lam * pair_creation_weights(n)
-    terms = np.zeros((n, n))
-    terms[:, 0] = 1.0
-    columns = terms.copy()
+    columns = np.zeros((n, n))
+    columns[:, 0] = 1.0
     for k in range(1, n):
-        terms[:, 1:] = raise_pair * terms[:, :-1] / k
-        terms[:, 0] = 0.0
-        columns += terms
+        columns[:, k] = raise_pair[:, k - 1] * columns[:, k - 1] / k
     return columns
 
 
@@ -354,10 +389,14 @@ def _evolved_series_vs_expm(cutoff: int | None) -> float:
     th = math.tanh(params.theta)
     lam = math.exp(-kappa_t) * th
     mu = (1.0 - math.exp(-2.0 * kappa_t)) * th * th
-    columns = _pair_series_columns(layout, lam)
-    factors = {m: math.sqrt((1.0 - th * th) * mu**m) * columns[m, : n - m, None] for m in range(n)}
-    deficit = abs(fock.trace(via_series) - 1)
-    via_expm = fock.DensityMatrix.from_factors(layout, factors, trace_tol=deficit + 1e-12)
+    # sector m >= 0 stores its rows from system occupation 0, so the scaled
+    # columns, zero past each sector, are the stored stack as they stand.
+    # mu^m is the float power of libm, which numpy's vectorized power does
+    # not reproduce to the last bit
+    scale = np.sqrt((1.0 - th * th) * np.array([mu**m for m in range(n)]))
+    factors = (scale[:, None] * _pair_series_columns(layout, lam))[:, :, None]
+    via_expm = fock.DensityMatrix._stored(layout, factors, range(n))
+    via_expm._check_trace(abs(fock.trace(via_series) - 1) + 1e-12)
     return fock.trace_distance(via_series, via_expm)
 
 

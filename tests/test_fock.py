@@ -218,6 +218,33 @@ def test_partial_trace_of_product_state():
     )
 
 
+def loop_product_state(rho_a, rho_b):
+    """rho_a (x) rho_b of two diagonal states, one sector at a time: the
+    factor of sector d is diagonal d of the outer product of the root
+    populations, written row by system occupation."""
+    n = rho_a.layout.cutoff
+    outer = np.sqrt(np.outer(np.diagonal(rho_a.mat).real, np.diagonal(rho_b.mat).real))
+    sectors = range(1 - n, n)
+    factors = np.zeros((len(sectors), n, n))
+    for i, d in enumerate(sectors):
+        p = np.arange(n - abs(d))
+        factors[i, p + max(-d, 0), p] = np.diagonal(outer, d)
+    return fock.DensityMatrix._stored(rho_a.layout.doubled(), factors, sectors)
+
+
+@pytest.mark.parametrize("cutoff", [2, 8, 32])
+def test_product_state_scatter_matches_the_per_sector_loop(cutoff):
+    layout = fock.ModeLayout(cutoff)
+    rng = np.random.default_rng(cutoff)
+    rho_a, rho_b = (fock.DensityMatrix(layout, np.diag(pops / pops.sum())) for pops in rng.random((2, cutoff)))
+    got = verify._product_state(rho_a, rho_b)
+    want = loop_product_state(rho_a, rho_b)
+    assert got.layout == want.layout and got.sectors == want.sectors
+    for d in want.sectors:
+        f, g = got.factor(d), want.factor(d)
+        np.testing.assert_array_equal(f @ f.T, g @ g.T)
+
+
 def test_partial_trace_requires_two_modes():
     layout = fock.ModeLayout(4)
     rho = fock.DensityMatrix(layout, np.eye(4, dtype=complex) / 4)

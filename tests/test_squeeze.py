@@ -1,9 +1,11 @@
-"""The squeeze unitary and the pair-creation series, against per-sector
-oracles written out here, and the inputs verify shares within one run.
-No scipy: this module also runs where only numpy is installed."""
+"""The squeeze unitary, its gram and the pair-creation series, against
+per-sector oracles written out here; the inputs verify shares within one
+run, and the memory each check takes.  No scipy: this module also runs
+where only numpy is installed."""
 
 import collections
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -75,6 +77,15 @@ def test_blocks_are_real_orthogonal_and_own_their_memory(cutoff, theta):
         # each block is its own array, not a view into a padded stack
         assert block.base is None
         np.testing.assert_allclose(block.T @ block, np.eye(cutoff - d), rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("cutoff", [2, 5, 33, 128])
+def test_batched_squeeze_gram_matches_per_block_loop(cutoff):
+    layout = fock.ModeLayout(cutoff).doubled()
+    unitaries = verify.thermo_squeeze_operator(thermo.theta_from_tau(1.0), layout)
+    blocks = (unitaries[d] for d in range(cutoff))
+    per_block = max(float(np.abs(u.T @ u - np.eye(len(u))).max()) for u in blocks)
+    assert abs(verify._squeeze_unitarity(cutoff) - per_block) <= 1e-15
 
 
 @pytest.mark.parametrize("cutoff", [2, 5, 33])
@@ -165,3 +176,23 @@ def test_sharing_inputs_changes_no_observed_value(cutoff):
     shared = {res.name: res.observed for res in verify.run_checks("all", cutoff=cutoff)}
     alone = {check.name: observed_alone(check, cutoff) for check in verify.CHECKS}
     assert shared == alone
+
+
+def test_no_check_outgrows_the_product_state():
+    # the product state of partial_trace_tensor, (2N - 1) N^2 float64
+    # entries, is the largest oracle at cutoff N.  A check that forms a
+    # family-sized temporary beside its inputs, such as a batched
+    # structured_vs_explicit or a squeeze gram padded into one (N, N, N)
+    # stack, outgrows it
+    cutoff = 128
+    peaks = {}
+    for check in verify.CHECKS:
+        tracemalloc.start()
+        try:
+            check.fn(cutoff)
+            peaks[check.name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # measured 34.5 MB against a 33.4 MB stack
+    assert peaks["partial_trace_tensor"] <= 1.1 * (2 * cutoff - 1) * cutoff**2 * 8
+    assert max(peaks, key=peaks.get) == "partial_trace_tensor"
